@@ -311,7 +311,8 @@ def verify_minorisation(kernel, level: float, V) -> MinorisationCert:
     nu = row_min / alpha_raw
     nu = nu / nu.sum()
     cert = MinorisationCert(c_nodes, alpha_raw * (1.0 - _GUARD), nu, float(level))
-    assert cert.violations(m) == 0
+    if cert.violations(m) != 0:
+        raise RuntimeError("minorisation certificate fails its own recheck")
     return cert
 
 
@@ -346,7 +347,8 @@ def hm_constants(gamma: float, d: float, alpha: float, level: float,
     beta = alpha0 / d
     alpha_bar = max(1.0 - (alpha - alpha0),
                     (2.0 + level * beta * gamma0) / (2.0 + level * beta))
-    assert 0.0 < alpha_bar < 1.0
+    if not 0.0 < alpha_bar < 1.0:
+        raise RuntimeError(f"contraction factor alpha_bar = {alpha_bar} is not in (0, 1)")
     return beta, alpha_bar
 
 
@@ -448,7 +450,8 @@ def fit_cone_bounds(kernel) -> ConeBounds:
     m = normalized.min(axis=0) * (1.0 - _GUARD)
     ell = float(np.max(p / np.outer(s, m))) * (1.0 + _GUARD)
     bounds = ConeBounds(s, m, ell)
-    assert bounds.violations(p) == 0
+    if bounds.violations(p) != 0:
+        raise RuntimeError("cone bounds fail their own recheck")
     return bounds
 
 
@@ -476,7 +479,7 @@ def projective_diameter(kernel, n_probe: int = 1000,
 
     Takes the maximum Hilbert distance over all pairs of rows and over
     random log-uniform positive vectors pushed through the kernel, and
-    asserts the result against the ``2 log L`` bound from the cone fit.
+    checks the result against the ``2 log L`` bound from the cone fit.
     """
     p = _kernel_matrix(kernel)
     if np.any(p <= 0):
@@ -491,7 +494,8 @@ def projective_diameter(kernel, n_probe: int = 1000,
         f, g = np.exp(gen.uniform(-3.0, 3.0, size=(2, n)))
         delta = max(delta, hilbert_metric(p @ f, p @ g))
     bound = 2.0 * math.log(fit_cone_bounds(p).L)
-    assert delta <= bound + 1e-9, "diameter exceeded the 2 log L bound"
+    if not delta <= bound + 1e-9:
+        raise RuntimeError("diameter exceeded the 2 log L bound")
     return delta
 
 
@@ -522,7 +526,7 @@ def power_iteration_jentzsch(kernel, tol: float = 1e-10,
     Iterates ``h -> P h`` and ``pi -> pi P`` until both sup-norm residuals
     against the Rayleigh eigenvalue drop below ``tol``; raises if
     ``max_iter`` is exhausted first.  The observed projective decay rate
-    is asserted against the ``1 - 1/L^2`` spectral-gap guarantee.
+    is checked against the ``1 - 1/L^2`` spectral-gap guarantee.
     """
     p = _kernel_matrix(kernel)
     if np.any(p <= 0):
@@ -551,8 +555,8 @@ def power_iteration_jentzsch(kernel, tol: float = 1e-10,
     usable = [(a, b) for a, b in zip(thetas[:-1], thetas[1:]) if a > 1e-10 and b > 0]
     rate = float(np.median([b / a for a, b in usable])) if usable else 0.0
     gap_bound = 1.0 - 1.0 / fit_cone_bounds(p).L ** 2
-    assert rate <= gap_bound + max(tol, 1e-9), (
-        "observed rate exceeded the spectral-gap bound")
+    if not rate <= gap_bound + max(tol, 1e-9):
+        raise RuntimeError("observed rate exceeded the spectral-gap bound")
     return JentzschResult(lam, h, pi, rate, iteration, res_right, res_left)
 
 

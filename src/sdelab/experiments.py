@@ -71,7 +71,7 @@ from .ergodicity import (
     verify_minorisation,
 )
 from .kolmogorov import DensityField, Grid1D, solve_fokker_planck, stationary_density_gradient
-from .largedev import arrhenius_check, eyring_kramers_time, minimize_action, ou_exit_rate, quasipotential
+from .largedev import _derivative, arrhenius_check, eyring_kramers_time, minimize_action, ou_exit_rate, quasipotential
 from .sde import GaussianStream, SdeModel, TimeGrid, euler_maruyama_ensemble
 
 __all__ = [
@@ -248,9 +248,7 @@ class ModelSpec:
                 raise ConfigError(
                     f"unknown model key {key!r} for preset {preset!r}; "
                     f"allowed: {', '.join(allowed)}", source=source)
-            if key == "dim":
-                kwargs[key] = int(str(raw).strip())
-            elif key == "potential":
+            if key == "potential":
                 try:
                     kwargs[key] = (raw if isinstance(raw, Expression)
                                    else parse_expression(str(raw)))
@@ -259,8 +257,9 @@ class ModelSpec:
                                       source=source, line=err.line,
                                       column=err.column) from None
             else:
-                kwargs[key] = float(raw if isinstance(raw, (int, float))
-                                    else str(raw).strip())
+                kind = "int" if key == "dim" else "float"
+                kwargs[key] = ParameterSpec(key, kind, None, "").convert(
+                    raw, source=source)
         return cls(**kwargs)
 
     def describe(self) -> dict[str, object]:
@@ -279,17 +278,7 @@ class ModelSpec:
         if self.preset == "gbm":
             growth, sigma = self.growth, self.sigma
             return SdeModel.scalar(lambda x: growth * x, lambda x: sigma * x)
-        return SdeModel.gradient(self.potential, _gradient_of(self.potential))
-
-
-def _gradient_of(U: Expression) -> Callable:
-    """The potential's derivative: symbolic when possible, else central
-    differences (only powers with ``x`` in the exponent need the fallback)."""
-    try:
-        return U.derivative()
-    except ValueError:
-        step = 1e-6
-        return lambda x: (U(x + step) - U(x - step)) / (2.0 * step)
+        return SdeModel.gradient(self.potential, _derivative(self.potential))
 
 
 # ---------------------------------------------------------------------------
@@ -1101,7 +1090,7 @@ def _run_minimum_action(run: _Run) -> ExperimentOutcome:
 def _run_quasipotential(run: _Run) -> ExperimentOutcome:
     p = run.params
     U = p["potential"]
-    dU = _gradient_of(U)
+    dU = _derivative(U)
     model = SdeModel.scalar(lambda x: -dU(x), lambda x: 1.0)
     result = quasipotential(model, p["x_star"], p["y"], p["horizons"],
                             n_steps=p["n_steps"], tol=p["tol"],
@@ -1157,8 +1146,8 @@ def _run_eyring_kramers(run: _Run) -> ExperimentOutcome:
     p = run.params
     U, eps = p["potential"], p["eps"]
     formula = eyring_kramers_time(U, p["x_star"], p["saddle"], eps)
-    grad = _gradient_of(U)
-    model = SdeModel.scalar(lambda x: -grad(x),
+    dU = _derivative(U)
+    model = SdeModel.scalar(lambda x: -dU(x),
                             lambda x, s=math.sqrt(eps): s)
     stats = mc_exit(model, p["x_star"],
                     Domain.interval(p["floor"], p["crossing"]),

@@ -152,6 +152,8 @@ def _mul(a: _Node, b: _Node) -> _Node:
         return a
     if a.op == "const" and b.op == "const":
         return _const(a.value * b.value)
+    if a.op == "const" and b.op == "*" and b.left.op == "const":
+        return _mul(_const(a.value * b.left.value), b.right)
     return _Node("*", left=a, right=b)
 
 
@@ -160,6 +162,8 @@ def _div(a: _Node, b: _Node) -> _Node:
         return a
     if a.op == "const" and b.op == "const" and b.value != 0.0:
         return _const(a.value / b.value)
+    if a.op == "*" and a.left.op == "const" and b.op == "const" and b.value != 0.0:
+        return _mul(_const(a.left.value / b.value), a.right)  # c*a/d -> (c/d)*a
     return _Node("/", left=a, right=b)
 
 

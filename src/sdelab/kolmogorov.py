@@ -336,7 +336,7 @@ def solve_backward_kolmogorov(model: SdeModel, phi, grid: Grid1D, t_end: float,
     ``phi`` may be a callable evaluated on the nodes, an array of node
     values, or a matrix whose columns are evolved simultaneously (this is
     how transition kernels are assembled).  Non-negative data stays
-    non-negative with the default implicit scheme, which is asserted on
+    non-negative with the default implicit scheme, which is checked on
     every run.  The explicit scheme checks the CFL bound before stepping.
     """
     bc = _resolve_bc(bc)
@@ -358,7 +358,8 @@ def solve_backward_kolmogorov(model: SdeModel, phi, grid: Grid1D, t_end: float,
         u[0] = u[-1] = 0.0
     if method == "implicit" and np.all(u0 >= 0.0):
         floor = 1e-9 * (1.0 + float(np.max(np.abs(u0))))
-        assert float(np.min(u)) >= -floor, "implicit backward step lost positivity"
+        if not float(np.min(u)) >= -floor:
+            raise RuntimeError("implicit backward step lost positivity")
         u = np.clip(u, 0.0, None)
     return u
 

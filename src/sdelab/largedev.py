@@ -31,6 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import solve_banded
 
+from .expr import Expression
 from .firstexit import Domain, mc_exit
 from .sde import GaussianStream, SdeModel, TimeGrid
 
@@ -55,7 +56,7 @@ __all__ = [
     "eyring_kramers_time",
 ]
 
-_FD_STEP = 1e-5  # finite-difference step for model derivatives
+_FD_STEP = 1e-5  # the one finite-difference step, for callables without exact derivatives
 
 
 @dataclass
@@ -261,18 +262,47 @@ def fw_rate(model: SdeModel, path: ActionPath) -> float:
     return float(0.5 * path.grid.dt * np.sum(r * a))
 
 
-def _model_jacobians(model: SdeModel, xs: np.ndarray):
-    """Central-difference Jacobian of f and derivative tensor of D at ``xs``."""
-    n, dim = xs.shape
-    jac_f = np.empty((n, dim, dim))
-    d_dd = np.empty((n, dim, dim, dim))
+def _central_differences(f: Callable, x, dim: int,
+                         scale: float = 1.0) -> list[np.ndarray]:
+    """The package's one rule for differentiating a callable: the list over
+    ``l < dim`` of ``(f(x + h e_l) - f(x - h e_l)) / 2h``, with ``e_l`` the
+    l-th unit vector along the last axis of ``x`` and ``h = scale * _FD_STEP``."""
+    step = scale * _FD_STEP
+    out = []
     for l in range(dim):
         e = np.zeros(dim)
-        e[l] = _FD_STEP
-        jac_f[:, :, l] = (model.drift(xs + e) - model.drift(xs - e)) / (2 * _FD_STEP)
-        d_dd[:, l] = (model.diffusion_matrix(xs + e)
-                      - model.diffusion_matrix(xs - e)) / (2 * _FD_STEP)
-    return jac_f, d_dd
+        e[l] = step
+        out.append((f(x + e) - f(x - e)) / (2 * step))
+    return out
+
+
+def _derivative(U: Callable) -> Callable:
+    """``U'`` of a 1-D potential: symbolic for an :class:`Expression`, else
+    (also for ``x`` in an exponent) by central differences."""
+    if isinstance(U, Expression):
+        try:
+            return U.derivative()
+        except ValueError:
+            pass  # no logarithm in the grammar: fall back to differences
+    return lambda x: _central_differences(U, x, 1)[0]
+
+
+def _hessian(U: Callable, x: np.ndarray) -> np.ndarray:
+    """Hessian of ``U(*x)``: the exact ``U''`` of a 1-D :class:`Expression`,
+    else central differences of the central-difference gradient."""
+    dU = _derivative(U)
+    if x.size == 1 and isinstance(dU, Expression):
+        return np.reshape(dU.derivative()(x), (1, 1))
+    grad = lambda y: np.array(_central_differences(lambda z: U(*z), y, y.size))
+    return np.array(_central_differences(grad, x, x.size))
+
+
+def _model_jacobians(model: SdeModel, xs: np.ndarray, scale: float = 1.0):
+    """Jacobian ``[k, i, l] = d f_i / d x_l`` of the drift and derivative
+    tensor ``[k, l, i, j] = d D_ij / d x_l`` of the diffusion matrix at the
+    rows of ``xs``, by central differences with step ``scale * _FD_STEP``."""
+    diffs = lambda f: _central_differences(f, xs, xs.shape[-1], scale)
+    return np.stack(diffs(model.drift), axis=-1), np.stack(diffs(model.diffusion_matrix), axis=1)
 
 
 def action_gradient(model: SdeModel, path: ActionPath) -> np.ndarray:
@@ -310,32 +340,23 @@ def hamilton_flow(model: SdeModel, state0: HamiltonianState, T: float,
                   n_steps: int, drift_tol: float = 1e-6) -> HamiltonFlow:
     """Integrate the Hamilton equations of the action by classical RK4.
 
-    ``phidot = D psi + f`` is exact; ``psidot = -grad_phi H`` uses central
-    finite differences in ``phi``.  The Hamiltonian is recorded at every
-    node and the trajectory is flagged when its drift exceeds
-    ``drift_tol * (1 + |H(0)|)``.
+    ``phidot = D psi + f`` is exact; ``psidot = -(J_f^T psi + psi^T (dD)
+    psi / 2)`` takes ``J_f`` and ``dD`` by central differences.  The
+    Hamiltonian is recorded at every node and the trajectory is flagged
+    when its drift exceeds ``drift_tol * (1 + |H(0)|)``.
     """
     if T <= 0:
         raise ValueError("T must be positive")
     grid = TimeGrid(0.0, T, n_steps)
     dim = state0.phi.size
 
-    def grad_phi_h(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        # step scaled to the state so cancellation noise in H stays benign
-        # on trajectories that grow exponentially
-        delta = _FD_STEP * (1.0 + float(np.max(np.abs(phi))))
-        out = np.empty(dim)
-        for l in range(dim):
-            e = np.zeros(dim)
-            e[l] = delta
-            hp = hamiltonian(model, HamiltonianState(phi + e, psi))
-            hm = hamiltonian(model, HamiltonianState(phi - e, psi))
-            out[l] = (hp - hm) / (2 * delta)
-        return out
-
     def rhs(phi: np.ndarray, psi: np.ndarray):
+        # step scaled to the state so rounding in phi +- step stays benign
+        # on trajectories that grow exponentially
+        jac_f, d_dd = _model_jacobians(model, phi[np.newaxis],
+                                       1.0 + float(np.max(np.abs(phi))))
         return (model.diffusion_matrix(phi) @ psi + model.drift(phi),
-                -grad_phi_h(phi, psi))
+                -psi @ jac_f[0] - 0.5 * np.einsum("i,lij,j->l", psi, d_dd[0], psi))
 
     phi = np.empty((grid.n_nodes, dim))
     psi = np.empty((grid.n_nodes, dim))
@@ -585,15 +606,11 @@ def arrhenius_check(U: Callable, eps_list: Sequence[float], exit_domain: Domain,
     x_star = _well_minimum(U, a, b)
     u_star = U(x_star)
     v_bar = 2.0 * (min(U(a), U(b)) - u_star)
-
-    def drift(x):
-        # U must accept array arguments; numpy-style potentials do
-        return -(U(x + 1e-6) - U(x - 1e-6)) / 2e-6
-
+    dU = _derivative(U)
     eps_log = np.empty(eps.size)
     stderr = np.empty(eps.size)
     for i, e in enumerate(eps):
-        model = SdeModel.scalar(drift, lambda x, s=math.sqrt(e): s)
+        model = SdeModel.scalar(lambda x: -dU(x), lambda x, s=math.sqrt(e): s)
         stats = mc_exit(model, x_star, exit_domain, h=h, n_paths=n_paths,
                         stream=stream.child(i), t_max=t_max)
         if stats.fraction_censored > max_censored:
@@ -608,24 +625,6 @@ def arrhenius_check(U: Callable, eps_list: Sequence[float], exit_domain: Domain,
                         v_bar, monotone)
 
 
-def _hessian(U: Callable, x: np.ndarray, step: float = 1e-4) -> np.ndarray:
-    dim = x.size
-    hess = np.empty((dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            ei = np.zeros(dim)
-            ej = np.zeros(dim)
-            ei[i] = step
-            ej[j] = step
-            if i == j:
-                val = (U(*(x + ei)) - 2.0 * U(*x) + U(*(x - ei))) / step**2
-            else:
-                val = (U(*(x + ei + ej)) - U(*(x + ei - ej))
-                       - U(*(x - ei + ej)) + U(*(x - ei - ej))) / (4.0 * step**2)
-            hess[i, j] = hess[j, i] = val
-    return hess
-
-
 def eyring_kramers_time(U: Callable, x_star, z_star, eps: float) -> float:
     """Eyring-Kramers mean transition time through a saddle.
 
@@ -636,9 +635,9 @@ def eyring_kramers_time(U: Callable, x_star, z_star, eps: float) -> float:
             * exp(2 [U(z*) - U(x*)] / eps),
 
     with ``lambda_minus`` the saddle's unique negative curvature.  The
-    Hessians are formed by finite differences and their signatures
-    checked: a non-minimal ``x_star`` or non-saddle ``z_star`` is an
-    error, not a warning.
+    Hessians (exact in 1-D for an :class:`Expression`) have their
+    signatures checked: a non-minimal ``x_star`` or non-saddle
+    ``z_star`` is an error, not a warning.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")

@@ -298,9 +298,11 @@ def sample_wiener(grid: TimeGrid, stream: GaussianStream, dim: int = 1) -> Wiene
     """Sample a Brownian path on ``grid`` by accumulating N(0, dt) increments."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    rng = stream.generator()
-    incr = rng.normal(0.0, math.sqrt(grid.dt), size=(grid.n_steps, dim))
-    values = np.vstack([np.zeros((1, dim)), np.cumsum(incr, axis=0)])
+    values = np.zeros((grid.n_nodes, dim))
+    steps = values[1:]  # increments drawn, scaled and summed in place
+    stream.generator().standard_normal(out=steps)
+    steps *= math.sqrt(grid.dt)
+    np.cumsum(steps, axis=0, out=steps)
     return WienerPath(grid, values)
 
 

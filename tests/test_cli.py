@@ -73,6 +73,14 @@ class TestRun:
         assert "did you mean 'n_paths'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_model_value_exits_two_naming_the_file(self, tmp_path, capsys):
+        config = tmp_path / "bad.ini"
+        config.write_text("[experiment]\nname = sample-paths\n"
+                          "[model]\npreset = bm\ndim = abc\n", encoding="utf-8")
+        assert main(["run", "--config", str(config),
+                     "--out", str(tmp_path / "results")]) == 2
+        assert f"{config}: parameter 'dim'" in capsys.readouterr().err
+
     def test_parse_error_exits_two_with_position(self, tmp_path, capsys):
         config = tmp_path / "bad.ini"
         config.write_text("[experiment\nname = arcsine-law\n", encoding="utf-8")

@@ -2,15 +2,21 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdelab
 from sdelab.ergodicity import (
     ConeBounds,
     DiscreteKernel,
+    MinorisationCert,
     discretize_kernel,
     drift_violations,
     fit_cone_bounds,
@@ -223,6 +229,34 @@ class TestMinorisation:
     def test_empty_small_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             verify_minorisation(np.eye(3), 0.5, np.ones(3))
+
+
+class TestSelfChecks:
+    """A certificate that fails its own recheck raises, even under -O."""
+
+    SCRIPT = (
+        "import numpy as np\n"
+        "from sdelab.ergodicity import MinorisationCert, verify_minorisation\n"
+        "MinorisationCert.violations = lambda self, kernel: 1\n"
+        "try:\n"
+        "    verify_minorisation(np.tile([0.2, 0.3, 0.5], (3, 1)), 1.0, np.zeros(3))\n"
+        "except RuntimeError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n")
+
+    def test_failed_recheck_raises(self, monkeypatch):
+        monkeypatch.setattr(MinorisationCert, "violations", lambda self, kernel: 1)
+        with pytest.raises(RuntimeError, match="recheck"):
+            verify_minorisation(np.tile([0.2, 0.3, 0.5], (3, 1)), 1.0, np.zeros(3))
+
+    def test_failed_recheck_raises_under_optimisation(self):
+        src = str(Path(sdelab.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-O", "-c", self.SCRIPT],
+                              env=env, timeout=120)
+        assert done.returncode == 0
 
 
 class TestHmConstants:

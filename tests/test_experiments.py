@@ -120,6 +120,14 @@ class TestModelSpec:
         assert model.drift(np.array([2.0]))[0] == pytest.approx(-6.0)
         assert model.diffusion_matrix(np.array([2.0]))[0, 0] == pytest.approx(2.0)
 
+    def test_gradient_build_differences_a_variable_exponent(self):
+        model = ModelSpec.from_mapping(
+            {"preset": "gradient", "potential": "x^2/2 + 2^x/1000"}).build()
+        xs = np.linspace(-2.0, 2.0, 9)
+        np.testing.assert_allclose(
+            model.drift(xs), -(xs + np.log(2.0) * 2.0**xs / 1000.0),
+            rtol=0, atol=1e-9)
+
     def test_describe_round_trips_the_potential_source(self):
         spec = ModelSpec.from_mapping(
             {"preset": "gradient", "potential": "x^2/2"})

@@ -152,6 +152,10 @@ class TestDerivative:
         xs = np.linspace(-3.0, 3.0, 11)
         np.testing.assert_array_equal(again(xs), d(xs))
 
+    def test_constant_factors_fold_through_products_and_quotients(self):
+        assert parse_expression("x^2/2").derivative().source == "x"
+        assert parse_expression("x^4/4 - x^2/2").derivative().source == "x^3-x"
+
     def test_negated_power_derivative(self):
         d = parse_expression("-x^3").derivative()
         assert d(2.0) == -12.0

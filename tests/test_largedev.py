@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdelab.expr import parse_expression
 from sdelab.firstexit import Domain, mc_exit
 from sdelab.largedev import (
     ActionPath,
@@ -473,6 +474,28 @@ class TestEyringKramers:
             expected = 2.0 * math.pi / math.sqrt(2.0) * math.exp(0.5 / eps)
             value = eyring_kramers_time(double_well_potential, -1.0, 0.0, eps)
             assert value == pytest.approx(expected, rel=1e-6)
+
+    def test_expression_hessians_are_exact(self):
+        U = parse_expression("x^4/4 - x^2/2")
+        for eps in (0.5, 0.15):
+            expected = math.pi * math.sqrt(2.0) * math.exp(0.5 / eps)
+            assert eyring_kramers_time(U, -1.0, 0.0, eps) == \
+                pytest.approx(expected, rel=1e-12)
+
+    def test_variable_exponent_falls_back_to_central_differences(self):
+        # 2^x has no symbolic derivative in the grammar
+        U = parse_expression("x^4/4 - x^2/2 + 2^x/1000")
+        c = math.log(2.0) ** 2 / 1000.0
+        hx, hz = 2.0 + 0.5 * c, -1.0 + c
+        expected = (2.0 * math.pi / abs(hz)) * math.sqrt(abs(hz) / hx) \
+            * math.exp(2.0 * (U(0.0) - U(-1.0)) / 0.2)
+        assert eyring_kramers_time(U, -1.0, 0.0, 0.2) == \
+            pytest.approx(expected, rel=1e-6)
+
+    def test_scalar_potentials_are_called_with_scalars(self):
+        # U(*x): math.cos rejects arrays, so the fallback must not pass one
+        value = eyring_kramers_time(lambda x: -math.cos(x), 0.0, math.pi, 0.5)
+        assert value == pytest.approx(2.0 * math.pi * math.exp(8.0), rel=1e-6)
 
     def test_mirror_wells_take_equal_time(self):
         left = eyring_kramers_time(double_well_potential, -1.0, 0.0, 0.2)

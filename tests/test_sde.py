@@ -115,6 +115,16 @@ def test_wiener_path_starts_at_zero_and_has_grid_shape():
         WienerPath(grid, np.ones((101, 1)))
 
 
+def test_wiener_path_matches_cumulated_normal_increments():
+    for dim, n_steps in [(1, 100_000), (3, 1000), (40, 500)]:
+        grid = TimeGrid(0.0, 1.3, n_steps)
+        incr = GaussianStream(11).generator().normal(
+            0.0, math.sqrt(grid.dt), size=(n_steps, dim))
+        expected = np.vstack([np.zeros((1, dim)), np.cumsum(incr, axis=0)])
+        path = sample_wiener(grid, GaussianStream(11), dim=dim)
+        assert np.array_equal(path.values, expected)
+
+
 def test_wiener_increments_have_mean_zero_and_variance_dt():
     # many independent components on one grid = a cheap ensemble
     grid = TimeGrid(0.0, 1.0, 16)
