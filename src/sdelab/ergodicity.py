@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kolmogorov import Grid1D, apply_generator, solve_backward_kolmogorov
-from .sde import GaussianStream, SdeModel, TimeGrid, euler_maruyama_ensemble
+from .sde import GaussianStream, SdeModel
 
 __all__ = [
     "DiscreteKernel",
@@ -152,65 +152,38 @@ def _kernel_matrix(kernel) -> np.ndarray:
 # Kernel construction
 # ---------------------------------------------------------------------------
 
-def discretize_kernel(model: SdeModel, grid: Grid1D, t_step: float,
-                      method: str = "pde", *, bc: str = "neumann_zero",
-                      dt: float | None = None, n_paths: int = 2000,
-                      h: float | None = None,
-                      stream: GaussianStream | None = None) -> DiscreteKernel:
+def discretize_kernel(model: SdeModel, grid: Grid1D, t_step: float, *,
+                      bc: str = "neumann_zero",
+                      dt: float | None = None) -> DiscreteKernel:
     """Transition matrix of ``model`` over one time step on ``grid``.
 
-    The ``pde`` route pushes the identity matrix through the backward
-    solver (every column is an indicator function), so one banded
-    factorisation per time step serves all rows at once.  With reflecting
-    boundaries the rows are renormalized to probability vectors and the
-    leaked mass recorded; with absorbing (``dirichlet_zero``) boundaries
-    the rows are left substochastic, which is the quasistationary setting.
-
-    The ``mc`` route runs an Euler-Maruyama ensemble from every node and
-    histograms the endpoints into the grid cells (endpoints beyond the
-    grid are clipped into the edge cells).
+    Pushes the identity matrix through the backward solver (every column
+    is an indicator function), so one banded factorisation per time step
+    serves all rows at once; ``dt`` defaults to ``t_step / 500``.  With
+    reflecting boundaries the rows are renormalized to probability vectors
+    and the leaked mass recorded; with absorbing (``dirichlet_zero``)
+    boundaries the rows are left substochastic, which is the
+    quasistationary setting.
     """
     if t_step <= 0:
         raise ValueError("t_step must be positive")
-    if method == "pde":
-        dt = t_step / 500 if dt is None else dt
-        k = solve_backward_kolmogorov(model, np.eye(grid.n_nodes), grid,
-                                      t_end=t_step, dt=dt, bc=bc)
-        if bc == "dirichlet_zero":
-            # Absorbed mass never returns, so the boundary columns are
-            # identically zero; the kernel lives on the interior nodes.
-            if grid.n_cells < 4:
-                raise ValueError("need at least 4 cells for an absorbing kernel")
-            inner = Grid1D(grid.x_min + grid.dx, grid.x_max - grid.dx,
-                           grid.n_cells - 2)
-            k = np.clip(k[1:-1, 1:-1], 0.0, None)
-            sums = k.sum(axis=1)
-            if np.any(sums <= 0):
-                raise ValueError("a kernel row received no mass; refine the discretization")
-            k = np.where(sums[:, None] > 1.0, k / sums[:, None], k)
-            return DiscreteKernel(k, inner, substochastic=True, t_step=t_step,
-                                  row_leakage=1.0 - k.sum(axis=1))
-    elif method == "mc":
-        if stream is None:
-            raise ValueError("the mc route needs a stream")
-        if n_paths < 1:
-            raise ValueError("need at least one path per row")
-        h = t_step / 200 if h is None else h
-        tgrid = TimeGrid(0.0, t_step, max(1, round(t_step / h)))
-        edges = np.concatenate((
-            [grid.x_min - 0.5 * grid.dx],
-            grid.nodes[:-1] + 0.5 * grid.dx,
-            [grid.x_max + 0.5 * grid.dx],
-        ))
-        k = np.empty((grid.n_nodes, grid.n_nodes))
-        for i, x0 in enumerate(grid.nodes):
-            paths = euler_maruyama_ensemble(model, x0, tgrid, n_paths,
-                                            stream.child(i))
-            endpoints = np.clip(paths[:, -1, 0], grid.x_min, grid.x_max)
-            counts, _ = np.histogram(endpoints, bins=edges)
-            k[i] = counts / n_paths
-    else:
-        raise ValueError(f"method must be 'pde' or 'mc', got {method!r}")
+    dt = t_step / 500 if dt is None else dt
+    k = solve_backward_kolmogorov(model, np.eye(grid.n_nodes), grid,
+                                  t_end=t_step, dt=dt, bc=bc)
+    if bc == "dirichlet_zero":
+        # Absorbed mass never returns, so the boundary columns are
+        # identically zero; the kernel lives on the interior nodes.
+        if grid.n_cells < 4:
+            raise ValueError("need at least 4 cells for an absorbing kernel")
+        inner = Grid1D(grid.x_min + grid.dx, grid.x_max - grid.dx,
+                       grid.n_cells - 2)
+        k = np.clip(k[1:-1, 1:-1], 0.0, None)
+        sums = k.sum(axis=1)
+        if np.any(sums <= 0):
+            raise ValueError("a kernel row received no mass; refine the discretization")
+        k = np.where(sums[:, None] > 1.0, k / sums[:, None], k)
+        return DiscreteKernel(k, inner, substochastic=True, t_step=t_step,
+                              row_leakage=1.0 - k.sum(axis=1))
 
     k = np.clip(k, 0.0, None)
     sums = k.sum(axis=1)

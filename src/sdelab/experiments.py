@@ -260,7 +260,10 @@ class ModelSpec:
                 kind = "int" if key == "dim" else "float"
                 kwargs[key] = ParameterSpec(key, kind, None, "").convert(
                     raw, source=source)
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except ConfigError as err:
+            raise ConfigError(err.message, source=source) from None
 
     def describe(self) -> dict[str, object]:
         out: dict[str, object] = {"preset": self.preset}
@@ -694,16 +697,10 @@ def emit_plot_data(run_dir) -> list[Path]:
         if key.endswith("_std_error") or key.endswith("_target"):
             continue
         rows.append((key, float(value),
-                     summary.get(f"{key}_std_error", ""),
-                     summary.get(f"{key}_target", "")))
+                     *(float(summary[k]) if k in summary else ""
+                       for k in (f"{key}_std_error", f"{key}_target"))))
     target = plots / "summary_points.csv"
-    with open(target, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["quantity", "value", "std_error", "target"])
-        for key, value, err, ref in rows:
-            writer.writerow([key, repr(value),
-                             repr(float(err)) if err != "" else "",
-                             repr(float(ref)) if ref != "" else ""])
+    _write_csv(target, ("quantity", "value", "std_error", "target"), rows)
     written.append(target)
     return written
 
@@ -712,17 +709,19 @@ def emit_plot_data(run_dir) -> list[Path]:
 # Shared numerical helpers
 # ---------------------------------------------------------------------------
 
+_EXIT_CHUNKS = 8
+
+
 def _chunked_exit(model: SdeModel, x0, domain: Domain, *, h: float,
                   n_paths: int, stream: GaussianStream, t_max: float,
-                  lambdas=(), threads: int = 1,
-                  n_chunks: int = 8) -> ExitStatistics:
+                  lambdas=(), threads: int = 1) -> ExitStatistics:
     """Monte Carlo exit run split into fixed chunks, optionally threaded.
 
-    The decomposition into ``n_chunks`` child streams is the same for
+    The decomposition into ``_EXIT_CHUNKS`` child streams is the same for
     every thread count, so results depend only on the seed; ``threads``
     controls physical workers, not the logical plan.
     """
-    n_chunks = min(n_chunks, n_paths)
+    n_chunks = min(_EXIT_CHUNKS, n_paths)
     sizes = [n_paths // n_chunks + (1 if k < n_paths % n_chunks else 0)
              for k in range(n_chunks)]
 

@@ -26,7 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .sde import BlowUpError, GaussianStream, SdeModel, TimeGrid, sample_wiener
+from .sde import (GaussianStream, SdeModel, TimeGrid, _check_finite, _em_step,
+                  sample_wiener)
 
 __all__ = [
     "Domain",
@@ -262,8 +263,11 @@ class ExitStatistics:
                 writer.writerow([int(pid), repr(float(self.exit_times[i])), loc])
 
 
-def _chunk_size(n_paths: int, dim_noise: int, cap: int = 20_000_000) -> int:
-    return max(16, min(2048, cap // max(1, n_paths * dim_noise)))
+_NOISE_BLOCK_CAP = 20_000_000  # Gaussian draws per noise block
+
+
+def _chunk_size(n_paths: int, dim_noise: int) -> int:
+    return max(16, min(2048, _NOISE_BLOCK_CAP // max(1, n_paths * dim_noise)))
 
 
 def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
@@ -274,9 +278,14 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
     Paths advance with fixed-step Euler-Maruyama until they leave
     ``domain``; the exit time is interpolated linearly between the
     straddling nodes (no bridge correction, giving the usual O(sqrt(h))
-    late-detection bias).  ``t_max`` defaults to 50 times a pilot estimate
-    of the mean exit time; paths still inside at ``t_max`` are censored.
-    A run where nothing exits is flagged invalid rather than averaged.
+    late-detection bias).  Only the paths still inside are stepped: a
+    path is dropped from the active set at the step where it exits, while
+    its noise stays addressed by (path, step), so the draws a path sees
+    do not depend on when the others exit.  ``t_max`` defaults to 50
+    times a pilot estimate of the mean exit time; paths still inside at
+    ``t_max`` are censored.  A run where nothing exits is flagged invalid
+    rather than averaged; a non-finite state raises
+    :class:`~sdelab.sde.BlowUpError`.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (model.dim_state,):
@@ -299,42 +308,36 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
     block = _chunk_size(n_paths, model.dim_noise)
     sqrt_h = math.sqrt(h)
 
+    # compacted active set: ``x[r]`` is the state of path ``ids[r]``
+    ids = np.arange(n_paths)
     x = np.tile(x0, (n_paths, 1))
-    active = np.ones(n_paths, dtype=bool)
     exit_time = np.full(n_paths, np.nan)
     exit_points = np.zeros((n_paths, model.dim_state))
 
     step = 0
     chunk = 0
-    while step < n_steps and active.any():
-        nb = min(block, n_steps - step)
-        # noise is indexed by (path, step) regardless of which paths are
-        # still active, so nested runs on the same stream share trajectories
-        dw = noise.child(chunk).generator().normal(0.0, sqrt_h,
-                                                   (n_paths, nb, model.dim_noise))
-        for j in range(nb):
-            idx = np.flatnonzero(active)
-            if idx.size == 0:
-                break
-            xa = x[idx]
-            with np.errstate(over="ignore", invalid="ignore"):
-                drift = np.asarray(model.drift(xa), dtype=float)
-                disp = np.asarray(model.dispersion(xa), dtype=float)
-                x_new = xa + drift * h + np.einsum("pik,pk->pi", disp, dw[idx, j])
-            if not np.all(np.isfinite(x_new)):
-                raise BlowUpError(step + j + 1, (step + j + 1) * h)
-            out = ~domain.contains(x_new)
-            if out.any():
-                rows = np.flatnonzero(out)
-                lam = domain.exit_fraction(xa[rows], x_new[rows])
-                pts = xa[rows] + lam[:, np.newaxis] * (x_new[rows] - xa[rows])
-                ids = idx[rows]
-                exit_time[ids] = (step + j + lam) * h
-                exit_points[ids] = pts
-                active[ids] = False
-            x[idx] = x_new
-        step += nb
-        chunk += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while step < n_steps and ids.size:
+            nb = min(block, n_steps - step)
+            # noise is indexed by (path, step) regardless of which paths are
+            # still active, so nested runs on the same stream share trajectories
+            dw = noise.child(chunk).generator().normal(0.0, sqrt_h,
+                                                       (n_paths, nb, model.dim_noise))
+            for j in range(nb):
+                x_new = _em_step(model, x, h, dw[ids, j])
+                _check_finite(x_new, step + j + 1, (step + j + 1) * h)
+                out = ~domain.contains(x_new)
+                if out.any():
+                    p, q, gone = x[out], x_new[out], ids[out]
+                    lam = domain.exit_fraction(p, q)
+                    exit_time[gone] = (step + j + lam) * h
+                    exit_points[gone] = p + lam[:, np.newaxis] * (q - p)
+                    ids, x_new = ids[~out], x_new[~out]
+                    if not ids.size:
+                        break
+                x = x_new
+            step += nb
+            chunk += 1
 
     exited = np.flatnonzero(~np.isnan(exit_time))
     params = domain.boundary_parameter(exit_points[exited]) if exited.size else None

@@ -7,8 +7,7 @@ For ``dX = f(X) dt + g(X) dW`` the generator and its formal adjoint are
 
 acting on functions sampled on a uniform spatial grid.  The module solves
 the backward equation ``du/dt = L u`` and the Fokker-Planck equation
-``drho/dt = L* rho`` with a theta time scheme (backward Euler by default,
-explicit Euler with an up-front CFL check on request), provides the
+``drho/dt = L* rho`` by backward Euler in time, provides the
 closed-form heat kernels for free, reflected and killed Brownian motion,
 the stationary density ``exp(-U)/Z`` of gradient systems, and Monte Carlo
 estimators for the semigroup and for Feynman-Kac functionals that serve as
@@ -34,7 +33,6 @@ __all__ = [
     "Grid1D",
     "DensityField",
     "BoundaryCondition",
-    "CflError",
     "apply_generator",
     "apply_adjoint_generator",
     "solve_backward_kolmogorov",
@@ -47,22 +45,6 @@ __all__ = [
     "mc_semigroup",
     "mc_feynman_kac",
 ]
-
-
-class CflError(ValueError):
-    """Explicit time step too large for the spatial grid.
-
-    Carries the offending step ``dt`` and the stability bound ``dt_max =
-    dx^2 / max(D)``; raised before any stepping is performed.
-    """
-
-    def __init__(self, dt: float, dt_max: float):
-        self.dt = dt
-        self.dt_max = dt_max
-        super().__init__(
-            f"explicit step dt={dt:g} violates the CFL bound dt <= dx^2/max(g g^T) "
-            f"= {dt_max:g}; reduce dt or use the implicit scheme"
-        )
 
 
 class BoundaryCondition(str, Enum):
@@ -278,49 +260,13 @@ def _adjoint_operator(model: SdeModel, grid: Grid1D,
     return np.vstack([upper, diag, lower])
 
 
-def _theta_step_matrices(banded_a: np.ndarray, dt: float,
-                         theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Banded ``I - theta dt A`` and dense-diagonal helper for the rhs."""
-    n = banded_a.shape[1]
-    identity = np.zeros_like(banded_a)
-    identity[1] = 1.0
-    lhs = identity - theta * dt * banded_a
-    rhs = identity + (1.0 - theta) * dt * banded_a
-    return lhs, rhs
-
-
-def _banded_matvec(banded: np.ndarray, x: np.ndarray) -> np.ndarray:
-    upper, diag, lower = banded
-    out = diag[:, np.newaxis] * x if x.ndim == 2 else diag * x
-    if x.ndim == 2:
-        out[:-1] += upper[1:, np.newaxis] * x[1:]
-        out[1:] += lower[:-1, np.newaxis] * x[:-1]
-    else:
-        out[:-1] += upper[1:] * x[1:]
-        out[1:] += lower[:-1] * x[:-1]
-    return out
-
-
-def _check_cfl(model: SdeModel, grid: Grid1D, dt: float) -> None:
-    _, d = _scalar_coefficients(model, grid.nodes)
-    dt_max = grid.dx**2 / float(np.max(d))
-    if dt > dt_max:
-        raise CflError(dt, dt_max)
-
-
-def _evolve(banded_a: np.ndarray, state: np.ndarray, n_steps: int, dt: float,
-            method: str) -> np.ndarray:
-    if method == "explicit":
-        lhs = None
-        _, rhs = _theta_step_matrices(banded_a, dt, 0.0)
-    elif method == "implicit":
-        lhs, rhs = _theta_step_matrices(banded_a, dt, 1.0)
-    else:
-        raise ValueError(f"method must be 'implicit' or 'explicit', got {method!r}")
+def _evolve(banded_a: np.ndarray, state: np.ndarray, n_steps: int,
+            dt: float) -> np.ndarray:
+    """Backward Euler: solve ``(I - dt A) u_{k+1} = u_k`` for ``n_steps`` steps."""
+    lhs = -dt * banded_a
+    lhs[1] += 1.0
     for _ in range(n_steps):
-        state = _banded_matvec(rhs, state)
-        if lhs is not None:
-            state = solve_banded((1, 1), lhs, state)
+        state = solve_banded((1, 1), lhs, state)
     return state
 
 
@@ -329,15 +275,14 @@ def _resolve_bc(bc) -> BoundaryCondition:
 
 
 def solve_backward_kolmogorov(model: SdeModel, phi, grid: Grid1D, t_end: float,
-                              dt: float, bc="neumann_zero",
-                              method: str = "implicit") -> np.ndarray:
+                              dt: float, bc="neumann_zero") -> np.ndarray:
     """Evolve ``du/dt = L u`` from ``u(0) = phi`` to time ``t_end``.
 
     ``phi`` may be a callable evaluated on the nodes, an array of node
     values, or a matrix whose columns are evolved simultaneously (this is
-    how transition kernels are assembled).  Non-negative data stays
-    non-negative with the default implicit scheme, which is checked on
-    every run.  The explicit scheme checks the CFL bound before stepping.
+    how transition kernels are assembled).  Time stepping is backward
+    Euler, which keeps non-negative data non-negative; that is checked on
+    every run.
     """
     bc = _resolve_bc(bc)
     if t_end <= 0 or dt <= 0:
@@ -347,16 +292,14 @@ def solve_backward_kolmogorov(model: SdeModel, phi, grid: Grid1D, t_end: float,
         raise ValueError(f"phi must be sampled on all {grid.n_nodes} nodes")
     n_steps = max(1, round(t_end / dt))
     dt_eff = t_end / n_steps
-    if method == "explicit":
-        _check_cfl(model, grid, dt_eff)
     banded_a = _backward_operator(model, grid, bc)
     if bc is BoundaryCondition.DIRICHLET_ZERO:
         u0 = u0.copy()
         u0[0] = u0[-1] = 0.0
-    u = _evolve(banded_a, u0, n_steps, dt_eff, method)
+    u = _evolve(banded_a, u0, n_steps, dt_eff)
     if bc is BoundaryCondition.DIRICHLET_ZERO:
         u[0] = u[-1] = 0.0
-    if method == "implicit" and np.all(u0 >= 0.0):
+    if np.all(u0 >= 0.0):
         floor = 1e-9 * (1.0 + float(np.max(np.abs(u0))))
         if not float(np.min(u)) >= -floor:
             raise RuntimeError("implicit backward step lost positivity")
@@ -365,8 +308,7 @@ def solve_backward_kolmogorov(model: SdeModel, phi, grid: Grid1D, t_end: float,
 
 
 def solve_fokker_planck(model: SdeModel, rho0: DensityField, t_end: float,
-                        dt: float, bc="neumann_zero",
-                        method: str = "implicit") -> DensityField:
+                        dt: float, bc="neumann_zero") -> DensityField:
     """Evolve the Fokker-Planck equation ``drho/dt = L* rho`` to ``t_end``.
 
     Uses the conservative flux discretisation, so with reflecting
@@ -383,10 +325,8 @@ def solve_fokker_planck(model: SdeModel, rho0: DensityField, t_end: float,
         rho[0] = rho[-1] = 0.0
     n_steps = max(1, round(t_end / dt))
     dt_eff = t_end / n_steps
-    if method == "explicit":
-        _check_cfl(model, grid, dt_eff)
     banded_a = _adjoint_operator(model, grid, bc)
-    rho = _evolve(banded_a, rho, n_steps, dt_eff, method)
+    rho = _evolve(banded_a, rho, n_steps, dt_eff)
     if bc is BoundaryCondition.DIRICHLET_ZERO:
         rho[0] = rho[-1] = 0.0
     rho = np.clip(rho, 0.0, None)

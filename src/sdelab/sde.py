@@ -396,6 +396,11 @@ def _check_finite(x: np.ndarray, step: int, t: float) -> None:
         raise BlowUpError(step, t)
 
 
+def _em_step(model: SdeModel, x: np.ndarray, dt: float, dw: np.ndarray) -> np.ndarray:
+    """One Euler-Maruyama step ``x + f(x) dt + g(x) dW`` over leading batch axes."""
+    return x + model.drift(x) * dt + np.einsum("...ik,...k->...i", model.dispersion(x), dw)
+
+
 def euler_maruyama(model: SdeModel, x0, grid: TimeGrid, *,
                    stream: GaussianStream | None = None,
                    wiener: WienerPath | None = None) -> SamplePath:
@@ -430,7 +435,7 @@ def euler_maruyama(model: SdeModel, x0, grid: TimeGrid, *,
     out = np.empty((grid.n_nodes, model.dim_state))
     out[0] = x
     for k in range(grid.n_steps):
-        x = x + model.drift(x) * dt + model.dispersion(x) @ dw[k]
+        x = _em_step(model, x, dt, dw[k])
         _check_finite(x, k + 1, grid.nodes[k + 1])
         out[k + 1] = x
     return SamplePath(grid, out, wiener=wiener)
@@ -456,7 +461,7 @@ def euler_maruyama_ensemble(model: SdeModel, x0, grid: TimeGrid, n_paths: int,
     out[:, 0] = x
     for k in range(grid.n_steps):
         xi = rng.normal(0.0, sqrt_dt, size=(n_paths, model.dim_noise))
-        x = x + model.drift(x) * dt + np.einsum("pik,pk->pi", model.dispersion(x), xi)
+        x = _em_step(model, x, dt, xi)
         _check_finite(x, k + 1, grid.nodes[k + 1])
         out[:, k + 1] = x
     return out

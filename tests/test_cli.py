@@ -81,6 +81,17 @@ class TestRun:
                      "--out", str(tmp_path / "results")]) == 2
         assert f"{config}: parameter 'dim'" in capsys.readouterr().err
 
+    def test_out_of_range_model_value_exits_two_naming_the_file(self, tmp_path,
+                                                                 capsys):
+        config = tmp_path / "bad.ini"
+        for model, message in (("preset = bm\ndim = 0", "model dim must be at least 1"),
+                               ("preset = ou\nrate = -1", "model rate must be positive")):
+            config.write_text("[experiment]\nname = sample-paths\n"
+                              f"[model]\n{model}\n", encoding="utf-8")
+            assert main(["run", "--config", str(config),
+                         "--out", str(tmp_path / "results")]) == 2
+            assert f"{config}: {message}" in capsys.readouterr().err
+
     def test_parse_error_exits_two_with_position(self, tmp_path, capsys):
         config = tmp_path / "bad.ini"
         config.write_text("[experiment\nname = arcsine-law\n", encoding="utf-8")

@@ -139,30 +139,10 @@ class TestDiscretizeKernel:
         # paths started next to the barrier lose the most mass
         assert killed_kernel.row_leakage[0] > killed_kernel.row_leakage[39]
 
-    def test_mc_route_matches_transition_moments(self):
-        grid = Grid1D(-2.0, 2.0, 40)
-        kernel = discretize_kernel(ou_model(), grid, t_step=0.5, method="mc",
-                                   n_paths=800, stream=GaussianStream(99))
-        nodes = grid.nodes
-        row = kernel.matrix[np.searchsorted(nodes, 1.0)]
-        sd = math.sqrt((1.0 - math.exp(-1.0)) / 2.0)
-        assert row.sum() == pytest.approx(1.0, abs=1e-12)
-        assert row @ nodes == pytest.approx(math.exp(-0.5), abs=4 * sd / math.sqrt(800))
-
-    def test_mc_route_requires_stream_and_paths(self):
-        grid = Grid1D(-1.0, 1.0, 10)
-        with pytest.raises(ValueError, match="stream"):
-            discretize_kernel(ou_model(), grid, 0.5, method="mc")
-        with pytest.raises(ValueError, match="path"):
-            discretize_kernel(ou_model(), grid, 0.5, method="mc", n_paths=0,
-                              stream=GaussianStream(1))
-
     def test_invalid_arguments(self):
         grid = Grid1D(-1.0, 1.0, 10)
         with pytest.raises(ValueError, match="t_step"):
             discretize_kernel(ou_model(), grid, 0.0)
-        with pytest.raises(ValueError, match="method"):
-            discretize_kernel(ou_model(), grid, 0.5, method="spectral")
 
 
 class TestGeometricDrift:

@@ -265,6 +265,27 @@ class TestMcExit:
                     h=1e-2, n_paths=64, stream=GaussianStream(8333), t_max=30.0)
         np.testing.assert_array_equal(a.exit_times, b.exit_times)
 
+    def test_noise_layout_is_pinned(self):
+        # Golden values: the (path, step) noise-block layout fixes every
+        # manifest SHA-256, so any change to it must show up here.  Brownian
+        # paths on an interval need no libm call, so the values are portable;
+        # path 6 is censored and the run spans two noise blocks.
+        stats = mc_exit(SdeModel.brownian(), 0.0, Domain.interval(-1.0, 1.0),
+                        h=1e-3, n_paths=16, stream=GaussianStream(2024), t_max=2.5)
+        assert stats.exit_times.tolist() == [
+            0.2224854354704753, 1.416772543151246, 1.6993479466776336,
+            2.031111801129162, 1.0552865338231103, 1.6614492773718805,
+            0.5979820474772327, 0.7120223830490412, 0.7457317425068303,
+            0.23562820261187162, 0.8505896259162227, 1.4558877216189612,
+            0.14189217521867067, 0.5183740258399122, 1.9125937697954185,
+        ]
+        assert stats.path_ids.tolist() == [0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11,
+                                           12, 13, 14, 15]
+        assert stats.boundary_params.tolist() == [
+            0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0,
+            0.0, 0.0,
+        ]
+
 
 class TestRadialHitting:
     def test_three_dimensional_shell(self):

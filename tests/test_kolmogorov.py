@@ -8,7 +8,6 @@ import sympy
 
 from sdelab.kolmogorov import (
     BoundaryCondition,
-    CflError,
     DensityField,
     Grid1D,
     apply_adjoint_generator,
@@ -189,31 +188,11 @@ class TestBackwardSolver:
         assert u[0] == 0.0 and u[-1] == 0.0
         assert u[grid.n_nodes // 2] > 0.9  # far from the edges, little killing yet
 
-    def test_explicit_scheme_enforces_cfl(self):
-        grid = Grid1D(-1.0, 1.0, 100)  # dx^2 = 4e-4
-        with pytest.raises(CflError) as info:
-            solve_backward_kolmogorov(
-                SdeModel.brownian(), np.ones(grid.n_nodes), grid,
-                t_end=0.1, dt=0.01, method="explicit",
-            )
-        assert info.value.dt_max == pytest.approx(grid.dx**2)
-        assert "CFL" in str(info.value)
-
-    def test_explicit_agrees_with_implicit_when_stable(self):
-        grid = Grid1D(-5.0, 5.0, 100)
-        kwargs = dict(t_end=0.2, dt=0.005)
-        phi = np.tanh(grid.nodes)
-        a = solve_backward_kolmogorov(SdeModel.brownian(), phi, grid, **kwargs)
-        b = solve_backward_kolmogorov(
-            SdeModel.brownian(), phi, grid, method="explicit", **kwargs
-        )
-        np.testing.assert_allclose(a, b, atol=2e-3)
-
     def test_rejects_unknown_method_and_bad_times(self):
         grid = Grid1D(0.0, 1.0, 10)
         phi = np.ones(grid.n_nodes)
         with pytest.raises(ValueError):
-            solve_backward_kolmogorov(ou_model(), phi, grid, 1.0, 0.1, method="magic")
+            solve_backward_kolmogorov(ou_model(), phi, grid, 1.0, 0.1, bc="magic")
         with pytest.raises(ValueError):
             solve_backward_kolmogorov(ou_model(), phi, grid, -1.0, 0.1)
         with pytest.raises(ValueError):

@@ -346,6 +346,20 @@ def test_ensemble_matches_single_path_layout_and_is_reproducible():
     assert np.all(a[:, 0] == 0.0)
 
 
+def test_ensemble_noise_layout_is_pinned():
+    # Golden terminal rows: one (n_paths, dim_noise) draw per step fixes the
+    # manifest SHA-256s of the ensemble experiments.  Brownian steps need no
+    # libm call, so the values are portable.
+    paths = euler_maruyama_ensemble(SdeModel.brownian(2), [0.0, 1.0],
+                                    TimeGrid(0.0, 1.0, 8), 4, GaussianStream(7))
+    assert paths[:, -1].tolist() == [
+        [0.40211245585652067, 3.179435850816839],
+        [-1.8786992038955712, 1.9658740943624098],
+        [0.9591102206432748, 0.5582237915318315],
+        [-0.32261980512439603, 2.1773677784681977],
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Exact linear solutions
 # ---------------------------------------------------------------------------
