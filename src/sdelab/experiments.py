@@ -33,6 +33,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -40,6 +41,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+import scipy
 from scipy import stats as sp_stats
 
 from . import __version__
@@ -277,7 +279,7 @@ class ModelSpec:
             return SdeModel.brownian(self.dim)
         if self.preset == "ou":
             rate, sigma = self.rate, self.sigma
-            return SdeModel.scalar(lambda x: -rate * x, lambda x: sigma)
+            return SdeModel.scalar(lambda x: -rate * x, sigma)
         if self.preset == "gbm":
             growth, sigma = self.growth, self.sigma
             return SdeModel.scalar(lambda x: growth * x, lambda x: sigma * x)
@@ -531,6 +533,9 @@ class RunManifest:
     ``outputs`` maps each data file to its SHA-256, so byte-identical
     reproduction is checkable without re-reading this module's code.
     The timestamp lives only here — data files stay deterministic.
+    ``environment`` names the Python, numpy and scipy versions and the
+    platform, since the bytes depend on numpy's samplers and kernels;
+    manifests written without it load with an empty mapping.
     """
 
     experiment: str
@@ -541,6 +546,7 @@ class RunManifest:
     threads: int
     outputs: Mapping[str, str]
     flags: tuple[str, ...]
+    environment: Mapping[str, str] = field(default_factory=dict)
 
     def save(self, path) -> None:
         _write_json(path, {
@@ -552,6 +558,7 @@ class RunManifest:
             "threads": self.threads,
             "outputs": dict(sorted(self.outputs.items())),
             "flags": list(self.flags),
+            "environment": dict(sorted(self.environment.items())),
         })
 
     @classmethod
@@ -561,7 +568,7 @@ class RunManifest:
         return cls(data["experiment"], data["config_hash"],
                    data["artifact_version"], data["created_utc"],
                    data["seed"], data["threads"], data["outputs"],
-                   tuple(data["flags"]))
+                   tuple(data["flags"]), data.get("environment", {}))
 
 
 @dataclass
@@ -601,6 +608,11 @@ def _write_csv(path, header: Sequence[str], rows) -> None:
         for row in rows:
             writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
                              else v for v in row])
+
+
+def _environment() -> dict[str, str]:
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "platform": platform.platform()}
 
 
 def _sha256(path) -> str:
@@ -658,6 +670,7 @@ def run(config, *, seed: int | None = None, out=None,
         threads=use_threads,
         outputs=outputs,
         flags=outcome.flags,
+        environment=_environment(),
     )
     manifest.save(run_dir / "manifest.json")
     return RunResult(3 if outcome.flags else 0, run_dir, manifest, outcome)
@@ -952,7 +965,7 @@ def _run_fp_stationarity(run: _Run) -> ExperimentOutcome:
 def _run_hm_kernel(run: _Run) -> ExperimentOutcome:
     p = run.params
     grid = Grid1D(p["x_min"], p["x_max"], p["n_cells"])
-    ou = SdeModel.scalar(lambda x: -x, lambda x: 1.0)
+    ou = SdeModel.scalar(lambda x: -x, 1.0)
     kernel = discretize_kernel(ou, grid, p["t_step"])
     v = kernel.grid.nodes**2
 
@@ -1020,7 +1033,7 @@ def _run_birkhoff(run: _Run) -> ExperimentOutcome:
             continue
         worst = max(worst, hilbert_metric(two @ f, two @ g) / before)
 
-    bm = SdeModel.scalar(lambda x: 0.0 * x, lambda x: 1.0)
+    bm = SdeModel.scalar(lambda x: 0.0 * x, 1.0)
     killed = discretize_kernel(bm, Grid1D(-1.0, 1.0, p["n_cells"]),
                                p["t_step"], bc="dirichlet_zero")
     perron = power_iteration_jentzsch(killed, tol=p["tol"])
@@ -1052,12 +1065,12 @@ def _run_birkhoff(run: _Run) -> ExperimentOutcome:
 
 def _run_minimum_action(run: _Run) -> ExperimentOutcome:
     p = run.params
-    ou = SdeModel.scalar(lambda x: -x, lambda x: 1.0)
+    ou = SdeModel.scalar(lambda x: -x, 1.0)
     path = minimize_action(ou, 0.0, p["level"], p["t_end"], p["n_steps"],
                            tol=p["tol"], max_iter=p["max_iter"])
     closed = ou_exit_rate(0.0, p["level"], p["t_end"])
 
-    free = SdeModel.scalar(lambda x: 0.0 * x, lambda x: 1.0)
+    free = SdeModel.scalar(lambda x: 0.0 * x, 1.0)
     free_path = minimize_action(free, 0.0, 1.0, 4.0, 100)
 
     flags = []
@@ -1090,7 +1103,7 @@ def _run_quasipotential(run: _Run) -> ExperimentOutcome:
     p = run.params
     U = p["potential"]
     dU = _derivative(U)
-    model = SdeModel.scalar(lambda x: -dU(x), lambda x: 1.0)
+    model = SdeModel.scalar(lambda x: -dU(x), 1.0)
     result = quasipotential(model, p["x_star"], p["y"], p["horizons"],
                             n_steps=p["n_steps"], tol=p["tol"],
                             max_iter=p["max_iter"])
@@ -1146,8 +1159,7 @@ def _run_eyring_kramers(run: _Run) -> ExperimentOutcome:
     U, eps = p["potential"], p["eps"]
     formula = eyring_kramers_time(U, p["x_star"], p["saddle"], eps)
     dU = _derivative(U)
-    model = SdeModel.scalar(lambda x: -dU(x),
-                            lambda x, s=math.sqrt(eps): s)
+    model = SdeModel.scalar(lambda x: -dU(x), math.sqrt(eps))
     stats = mc_exit(model, p["x_star"],
                     Domain.interval(p["floor"], p["crossing"]),
                     h=p["h"], n_paths=p["n_paths"], stream=run.stream,
@@ -1172,7 +1184,7 @@ def _run_eyring_kramers(run: _Run) -> ExperimentOutcome:
 
 def _run_certificates(run: _Run) -> ExperimentOutcome:
     p = run.params
-    ou = SdeModel.scalar(lambda x: -x, lambda x: 1.0)
+    ou = SdeModel.scalar(lambda x: -x, 1.0)
     kernel = discretize_kernel(ou, Grid1D(-5.0, 5.0, p["n_cells"]),
                                p["t_step"])
     v = kernel.grid.nodes**2
@@ -1181,7 +1193,7 @@ def _run_certificates(run: _Run) -> ExperimentOutcome:
     minor = verify_minorisation(kernel, p["level"], v)
     minor_bad = minor.violations(kernel)
 
-    bm = SdeModel.scalar(lambda x: 0.0 * x, lambda x: 1.0)
+    bm = SdeModel.scalar(lambda x: 0.0 * x, 1.0)
     killed = discretize_kernel(bm, Grid1D(-1.0, 1.0, 80), 0.1,
                                bc="dirichlet_zero")
     bounds = fit_cone_bounds(killed)

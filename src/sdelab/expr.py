@@ -18,9 +18,10 @@ parsing stopped.
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -80,31 +81,50 @@ def _tokenize(text: str) -> Iterator[_Token]:
 
 @dataclass(frozen=True)
 class _Node:
-    """Evaluation tree: a constant, the variable, or an operator node."""
+    """Expression tree: a constant, the variable, or an operator node."""
 
     op: str  # "const", "var", or one of + - * / ^ neg
     value: float = 0.0
     left: "_Node | None" = None
     right: "_Node | None" = None
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        if self.op == "const":
-            return np.full_like(x, self.value)
-        if self.op == "var":
-            return x
-        if self.op == "neg":
-            return -self.left.evaluate(x)
-        a = self.left.evaluate(x)
-        b = self.right.evaluate(x)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            return a / b
-        return np.power(a, b)
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv}
+
+
+def _compile(node: _Node) -> float | Callable[[np.ndarray], np.ndarray]:
+    """Compile ``node`` into a float (constant subtree) or a closure ``x -> array``.
+
+    Constants enter ``+ - * /`` as Python floats, which rounds exactly as
+    the elementwise array operation.  A power takes full arrays for its
+    constant operands: numpy's scalar-exponent fast paths (square,
+    square root, reciprocal) round differently from ``pow``.
+    """
+    if node.op == "const":
+        return node.value
+    if node.op == "var":
+        return lambda x: x
+    if node.op == "neg":
+        a = _compile(node.left)
+        return -a if isinstance(a, float) else (lambda x: -a(x))
+    a, b = _compile(node.left), _compile(node.right)
+    if node.op == "^":
+        base, exponent = (_full(c) if isinstance(c, float) else c for c in (a, b))
+        return lambda x: np.power(base(x), exponent(x))
+    op = _ARITHMETIC[node.op]
+    if isinstance(a, float) and isinstance(b, float):
+        with np.errstate(all="ignore"):
+            return float(op(np.float64(a), np.float64(b)))
+    if isinstance(a, float):
+        return lambda x: op(a, b(x))
+    if isinstance(b, float):
+        return lambda x: op(a(x), b)
+    return lambda x: op(a(x), b(x))
+
+
+def _full(value: float):
+    return lambda x: np.full_like(x, value)
 
 
 def _const(value: float) -> _Node:
@@ -311,18 +331,32 @@ class _Parser:
 
 @dataclass(frozen=True)
 class Expression:
-    """A parsed one-variable expression, callable on scalars and arrays."""
+    """A parsed one-variable expression, callable on scalars and arrays.
+
+    The tree is compiled once, at construction, into nested closures.
+    """
 
     source: str
     root: _Node
+    _evaluate: Callable[[np.ndarray], np.ndarray] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        compiled = _compile(self.root)
+        if isinstance(compiled, float):
+            compiled = _full(compiled)
+        object.__setattr__(self, "_evaluate", compiled)
 
     def __call__(self, x) -> float | np.ndarray:
         arr = np.asarray(x, dtype=float)
-        out = self.root.evaluate(arr)
-        return float(out) if np.ndim(x) == 0 else out
+        out = self._evaluate(arr)
+        return float(out) if arr.ndim == 0 else out
 
     def __repr__(self) -> str:
         return f"Expression({self.source!r})"
+
+    def __reduce__(self):
+        return Expression, (self.source, self.root)  # closures do not pickle
 
     def derivative(self) -> "Expression":
         """The symbolic derivative d/dx, with constants folded.

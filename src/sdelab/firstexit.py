@@ -57,7 +57,8 @@ class Domain:
     Construct through the classmethods :meth:`ball`, :meth:`interval`,
     :meth:`half_space` or :meth:`predicate`.  Points on the boundary count
     as outside, matching the convention that the first-exit time is the
-    first entry into the closed complement.
+    first entry into the closed complement.  A point with a non-finite
+    coordinate is never inside, so a blown-up path leaves the domain.
     """
 
     kind: str
@@ -115,8 +116,10 @@ class Domain:
             return (self.a < xi) & (xi < self.b)
         if self.kind == "half_space":
             xi = x[..., self.axis]
-            return xi < self.level if self.side == "below" else xi > self.level
-        return np.asarray(self.membership(x), dtype=bool)
+            inside = xi < self.level if self.side == "below" else xi > self.level
+        else:
+            inside = np.asarray(self.membership(x), dtype=bool)
+        return inside & np.isfinite(x).all(axis=-1)
 
     def exit_fraction(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Fraction lambda of the segment p -> q at which the boundary is hit.
@@ -284,12 +287,16 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
     do not depend on when the others exit.  ``t_max`` defaults to 50
     times a pilot estimate of the mean exit time; paths still inside at
     ``t_max`` are censored.  A run where nothing exits is flagged invalid
-    rather than averaged; a non-finite state raises
-    :class:`~sdelab.sde.BlowUpError`.
+    rather than averaged.  A non-finite state is never inside a domain, so
+    blow-up is detected among the rows that exit at a step and raises
+    :class:`~sdelab.sde.BlowUpError` at that step.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (model.dim_state,):
         raise ValueError(f"x0 must have shape ({model.dim_state},), got {x0.shape}")
+    if domain.dim not in (None, model.dim_state):
+        raise ValueError(f"a {domain.dim}-dimensional {domain.kind} does not fit "
+                         f"a {model.dim_state}-dimensional model")
     if not bool(domain.contains(x0)):
         raise ValueError(f"starting point {x0} is not inside the domain")
     if h <= 0:
@@ -325,14 +332,15 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
                                                        (n_paths, nb, model.dim_noise))
             for j in range(nb):
                 x_new = _em_step(model, x, h, dw[ids, j])
-                _check_finite(x_new, step + j + 1, (step + j + 1) * h)
-                out = ~domain.contains(x_new)
-                if out.any():
+                inside = domain.contains(x_new)
+                if np.count_nonzero(inside) < ids.size:
+                    out = ~inside
                     p, q, gone = x[out], x_new[out], ids[out]
+                    _check_finite(q, step + j + 1, (step + j + 1) * h)
                     lam = domain.exit_fraction(p, q)
                     exit_time[gone] = (step + j + lam) * h
                     exit_points[gone] = p + lam[:, np.newaxis] * (q - p)
-                    ids, x_new = ids[~out], x_new[~out]
+                    ids, x_new = ids[inside], x_new[inside]
                     if not ids.size:
                         break
                 x = x_new

@@ -610,7 +610,7 @@ def arrhenius_check(U: Callable, eps_list: Sequence[float], exit_domain: Domain,
     eps_log = np.empty(eps.size)
     stderr = np.empty(eps.size)
     for i, e in enumerate(eps):
-        model = SdeModel.scalar(lambda x: -dU(x), lambda x, s=math.sqrt(e): s)
+        model = SdeModel.scalar(lambda x: -dU(x), math.sqrt(e))
         stats = mc_exit(model, x_star, exit_domain, h=h, n_paths=n_paths,
                         stream=stream.child(i), t_max=t_max)
         if stats.fraction_censored > max_censored:

@@ -222,6 +222,13 @@ class SdeModel:
         stationary density is proportional to ``exp(-U)``.
     grad_potential : callable, optional
         Gradient of ``potential`` (same shape convention as ``drift``).
+    constant_dispersion : ndarray, optional
+        The ``(n, k)`` matrix ``g`` when it does not depend on the state,
+        as for :meth:`brownian`, :meth:`gradient` and :meth:`scalar` with
+        a number dispersion.  The Euler-Maruyama step then uses it
+        directly instead of calling ``dispersion`` on every step; it must
+        agree with ``dispersion``.  It takes no part in equality or
+        hashing.
     """
 
     dim_state: int
@@ -230,6 +237,18 @@ class SdeModel:
     dispersion: DispersionFn
     potential: Callable[[np.ndarray], np.ndarray] | None = None
     grad_potential: DriftFn | None = None
+    constant_dispersion: np.ndarray | None = field(default=None, compare=False,
+                                                   repr=False)
+
+    def __post_init__(self) -> None:
+        if self.constant_dispersion is not None:
+            g = np.array(self.constant_dispersion, dtype=float)
+            if g.shape != (self.dim_state, self.dim_noise):
+                raise ValueError(
+                    f"constant_dispersion must have shape ({self.dim_state}, "
+                    f"{self.dim_noise}), got {g.shape}")
+            g.flags.writeable = False
+            object.__setattr__(self, "constant_dispersion", g)
 
     @property
     def is_gradient(self) -> bool:
@@ -242,17 +261,29 @@ class SdeModel:
 
     @classmethod
     def scalar(cls, drift: Callable[[np.ndarray], np.ndarray],
-               dispersion: Callable[[np.ndarray], np.ndarray]) -> "SdeModel":
-        """One-dimensional model from elementwise scalar callables."""
+               dispersion: Callable[[np.ndarray], np.ndarray] | float) -> "SdeModel":
+        """One-dimensional model from elementwise scalar callables.
+
+        ``dispersion`` may also be a number, which makes it the model's
+        :attr:`constant_dispersion`.
+        """
+        constant = None
+        if not callable(dispersion):
+            constant = [[float(dispersion)]]
+            dispersion = lambda x, sigma=float(dispersion): sigma
 
         def f(x: np.ndarray) -> np.ndarray:
-            return np.broadcast_to(np.asarray(drift(x), dtype=float), np.shape(x)).copy()
+            out = np.asarray(drift(x), dtype=float)
+            if out.shape == np.shape(x):
+                return out
+            return np.broadcast_to(out, np.shape(x)).copy()
 
         def g(x: np.ndarray) -> np.ndarray:
             out = np.broadcast_to(np.asarray(dispersion(x), dtype=float), np.shape(x))
             return out[..., np.newaxis]
 
-        return cls(dim_state=1, dim_noise=1, drift=f, dispersion=g)
+        return cls(dim_state=1, dim_noise=1, drift=f, dispersion=g,
+                   constant_dispersion=constant)
 
     @classmethod
     def brownian(cls, dim: int = 1) -> "SdeModel":
@@ -266,7 +297,8 @@ class SdeModel:
             x = np.asarray(x, dtype=float)
             return np.broadcast_to(eye, x.shape + (dim,)).copy()
 
-        return cls(dim_state=dim, dim_noise=dim, drift=f, dispersion=g)
+        return cls(dim_state=dim, dim_noise=dim, drift=f, dispersion=g,
+                   constant_dispersion=eye)
 
     @classmethod
     def gradient(cls, potential: Callable[[np.ndarray], np.ndarray],
@@ -287,7 +319,8 @@ class SdeModel:
             return np.broadcast_to(root2_eye, x.shape + (dim,)).copy()
 
         return cls(dim_state=dim, dim_noise=dim, drift=f, dispersion=g,
-                   potential=potential, grad_potential=grad_potential)
+                   potential=potential, grad_potential=grad_potential,
+                   constant_dispersion=root2_eye)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +431,10 @@ def _check_finite(x: np.ndarray, step: int, t: float) -> None:
 
 def _em_step(model: SdeModel, x: np.ndarray, dt: float, dw: np.ndarray) -> np.ndarray:
     """One Euler-Maruyama step ``x + f(x) dt + g(x) dW`` over leading batch axes."""
-    return x + model.drift(x) * dt + np.einsum("...ik,...k->...i", model.dispersion(x), dw)
+    g = model.constant_dispersion
+    if g is None:
+        g = model.dispersion(x)
+    return x + model.drift(x) * dt + np.einsum("...ik,...k->...i", g, dw)
 
 
 def euler_maruyama(model: SdeModel, x0, grid: TimeGrid, *,

@@ -2,10 +2,12 @@
 
 import json
 import hashlib
+import platform
 from datetime import datetime
 
 import numpy as np
 import pytest
+import scipy
 
 import sdelab
 from sdelab.experiments import (
@@ -310,6 +312,20 @@ class TestRunArtifacts:
         assert manifest.threads == 2
         assert manifest.experiment == "sample-paths"
         datetime.fromisoformat(manifest.created_utc)  # must parse
+
+    def test_manifest_records_the_environment(self, tmp_path):
+        result = run(self.config(), out=tmp_path)
+        path = result.run_dir / "manifest.json"
+        environment = RunManifest.load(path).environment
+        assert environment == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "platform": platform.platform()}
+        data = json.loads(path.read_text())
+        del data["environment"]
+        path.write_text(json.dumps(data))
+        older = RunManifest.load(path)
+        assert older.environment == {}
+        assert older.outputs == result.manifest.outputs
 
     def test_seed_override_changes_the_data(self, tmp_path):
         base = run(self.config(), out=tmp_path / "a")

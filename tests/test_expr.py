@@ -1,6 +1,8 @@
 """Tests for the one-variable expression parser and its derivative."""
 
+import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -75,6 +77,48 @@ class TestBroadcasting:
     def test_constants_broadcast_to_the_input_shape(self):
         f = parse_expression("5")
         assert f(np.zeros(7)).shape == (7,)
+
+
+class TestCompiledGoldens:
+    # Golden values recorded from the tree-walking evaluator that the
+    # compiled closures replaced; compared with ``==``.  The power cases
+    # pin that constant exponents take numpy's ``pow`` route, not its
+    # square / square-root / reciprocal fast paths, which round differently.
+    GOLDENS = {
+        "x^2": ("69489476c056ee658f0c21cbd6801a238fd7752e9d1432d0ed5288342dc8c689",
+                2.8899999999999997),
+        "x^0.5": ("049b243d38b7d56ead094b6b5cf8a13008f03843efc1473874b03406ead0519c",
+                  1.3038404810405297),
+        "x^-1": ("01e8b6baaa61fc8a7aa1bd40be686841cbcb568dc1794b9b2762a1a0f0e2d1be",
+                 0.5882352941176471),
+        "x^3": ("efbaaf0bd747054472b35a6f5b5fe15ebce60032bb221e9eceb21ebc79368e81",
+                4.912999999999999),
+        "2^x": ("c2ab57c19314c2f688e7cba84e535fea1c19055cde85df4b5fb9a8bed8240f1e",
+                3.249009585424942),
+        "3": ("a93cff244bb396ae23a0be2149db33131ed4f7a9bad35aad30ce387acbe50d1a",
+              3.0),
+        "-x^3 + x": ("4055b167f3972c8904272ed2a3fa063476db5239b3726fd9853128a56c647a1b",
+                     -3.212999999999999),
+        "x/(1 + x^2)": ("a24d566971ed30ae2695b8dc0e23a608692770af7993c6a4217d89033a146db4",
+                        0.43701799485861187),
+    }
+
+    @pytest.mark.parametrize("source", sorted(GOLDENS))
+    def test_array_and_scalar_values_match_the_goldens(self, source):
+        digest, at_1_7 = self.GOLDENS[source]
+        xs = np.random.Generator(np.random.Philox(7)).uniform(0.05, 4.0, 4096)
+        out = parse_expression(source)(xs)
+        assert out.shape == xs.shape and out.dtype == np.float64
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+        assert parse_expression(source)(1.7) == at_1_7
+
+    @pytest.mark.parametrize("source", sorted(GOLDENS))
+    def test_zero_dimensional_input_returns_a_float(self, source):
+        f = parse_expression(source)
+        for x in (np.float64(1.7), np.array(1.7)):
+            out = f(x)
+            assert type(out) is float
+            assert out == self.GOLDENS[source][1]
 
 
 class TestErrors:
@@ -182,3 +226,9 @@ class TestDerivative:
 class TestRepr:
     def test_repr_shows_the_source(self):
         assert repr(parse_expression("x + 1")) == "Expression('x + 1')"
+
+    def test_round_trips_through_pickle(self):
+        f = parse_expression("x^4/4 - x^2/2")
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f and hash(g) == hash(f)
+        assert g(1.7) == f(1.7)

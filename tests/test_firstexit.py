@@ -53,6 +53,18 @@ class TestDomain:
         assert bool(below.contains(np.array([0.5])))
         assert not bool(above.contains(np.array([0.5])))
 
+    def test_non_finite_points_are_outside_every_domain(self):
+        bad = np.array([[np.nan, 0.0], [-np.inf, 0.0], [0.0, np.inf], [0.0, 0.0]])
+        domains = [Domain.ball(1.0, dim=2), Domain.half_space(1.0, side="below"),
+                   Domain.predicate(lambda x: np.ones(x.shape[:-1], dtype=bool))]
+        for domain in domains:
+            np.testing.assert_array_equal(domain.contains(bad),
+                                          [False, False, False, True])
+        box = Domain.interval(-1.0, 1.0)
+        np.testing.assert_array_equal(
+            box.contains(np.array([[np.nan], [np.inf], [-np.inf], [0.0]])),
+            [False, False, False, True])
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             Domain.ball(-1.0)
@@ -240,11 +252,20 @@ class TestMcExit:
         assert abs(frac_right - 0.75) < 0.04
 
     def test_blow_up_propagates(self):
+        # step_index recorded when every active row was checked on every
+        # step: blow-up must surface at the same step among the exiting rows
         cubic = SdeModel.scalar(lambda x: x**3, lambda x: 0.1)
         whole_line = Domain.predicate(lambda x: np.ones(x.shape[:-1], dtype=bool))
-        with pytest.raises(BlowUpError):
-            mc_exit(cubic, 2.0, whole_line, h=0.1, n_paths=4,
-                    stream=GaussianStream(8330), t_max=10.0)
+        for domain in (whole_line, Domain.interval(-1e300, 1e300)):
+            with pytest.raises(BlowUpError) as excinfo:
+                mc_exit(cubic, 2.0, domain, h=0.1, n_paths=4,
+                        stream=GaussianStream(8330), t_max=10.0)
+            assert excinfo.value.step_index == 9
+
+    def test_domain_dimension_must_match_the_model(self):
+        with pytest.raises(ValueError, match="2-dimensional model"):
+            mc_exit(SdeModel.brownian(2), [0.0, 0.0], Domain.interval(-1.0, 1.0),
+                    h=1e-2, n_paths=4, stream=GaussianStream(8330), t_max=1.0)
 
     def test_pilot_run_sets_generous_horizon(self):
         stats = mc_exit(SdeModel.brownian(), 0.0, Domain.interval(-1.0, 1.0),

@@ -301,6 +301,36 @@ def test_euler_maruyama_with_zero_dispersion_is_explicit_euler_exactly():
         assert path.values[k + 1, 0] == x  # bit-identical to explicit Euler
 
 
+def test_constant_dispersion_models_stay_hashable():
+    models = [SdeModel.brownian(2), SdeModel.gradient(np.square, np.negative),
+              SdeModel.scalar(lambda x: -x, 0.5)]
+    for model in models:
+        assert hash(model) == hash(model)
+        assert model.constant_dispersion is not None
+    assert len(set(models)) == 3
+
+
+def test_constant_dispersion_agrees_with_the_dispersion_callable():
+    x = np.array([[0.3, -1.2], [2.0, 0.5]])
+    for model in (SdeModel.brownian(2), SdeModel.gradient(np.square, np.negative, 2)):
+        assert np.array_equal(model.dispersion(x),
+                              np.broadcast_to(model.constant_dispersion, (2, 2, 2)))
+    scalar = SdeModel.scalar(lambda x: -x, 0.5)
+    assert np.array_equal(scalar.dispersion(x[:, :1]), np.full((2, 1, 1), 0.5))
+    assert not scalar.constant_dispersion.flags.writeable
+    with pytest.raises(ValueError, match="shape"):
+        SdeModel(1, 1, np.negative, np.negative, constant_dispersion=np.eye(2))
+
+
+def test_number_dispersion_steps_bit_identically_to_a_constant_callable():
+    grid = TimeGrid(0.0, 1.0, 64)
+    kwargs = dict(x0=[0.2], grid=grid, n_paths=32, stream=GaussianStream(21))
+    number = euler_maruyama_ensemble(SdeModel.scalar(lambda x: x - x**3, 0.7), **kwargs)
+    callable_ = euler_maruyama_ensemble(
+        SdeModel.scalar(lambda x: x - x**3, lambda x: 0.7), **kwargs)
+    assert np.array_equal(number, callable_)
+
+
 def test_euler_maruyama_requires_exactly_one_noise_source():
     model = SdeModel.brownian()
     grid = TimeGrid(0.0, 1.0, 10)
