@@ -1,0 +1,73 @@
+"""The one on-disk format for run artifacts and library ``save``/``load``.
+
+CSV cells holding a float (Python or numpy) are written as
+``repr(float(v))``, the shortest string that reads back to the same
+double; every other cell is written as ``str`` gives it.  JSON is strict:
+non-finite floats become ``null``, and the text is indented by two with
+sorted keys and a trailing newline.  Both are byte-deterministic, so the
+SHA-256 of a file identifies its contents.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import json
+import math
+from pathlib import Path
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from .expr import Expression
+
+
+def jsonable(value):
+    """``value`` as plain JSON types, with non-finite floats as ``None``."""
+    if isinstance(value, Expression):
+        return value.source
+    if isinstance(value, (np.floating, np.integer)):
+        value = value.item()
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, np.ndarray):
+        return [jsonable(v) for v in value.tolist()]
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    return value
+
+
+def write_json(path, obj) -> None:
+    Path(path).write_text(
+        json.dumps(jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n",
+        encoding="utf-8")
+
+
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def write_csv(path, header: Sequence[str] | None, rows: Iterable) -> None:
+    """Write ``rows`` under ``header``; ``None`` writes no header row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
+                             else v for v in row])
+
+
+def read_csv(path, header: bool = True) -> tuple[list[str] | None, np.ndarray]:
+    """Header row (``None`` when ``header`` is false) and the cells as floats."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    head = rows.pop(0) if header else None
+    return head, np.array([[float(v) for v in row] for row in rows])
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -24,16 +24,14 @@ point, not just in exact arithmetic.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from ._io import read_csv, read_json, write_csv, write_json
 from .kolmogorov import Grid1D, apply_generator, solve_backward_kolmogorov
 from .sde import GaussianStream, SdeModel
 
@@ -104,36 +102,30 @@ class DiscreteKernel:
         return np.asarray(mu, dtype=float) @ self.matrix
 
     def save(self, path) -> None:
-        """Matrix as CSV plus a JSON sidecar with grid and flags."""
-        path = Path(path)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            for row in self.matrix:
-                writer.writerow([repr(float(v)) for v in row])
-        sidecar = {
+        """Matrix as headerless CSV plus a ``<path>.json`` sidecar with grid,
+        flags and row leakage."""
+        write_csv(path, None, self.matrix)
+        write_json(f"{path}.json", {
             "grid": None if self.grid is None else {
                 "x_min": self.grid.x_min, "x_max": self.grid.x_max,
                 "n_cells": self.grid.n_cells,
             },
             "t_step": self.t_step,
             "substochastic": self.substochastic,
-        }
-        with open(path.with_suffix(path.suffix + ".json"), "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            "row_leakage": self.row_leakage,
+        })
 
     @classmethod
     def load(cls, path) -> "DiscreteKernel":
-        path = Path(path)
-        with open(path, newline="", encoding="utf-8") as fh:
-            matrix = np.array([[float(v) for v in row] for row in csv.reader(fh)])
-        with open(path.with_suffix(path.suffix + ".json"), encoding="utf-8") as fh:
-            sidecar = json.load(fh)
+        _, matrix = read_csv(path, header=False)
+        sidecar = read_json(f"{path}.json")
         grid = None
         if sidecar["grid"] is not None:
             g = sidecar["grid"]
             grid = Grid1D(g["x_min"], g["x_max"], g["n_cells"])
-        return cls(matrix, grid, sidecar["substochastic"], sidecar["t_step"])
+        leakage = sidecar.get("row_leakage")
+        return cls(matrix, grid, sidecar["substochastic"], sidecar["t_step"],
+                   None if leakage is None else np.array(leakage, dtype=float))
 
 
 def _kernel_matrix(kernel) -> np.ndarray:
@@ -565,20 +557,13 @@ class LyapunovReport:
     )
 
     def to_json(self, path) -> None:
-        def clean(d):
-            return {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                    for k, v in d.items()}
-
-        payload = {
-            "bounded_growth": clean(self.bounded_growth),
-            "non_evanescence": clean(self.non_evanescence),
-            "harris_recurrence": clean(self.harris_recurrence),
-            "exponential": clean(self.exponential),
-            "assumed": list(self.assumed),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, {
+            "bounded_growth": self.bounded_growth,
+            "non_evanescence": self.non_evanescence,
+            "harris_recurrence": self.harris_recurrence,
+            "exponential": self.exponential,
+            "assumed": self.assumed,
+        })
 
 
 def _affine_elbow(lhs: np.ndarray, weight: np.ndarray, c_grid: np.ndarray,

@@ -27,7 +27,6 @@ directory into plot-ready CSVs.
 from __future__ import annotations
 
 import configparser
-import csv
 import difflib
 import hashlib
 import json
@@ -38,13 +37,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 import scipy
 from scipy import stats as sp_stats
 
 from . import __version__
+from ._io import jsonable, read_json, sha256, write_csv, write_json
 from .expr import Expression, ExpressionError, parse_expression
 from .firstexit import (
     Domain,
@@ -439,7 +439,7 @@ class ExperimentConfig:
         return {
             "experiment": self.experiment,
             "seed": seed,
-            "parameters": {k: _jsonable(v) for k, v in sorted(params.items())},
+            "parameters": {k: jsonable(v) for k, v in sorted(params.items())},
             "model": None if spec is None else spec.describe(),
         }
 
@@ -549,7 +549,7 @@ class RunManifest:
     environment: Mapping[str, str] = field(default_factory=dict)
 
     def save(self, path) -> None:
-        _write_json(path, {
+        write_json(path, {
             "experiment": self.experiment,
             "config_hash": self.config_hash,
             "artifact_version": self.artifact_version,
@@ -563,8 +563,7 @@ class RunManifest:
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json(path)
         return cls(data["experiment"], data["config_hash"],
                    data["artifact_version"], data["created_utc"],
                    data["seed"], data["threads"], data["outputs"],
@@ -581,42 +580,9 @@ class RunResult:
     outcome: ExperimentOutcome
 
 
-def _jsonable(value):
-    if isinstance(value, Expression):
-        return value.source
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
-
-
-def _write_json(path, obj) -> None:
-    Path(path).write_text(
-        json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-
-
-def _write_csv(path, header: Sequence[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
-                             else v for v in row])
-
-
 def _environment() -> dict[str, str]:
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "platform": platform.platform()}
-
-
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def run(config, *, seed: int | None = None, out=None,
@@ -649,17 +615,17 @@ def run(config, *, seed: int | None = None, out=None,
     run_dir = root / config.experiment
     run_dir.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, str] = {}
-    _write_json(run_dir / "result.json", {
+    write_json(run_dir / "result.json", {
         "experiment": outcome.experiment,
         "seed": use_seed,
         "summary": outcome.summary,
         "flags": list(outcome.flags),
     })
-    outputs["result.json"] = _sha256(run_dir / "result.json")
+    outputs["result.json"] = sha256(run_dir / "result.json")
     for name, (header, rows) in outcome.tables.items():
         filename = f"{name}.csv"
-        _write_csv(run_dir / filename, header, rows)
-        outputs[filename] = _sha256(run_dir / filename)
+        write_csv(run_dir / filename, header, rows)
+        outputs[filename] = sha256(run_dir / filename)
 
     manifest = RunManifest(
         experiment=config.experiment,
@@ -700,8 +666,7 @@ def emit_plot_data(run_dir) -> list[Path]:
             target.write_bytes((run_dir / name).read_bytes())
             written.append(target)
 
-    with open(run_dir / "result.json", encoding="utf-8") as fh:
-        summary = json.load(fh)["summary"]
+    summary = read_json(run_dir / "result.json")["summary"]
     rows = []
     for key in sorted(summary):
         value = summary[key]
@@ -710,10 +675,10 @@ def emit_plot_data(run_dir) -> list[Path]:
         if key.endswith("_std_error") or key.endswith("_target"):
             continue
         rows.append((key, float(value),
-                     *(float(summary[k]) if k in summary else ""
+                     *("" if summary.get(k) is None else float(summary[k])
                        for k in (f"{key}_std_error", f"{key}_target"))))
     target = plots / "summary_points.csv"
-    _write_csv(target, ("quantity", "value", "std_error", "target"), rows)
+    write_csv(target, ("quantity", "value", "std_error", "target"), rows)
     written.append(target)
     return written
 
@@ -727,7 +692,7 @@ _EXIT_CHUNKS = 8
 
 def _chunked_exit(model: SdeModel, x0, domain: Domain, *, h: float,
                   n_paths: int, stream: GaussianStream, t_max: float,
-                  lambdas=(), threads: int = 1) -> ExitStatistics:
+                  threads: int = 1) -> ExitStatistics:
     """Monte Carlo exit run split into fixed chunks, optionally threaded.
 
     The decomposition into ``_EXIT_CHUNKS`` child streams is the same for
@@ -740,8 +705,7 @@ def _chunked_exit(model: SdeModel, x0, domain: Domain, *, h: float,
 
     def one(k: int) -> ExitStatistics:
         return mc_exit(model, x0, domain, h=h, n_paths=sizes[k],
-                       stream=stream.child(1000 + k), t_max=t_max,
-                       lambdas=lambdas)
+                       stream=stream.child(1000 + k), t_max=t_max)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -759,14 +723,12 @@ def _chunked_exit(model: SdeModel, x0, domain: Domain, *, h: float,
         offset += size
     boundary = np.concatenate(params) if params else None
     return ExitStatistics.from_samples(
-        np.concatenate(times), np.concatenate(ids), n_paths, t_max,
-        boundary, lambdas)
+        np.concatenate(times), np.concatenate(ids), n_paths, t_max, boundary)
 
 
 def _histogram_rows(values: np.ndarray, n_bins: int = 40):
     counts, edges = np.histogram(values, bins=n_bins)
-    return [(float(edges[i]), float(edges[i + 1]), int(counts[i]))
-            for i in range(n_bins)]
+    return list(zip(edges[:-1], edges[1:], counts))
 
 
 # ---------------------------------------------------------------------------
@@ -823,24 +785,20 @@ def _run_feynman_kac(run: _Run) -> ExperimentOutcome:
     stats = _chunked_exit(SdeModel.brownian(1), [0.0],
                           Domain.interval(-a, a), h=p["h"],
                           n_paths=p["n_paths"], stream=run.stream,
-                          t_max=p["t_max"], lambdas=lambdas,
-                          threads=run.threads)
+                          t_max=p["t_max"], threads=run.threads)
     n = p["n_paths"]
     right = stats.boundary_params == 1.0
 
     rows = []
     z_scores = []
     for lam in lambdas:
-        estimate, std_error = stats.laplace[lam]
+        estimate, std_error = stats.laplace(lam)
         closed = fk_laplace_interval(lam, a, 0.0)
         z = (estimate - closed) / std_error
-        rows.append((float(lam), estimate, std_error, float(closed), float(z)))
+        rows.append((lam, estimate, std_error, float(closed), float(z)))
         z_scores.append(abs(z))
 
-        padded = np.zeros(n)
-        padded[: stats.n_exited] = np.exp(-lam * stats.exit_times) * right
-        one_est = float(padded.mean())
-        one_se = float(padded.std(ddof=1) / math.sqrt(n))
+        one_est, one_se = stats.laplace(lam, right)
         one_closed = fk_laplace_one_sided(lam, a, 0.0)
         z_scores.append(abs(one_est - one_closed) / one_se)
 
@@ -873,8 +831,7 @@ def _run_arcsine(run: _Run) -> ExperimentOutcome:
     ks = float(sp_stats.kstest(fractions, arcsine_cdf).statistic)
     us = np.linspace(0.0, 1.0, 101)
     empirical = np.searchsorted(np.sort(fractions), us, side="right") / fractions.size
-    table_rows = [(float(u), float(e), float(arcsine_cdf(u)))
-                  for u, e in zip(us, empirical)]
+    table_rows = [(u, e, arcsine_cdf(u)) for u, e in zip(us, empirical)]
     summary = {
         "n_paths": p["n_paths"],
         "n_steps": p["n_steps"],
@@ -956,8 +913,7 @@ def _run_fp_stationarity(run: _Run) -> ExperimentOutcome:
         "relaxation_threshold": 1e-3,
         "within_tolerance": bool(drift_l1 < 1e-4 and relax_l1 < 1e-3),
     }
-    rows = [(float(x), float(s), float(r)) for x, s, r in
-            zip(grid.nodes, pi.values, relaxed.values)]
+    rows = list(zip(grid.nodes, pi.values, relaxed.values))
     tables = {"densities": (("x", "stationary", "relaxed_from_uniform"), rows)}
     return ExperimentOutcome("fp-stationarity", summary, tables)
 
@@ -986,7 +942,7 @@ def _run_hm_kernel(run: _Run) -> ExperimentOutcome:
     mu[int(np.argmin(np.abs(kernel.grid.nodes - 3.0)))] = 1.0
     rows = []
     for n in range(21):
-        rows.append((n, float(rho_beta_distance(mu, pi, v, beta))))
+        rows.append((n, rho_beta_distance(mu, pi, v, beta)))
         mu = kernel.apply_adjoint(mu)
 
     flags = []
@@ -1057,8 +1013,7 @@ def _run_birkhoff(run: _Run) -> ExperimentOutcome:
             and max(perron.residual_right, perron.residual_left) < 1e-8
             and perron.observed_rate <= rate_bound + 1e-9),
     }
-    rows = [(float(x), float(h0), float(pi0)) for x, h0, pi0 in
-            zip(killed.grid.nodes, perron.h0, perron.pi0)]
+    rows = list(zip(killed.grid.nodes, perron.h0, perron.pi0))
     tables = {"perron_vectors": (("x", "h0", "pi0"), rows)}
     return ExperimentOutcome("birkhoff-jentzsch", summary, tables)
 
@@ -1092,8 +1047,7 @@ def _run_minimum_action(run: _Run) -> ExperimentOutcome:
                                  and abs(free_path.action - 0.125) <= 1e-4),
     }
     profile = p["level"] * np.sinh(path.grid.nodes) / math.sinh(p["t_end"])
-    rows = [(float(t), float(x), float(ref)) for t, x, ref in
-            zip(path.grid.nodes, path.values[:, 0], profile)]
+    rows = list(zip(path.grid.nodes, path.values[:, 0], profile))
     tables = {"optimal_path": (("t", "x", "closed_form"), rows)}
     return ExperimentOutcome("ou-minimum-action", summary, tables,
                              flags=tuple(flags))
@@ -1120,8 +1074,7 @@ def _run_quasipotential(run: _Run) -> ExperimentOutcome:
         "within_tolerance": bool(
             abs(result.value - target) <= 0.02 * abs(target)),
     }
-    rows = [(float(t), float(s)) for t, s in
-            zip(result.t_values, result.action_values)]
+    rows = list(zip(result.t_values, result.action_values))
     tables = {"envelope": (("t_horizon", "action"), rows)}
     return ExperimentOutcome("quasipotential-double-well", summary, tables,
                              flags=flags)
@@ -1148,8 +1101,7 @@ def _run_arrhenius(run: _Run) -> ExperimentOutcome:
             fit.monotone
             and abs(smallest - fit.v_bar) <= 0.15 * fit.v_bar),
     }
-    rows = [(float(e), float(v), float(s)) for e, v, s in
-            zip(fit.eps, fit.eps_log_mean_tau, fit.stderr)]
+    rows = list(zip(fit.eps, fit.eps_log_mean_tau, fit.stderr))
     tables = {"fit": (("eps", "eps_log_mean_tau", "stderr"), rows)}
     return ExperimentOutcome("arrhenius-well", summary, tables)
 
@@ -1244,13 +1196,12 @@ def _run_sample_paths(run: _Run) -> ExperimentOutcome:
     header = ["t", "mean", "std"]
     if exact_mean is not None:
         header += ["exact_mean", "exact_std"]
-        rows = [(float(a), float(b), float(c), float(d), float(math.sqrt(e)))
-                for a, b, c, d, e in zip(t, mean, std, exact_mean, exact_var)]
+        rows = list(zip(t, mean, std, exact_mean, np.sqrt(exact_var)))
     else:
-        rows = [(float(a), float(b), float(c)) for a, b, c in zip(t, mean, std)]
+        rows = list(zip(t, mean, std))
 
     keep = min(8, p["n_paths"])
-    path_rows = [(float(t[j]), int(i), float(first[i, j]))
+    path_rows = [(t[j], i, first[i, j])
                  for i in range(keep) for j in range(grid.n_nodes)]
     summary = {
         "model": spec.describe(),

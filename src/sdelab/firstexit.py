@@ -17,15 +17,14 @@ and the three-set bound that patches exit expectations together.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ._io import write_csv, write_json
 from .sde import (GaussianStream, SdeModel, TimeGrid, _check_finite, _em_step,
                   sample_wiener)
 
@@ -183,9 +182,7 @@ class ExitStatistics:
     ``exit_times`` holds the uncensored samples in path order, identified
     by ``path_ids``; ``mean_time`` and its standard error are computed over
     the uncensored paths only, with ``fraction_censored`` reporting how
-    much of the sample that leaves out.  The ``laplace`` map counts
-    censored paths as zero, so each entry is a lower-bound estimate of
-    ``E[exp(-lambda tau)]`` accurate to ``exp(-lambda t_max)``.
+    much of the sample that leaves out.
     """
 
     n_paths: int
@@ -193,24 +190,13 @@ class ExitStatistics:
     path_ids: np.ndarray
     t_max: float
     boundary_params: np.ndarray | None = None
-    laplace: dict[float, tuple[float, float]] = field(default_factory=dict)
 
     @classmethod
     def from_samples(cls, exit_times, path_ids, n_paths: int, t_max: float,
-                     boundary_params=None, lambdas=()) -> "ExitStatistics":
-        exit_times = np.asarray(exit_times, dtype=float)
-        path_ids = np.asarray(path_ids, dtype=int)
-        laplace = {}
-        for lam in lambdas:
-            vals = np.zeros(n_paths)
-            vals[: exit_times.size] = np.exp(-lam * exit_times)
-            laplace[float(lam)] = (
-                float(vals.mean()),
-                float(vals.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0,
-            )
-        return cls(n_paths, exit_times, path_ids, float(t_max),
-                   None if boundary_params is None else np.asarray(boundary_params, dtype=float),
-                   laplace)
+                     boundary_params=None) -> "ExitStatistics":
+        return cls(n_paths, np.asarray(exit_times, dtype=float),
+                   np.asarray(path_ids, dtype=int), float(t_max),
+                   None if boundary_params is None else np.asarray(boundary_params, dtype=float))
 
     @property
     def n_exited(self) -> int:
@@ -235,6 +221,22 @@ class ExitStatistics:
             return math.nan
         return float(self.exit_times.std(ddof=1) / math.sqrt(self.n_exited))
 
+    def laplace(self, lam: float, where=None) -> tuple[float, float]:
+        """Estimate and standard error of ``E[exp(-lam tau); where]``.
+
+        Censored paths count as zero, so the estimate is a lower bound
+        accurate to ``exp(-lam t_max)``.  ``where`` is a boolean mask over
+        the uncensored samples (say, exits through one side); samples it
+        leaves out count as zero too.
+        """
+        vals = np.zeros(self.n_paths)
+        vals[: self.n_exited] = np.exp(-lam * self.exit_times)
+        if where is not None:
+            vals[: self.n_exited] *= where
+        std_error = (float(vals.std(ddof=1) / math.sqrt(self.n_paths))
+                     if self.n_paths > 1 else 0.0)
+        return float(vals.mean()), std_error
+
     def exit_location_histogram(self, n_bins: int = 64) -> tuple[np.ndarray, np.ndarray]:
         """Histogram of boundary parameters over [0, 1] in ``n_bins`` bins."""
         if self.boundary_params is None:
@@ -242,28 +244,22 @@ class ExitStatistics:
         return np.histogram(self.boundary_params, bins=n_bins, range=(0.0, 1.0))
 
     def to_json(self, path) -> None:
-        payload = {
+        write_json(path, {
             "n_paths": self.n_paths,
             "n_exited": self.n_exited,
             "fraction_censored": self.fraction_censored,
-            "mean_time": None if not self.valid else self.mean_time,
-            "time_std_error": None if self.n_exited < 2 else self.time_std_error,
+            "mean_time": self.mean_time,
+            "time_std_error": self.time_std_error,
             "t_max": self.t_max,
             "valid": self.valid,
-            "laplace": {repr(k): list(v) for k, v in sorted(self.laplace.items())},
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
 
     def save_samples(self, path) -> None:
         """Raw uncensored samples as CSV ``path_id,exit_time,boundary_parameter``."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["path_id", "exit_time", "boundary_parameter"])
-            for i, pid in enumerate(self.path_ids):
-                loc = "" if self.boundary_params is None else repr(float(self.boundary_params[i]))
-                writer.writerow([int(pid), repr(float(self.exit_times[i])), loc])
+        locations = (self.boundary_params if self.boundary_params is not None
+                     else [""] * self.n_exited)
+        write_csv(path, ("path_id", "exit_time", "boundary_parameter"),
+                  zip(self.path_ids, self.exit_times, locations))
 
 
 _NOISE_BLOCK_CAP = 20_000_000  # Gaussian draws per noise block
@@ -274,8 +270,7 @@ def _chunk_size(n_paths: int, dim_noise: int) -> int:
 
 
 def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
-            stream: GaussianStream, t_max: float | None = None,
-            lambdas=()) -> ExitStatistics:
+            stream: GaussianStream, t_max: float | None = None) -> ExitStatistics:
     """Monte Carlo first-exit statistics for ``model`` started at ``x0``.
 
     Paths advance with fixed-step Euler-Maruyama until they leave
@@ -350,7 +345,7 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
     exited = np.flatnonzero(~np.isnan(exit_time))
     params = domain.boundary_parameter(exit_points[exited]) if exited.size else None
     stats = ExitStatistics.from_samples(exit_time[exited], exited, n_paths,
-                                        t_max, params, lambdas)
+                                        t_max, params)
     if not stats.valid:
         warnings.warn("all paths were censored; exit statistics are invalid",
                       stacklevel=2)

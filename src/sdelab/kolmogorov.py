@@ -16,7 +16,6 @@ independent cross-checks of the PDE routes.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import solve_banded
 
+from ._io import read_csv, write_csv
 from .sde import GaussianStream, SdeModel, TimeGrid, euler_maruyama_ensemble
 
 __all__ = [
@@ -124,23 +124,16 @@ class DensityField:
 
     def save(self, path) -> None:
         """Write the field as a two-column CSV ``x,value`` with header."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "value"])
-            for x, v in zip(self.grid.nodes, self.values):
-                writer.writerow([repr(float(x)), repr(float(v))])
+        write_csv(path, ("x", "value"), zip(self.grid.nodes, self.values))
 
     @classmethod
     def load(cls, path, time: float = 0.0) -> "DensityField":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header[:2] != ["x", "value"]:
-                raise ValueError(f"expected header ['x', 'value'], got {header!r}")
-            rows = [(float(x), float(v)) for x, v in reader]
-        xs = np.array([r[0] for r in rows])
+        header, data = read_csv(path)
+        if header != ["x", "value"]:
+            raise ValueError(f"expected header ['x', 'value'], got {header!r}")
+        xs = data[:, 0]
         grid = Grid1D(xs[0], xs[-1], len(xs) - 1)
-        return cls(grid, np.array([r[1] for r in rows]), time)
+        return cls(grid, data[:, 1], time)
 
 
 # ---------------------------------------------------------------------------

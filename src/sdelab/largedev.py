@@ -22,15 +22,14 @@ theorem is served by :func:`legendre_transform`.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
 
+from ._io import read_csv, write_csv
 from .expr import Expression
 from .firstexit import Domain, mc_exit
 from .sde import GaussianStream, SdeModel, TimeGrid
@@ -101,17 +100,11 @@ class ActionPath:
 
     def save_csv(self, path) -> None:
         names = ["x"] if self.dim == 1 else [f"x{i}" for i in range(self.dim)]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", *names])
-            for t, row in zip(self.grid.nodes, self.values):
-                writer.writerow([repr(float(t)), *[repr(float(v)) for v in row]])
+        write_csv(path, ("t", *names), np.column_stack([self.grid.nodes, self.values]))
 
     @classmethod
     def load_csv(cls, path) -> "ActionPath":
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        data = np.array([[float(v) for v in row] for row in rows[1:]])
+        _, data = read_csv(path)
         grid = TimeGrid(data[0, 0], data[-1, 0], data.shape[0] - 1)
         return cls(grid, data[:, 1:])
 

@@ -96,8 +96,17 @@ class TestDiscreteKernel:
         assert loaded.grid == kernel.grid
         assert loaded.t_step == 0.5
         assert loaded.substochastic is False
+        np.testing.assert_array_equal(loaded.row_leakage, kernel.row_leakage)
         sidecar = json.loads((tmp_path / "kernel.csv.json").read_text())
         assert sidecar["grid"]["n_cells"] == 20
+
+        absorbing = discretize_kernel(bm_model(), Grid1D(-1.0, 1.0, 20),
+                                      0.1, bc="dirichlet_zero")
+        absorbing.save(path)
+        loaded = DiscreteKernel.load(path)
+        assert np.array_equal(loaded.matrix, absorbing.matrix)
+        assert loaded.substochastic is True
+        np.testing.assert_array_equal(loaded.row_leakage, absorbing.row_leakage)
 
 
 class TestDiscretizeKernel:

@@ -289,6 +289,22 @@ class TestRunArtifacts:
         for name in ("result.json", "manifest.json", "moments.csv", "paths.csv"):
             assert (result.run_dir / name).is_file()
 
+    def test_undefined_results_are_strict_json_nulls(self, tmp_path):
+        config = ExperimentConfig("exit-ball-2d",
+                                  parameters={"n_paths": 16, "t_max": 0.01})
+        with pytest.warns(UserWarning, match="censored"):
+            result = run(config, out=tmp_path)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        data = json.loads((result.run_dir / "result.json").read_text(),
+                          parse_constant=reject)
+        assert data["summary"]["mean_exit_time"] is None
+        assert data["summary"]["fraction_censored"] == 1.0
+        assert (tmp_path / "exit-ball-2d" / "plots" / "summary_points.csv") in \
+            emit_plot_data(result.run_dir)
+
     def test_rerun_is_byte_identical(self, tmp_path):
         first = run(self.config(), out=tmp_path / "a")
         second = run(self.config(), out=tmp_path / "b")

@@ -119,7 +119,6 @@ class TestExitStatistics:
         defaults = dict(
             exit_times=np.array([1.0, 2.0, 3.0]), path_ids=np.array([0, 2, 3]),
             n_paths=4, t_max=50.0, boundary_params=np.array([0.0, 1.0, 1.0]),
-            lambdas=(0.5, 1.0),
         )
         defaults.update(kw)
         return ExitStatistics.from_samples(**defaults)
@@ -134,14 +133,16 @@ class TestExitStatistics:
 
     def test_laplace_counts_censored_paths_as_zero(self):
         stats = self.make()
-        est, se = stats.laplace[1.0]
+        est, se = stats.laplace(1.0)
         expected = (math.exp(-1) + math.exp(-2) + math.exp(-3)) / 4
         assert est == pytest.approx(expected)
         assert se > 0
+        right, _ = stats.laplace(1.0, stats.boundary_params == 1.0)
+        assert right == pytest.approx((math.exp(-2) + math.exp(-3)) / 4)
 
     def test_invalid_when_everything_censored(self):
         stats = self.make(exit_times=np.empty(0), path_ids=np.empty(0, dtype=int),
-                          boundary_params=None, lambdas=())
+                          boundary_params=None)
         assert not stats.valid
         assert math.isnan(stats.mean_time)
         assert stats.fraction_censored == 1.0
@@ -161,7 +162,7 @@ class TestExitStatistics:
         payload = json.loads(jpath.read_text())
         assert payload["n_paths"] == 4
         assert payload["mean_time"] == pytest.approx(2.0)
-        assert payload["laplace"]["1.0"][0] == pytest.approx(stats.laplace[1.0][0])
+        assert payload["time_std_error"] == pytest.approx(1.0 / math.sqrt(3))
 
         cpath = tmp_path / "samples.csv"
         stats.save_samples(cpath)
@@ -228,8 +229,8 @@ class TestMcExit:
     def test_laplace_transform_matches_cosh_formula(self):
         stats = mc_exit(SdeModel.brownian(), 0.0, Domain.interval(-1.0, 1.0),
                         h=5e-4, n_paths=3000, stream=GaussianStream(8327),
-                        t_max=50.0, lambdas=(1.0,))
-        est, se = stats.laplace[1.0]
+                        t_max=50.0)
+        est, se = stats.laplace(1.0)
         exact = 1.0 / math.cosh(math.sqrt(2.0))
         assert abs(est - exact) < 3 * se + 0.012
 
@@ -237,8 +238,8 @@ class TestMcExit:
         lambdas = (0.25, 0.5, 1.0, 2.0, 4.0)
         stats = mc_exit(SdeModel.brownian(), 0.0, Domain.interval(-1.0, 1.0),
                         h=1e-3, n_paths=4000, stream=GaussianStream(8328),
-                        t_max=50.0, lambdas=lambdas)
-        vals = np.array([stats.laplace[l][0] for l in lambdas])
+                        t_max=50.0)
+        vals = np.array([stats.laplace(l)[0] for l in lambdas])
         assert np.all(np.diff(vals) < 0)
         # log-convexity on an uneven grid: secant slopes must increase
         slopes = np.diff(np.log(vals)) / np.diff(lambdas)
