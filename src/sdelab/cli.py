@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--out", default=None, metavar="DIR",
                       help=f"output root (default: ${DEFAULT_OUT_ENV} or ./runs)")
     runp.add_argument("--threads", type=int, default=None,
-                      help="worker threads for Monte Carlo chunks "
+                      help="worker threads for Monte Carlo path blocks "
                            "(results do not depend on this)")
 
     sub.add_parser("list", help="list the experiment registry")

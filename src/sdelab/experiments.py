@@ -33,7 +33,6 @@ import json
 import math
 import os
 import platform
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -48,7 +47,6 @@ from ._io import jsonable, read_json, sha256, write_csv, write_json
 from .expr import Expression, ExpressionError, parse_expression
 from .firstexit import (
     Domain,
-    ExitStatistics,
     arcsine_cdf,
     arcsine_occupation,
     ball_exit_expectation,
@@ -74,7 +72,7 @@ from .ergodicity import (
 )
 from .kolmogorov import DensityField, Grid1D, solve_fokker_planck, stationary_density_gradient
 from .largedev import _derivative, arrhenius_check, eyring_kramers_time, minimize_action, ou_exit_rate, quasipotential
-from .sde import GaussianStream, SdeModel, TimeGrid, euler_maruyama_ensemble
+from .sde import GaussianStream, SdeModel, TimeGrid, euler_maruyama_ensemble, sample_wiener
 
 __all__ = [
     "ConfigError",
@@ -140,6 +138,8 @@ class ParameterSpec:
     def convert(self, raw: object, *, source: str | None = None) -> object:
         try:
             value = self._convert(raw)
+            if self.kind in ("float", "floats") and not np.all(np.isfinite(value)):
+                raise ValueError(f"expected a finite number, got {value!r}")
         except (TypeError, ValueError) as err:
             raise ConfigError(
                 f"parameter {self.name!r}: {err}", source=source) from None
@@ -687,45 +687,6 @@ def emit_plot_data(run_dir) -> list[Path]:
 # Shared numerical helpers
 # ---------------------------------------------------------------------------
 
-_EXIT_CHUNKS = 8
-
-
-def _chunked_exit(model: SdeModel, x0, domain: Domain, *, h: float,
-                  n_paths: int, stream: GaussianStream, t_max: float,
-                  threads: int = 1) -> ExitStatistics:
-    """Monte Carlo exit run split into fixed chunks, optionally threaded.
-
-    The decomposition into ``_EXIT_CHUNKS`` child streams is the same for
-    every thread count, so results depend only on the seed; ``threads``
-    controls physical workers, not the logical plan.
-    """
-    n_chunks = min(_EXIT_CHUNKS, n_paths)
-    sizes = [n_paths // n_chunks + (1 if k < n_paths % n_chunks else 0)
-             for k in range(n_chunks)]
-
-    def one(k: int) -> ExitStatistics:
-        return mc_exit(model, x0, domain, h=h, n_paths=sizes[k],
-                       stream=stream.child(1000 + k), t_max=t_max)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(n_chunks)))
-    else:
-        results = [one(k) for k in range(n_chunks)]
-
-    times, ids, params = [], [], []
-    offset = 0
-    for part, size in zip(results, sizes):
-        times.append(part.exit_times)
-        ids.append(part.path_ids + offset)
-        if part.boundary_params is not None:
-            params.append(part.boundary_params)
-        offset += size
-    boundary = np.concatenate(params) if params else None
-    return ExitStatistics.from_samples(
-        np.concatenate(times), np.concatenate(ids), n_paths, t_max, boundary)
-
-
 def _histogram_rows(values: np.ndarray, n_bins: int = 40):
     counts, edges = np.histogram(values, bins=n_bins)
     return list(zip(edges[:-1], edges[1:], counts))
@@ -738,9 +699,9 @@ def _histogram_rows(values: np.ndarray, n_bins: int = 40):
 def _run_exit_ball(run: _Run) -> ExperimentOutcome:
     p = run.params
     model = SdeModel.brownian(2)
-    stats = _chunked_exit(model, [0.0, 0.0], Domain.ball(1.0, dim=2),
-                          h=p["h"], n_paths=p["n_paths"], stream=run.stream,
-                          t_max=p["t_max"], threads=run.threads)
+    stats = mc_exit(model, [0.0, 0.0], Domain.ball(1.0, dim=2), h=p["h"],
+                    n_paths=p["n_paths"], stream=run.stream, t_max=p["t_max"],
+                    threads=run.threads)
     target = ball_exit_expectation(1.0, [0.0, 0.0], 2)
     mean = stats.mean_time
     summary = {
@@ -782,10 +743,9 @@ def _run_shell_hitting(run: _Run) -> ExperimentOutcome:
 def _run_feynman_kac(run: _Run) -> ExperimentOutcome:
     p = run.params
     a, lambdas = p["a"], p["lambdas"]
-    stats = _chunked_exit(SdeModel.brownian(1), [0.0],
-                          Domain.interval(-a, a), h=p["h"],
-                          n_paths=p["n_paths"], stream=run.stream,
-                          t_max=p["t_max"], threads=run.threads)
+    stats = mc_exit(SdeModel.brownian(1), [0.0], Domain.interval(-a, a),
+                    h=p["h"], n_paths=p["n_paths"], stream=run.stream,
+                    t_max=p["t_max"], threads=run.threads)
     n = p["n_paths"]
     right = stats.boundary_params == 1.0
 
@@ -849,25 +809,23 @@ def _run_ito_isometry(run: _Run) -> ExperimentOutcome:
     n_fine, doublings = p["n_steps"], p["doublings"]
     n_paths, T = p["n_paths"], p["t_end"]
     h_fine = T / n_fine
-    gen = run.stream.generator()
-    incr = gen.normal(0.0, math.sqrt(h_fine), size=(n_paths, n_fine))
-    w = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(incr, axis=1)], axis=1)
-    exact = 0.5 * w[:, -1] ** 2 - 0.5 * T
+    w = sample_wiener(TimeGrid(0.0, T, n_fine), run.stream, dim=n_paths).values
+    exact = 0.5 * w[-1] ** 2 - 0.5 * T
 
     rows = []
     rms = []
     for level in range(doublings, -1, -1):
         stride = 2 ** level
-        coarse = w[:, ::stride]
-        ito = np.sum(coarse[:, :-1] * np.diff(coarse, axis=1), axis=1)
+        coarse = w[::stride]
+        ito = np.sum(coarse[:-1] * np.diff(coarse, axis=0), axis=0)
         err = float(np.sqrt(np.mean((ito - exact) ** 2)))
         rms.append(err)
         rows.append((n_fine // stride, err))
     ratios = [rms[i] / rms[i + 1] for i in range(len(rms) - 1)]
 
-    # discrete isometry: E[(sum W dW)^2] = E[sum W^2 h], checked pairwise
-    fine_ito = np.sum(w[:, :-1] * incr, axis=1)
-    paired = fine_ito**2 - np.sum(w[:, :-1] ** 2 * h_fine, axis=1)
+    # discrete isometry: E[(sum W dW)^2] = E[sum W^2 h], checked pairwise on
+    # the fine sum, which is the last level's
+    paired = ito**2 - np.sum(w[:-1] ** 2 * h_fine, axis=0)
     iso_diff = float(paired.mean())
     iso_se = float(paired.std(ddof=1) / math.sqrt(n_paths))
 

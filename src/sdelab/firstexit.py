@@ -3,9 +3,11 @@
 The Monte Carlo side simulates Euler-Maruyama paths until they leave a
 :class:`Domain`, with the exit time interpolated linearly inside the
 straddling step and paths that outlive ``t_max`` reported as censored.
-Noise is assigned to ``(path, step)`` pairs independently of how long any
-path survives, so runs over nested domains with the same stream see the
-same trajectories.
+:func:`mc_exit` is the only exit routine.  Its noise is addressed by
+(path block, step block) independently of how long any path survives, so
+runs over nested domains with the same stream see the same trajectories,
+and its ``threads`` option shards the path blocks without changing a bit
+of the result.
 
 The closed-form side collects the classical exit oracles for Brownian
 motion and geometric Brownian motion: mean exit times from balls, hitting
@@ -19,13 +21,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from ._io import write_csv, write_json
-from .sde import (GaussianStream, SdeModel, TimeGrid, _check_finite, _em_step,
+from .sde import (BlowUpError, GaussianStream, SdeModel, TimeGrid, _em_step,
                   sample_wiener)
 
 __all__ = [
@@ -263,6 +266,7 @@ class ExitStatistics:
 
 
 _NOISE_BLOCK_CAP = 20_000_000  # Gaussian draws per noise block
+_PATH_BLOCK = 1024  # paths per block of the noise plan
 
 
 def _chunk_size(n_paths: int, dim_noise: int) -> int:
@@ -270,21 +274,33 @@ def _chunk_size(n_paths: int, dim_noise: int) -> int:
 
 
 def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
-            stream: GaussianStream, t_max: float | None = None) -> ExitStatistics:
+            stream: GaussianStream, t_max: float | None = None,
+            threads: int = 1) -> ExitStatistics:
     """Monte Carlo first-exit statistics for ``model`` started at ``x0``.
 
     Paths advance with fixed-step Euler-Maruyama until they leave
     ``domain``; the exit time is interpolated linearly between the
     straddling nodes (no bridge correction, giving the usual O(sqrt(h))
-    late-detection bias).  Only the paths still inside are stepped: a
-    path is dropped from the active set at the step where it exits, while
-    its noise stays addressed by (path, step), so the draws a path sees
-    do not depend on when the others exit.  ``t_max`` defaults to 50
-    times a pilot estimate of the mean exit time; paths still inside at
-    ``t_max`` are censored.  A run where nothing exits is flagged invalid
-    rather than averaged.  A non-finite state is never inside a domain, so
-    blow-up is detected among the rows that exit at a step and raises
-    :class:`~sdelab.sde.BlowUpError` at that step.
+    late-detection bias).  Only the paths still inside are stepped.
+    ``t_max`` defaults to 50 times a pilot estimate of the mean exit time;
+    paths still inside at ``t_max`` are censored.  A run where nothing
+    exits is flagged invalid rather than averaged.  A non-finite state is
+    never inside a domain, so blow-up is detected among the rows that exit
+    at a step and raises :class:`~sdelab.sde.BlowUpError` at that step.
+
+    The noise is addressed by (path block, step block): blocks of
+    ``_PATH_BLOCK`` paths, and step blocks whose length depends on
+    ``n_paths`` but not on ``threads``.  In step block ``j`` path block 0
+    draws from ``stream.child(0).child(j)`` and path block ``b >= 1`` from
+    ``stream.child(0).child(j).child(b)``; only blocks with an active path
+    are drawn, so a path's draws never depend on when the others exit.
+    The first rows of a draw equal a smaller draw from the same generator,
+    so block 0 repeats what runs of at most ``_PATH_BLOCK`` paths drew
+    before there were path blocks, and their results are unchanged.
+
+    ``threads`` shards the path blocks into contiguous runs, one worker
+    each.  It changes only the speed: the noise, the results and the step
+    of a blow-up (the earliest over all shards) are the same at any count.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (model.dim_state,):
@@ -296,6 +312,8 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
         raise ValueError(f"starting point {x0} is not inside the domain")
     if h <= 0:
         raise ValueError("step size must be positive")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     if t_max is None:
         pilot = mc_exit(model, x0, domain, h=h, n_paths=64,
                         stream=stream.child(1), t_max=10_000 * h)
@@ -309,38 +327,57 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
     noise = stream.child(0)
     block = _chunk_size(n_paths, model.dim_noise)
     sqrt_h = math.sqrt(h)
-
-    # compacted active set: ``x[r]`` is the state of path ``ids[r]``
-    ids = np.arange(n_paths)
-    x = np.tile(x0, (n_paths, 1))
     exit_time = np.full(n_paths, np.nan)
     exit_points = np.zeros((n_paths, model.dim_state))
 
-    step = 0
-    chunk = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while step < n_steps and ids.size:
-            nb = min(block, n_steps - step)
-            # noise is indexed by (path, step) regardless of which paths are
-            # still active, so nested runs on the same stream share trajectories
-            dw = noise.child(chunk).generator().normal(0.0, sqrt_h,
-                                                       (n_paths, nb, model.dim_noise))
-            for j in range(nb):
-                x_new = _em_step(model, x, h, dw[ids, j])
-                inside = domain.contains(x_new)
-                if np.count_nonzero(inside) < ids.size:
-                    out = ~inside
-                    p, q, gone = x[out], x_new[out], ids[out]
-                    _check_finite(q, step + j + 1, (step + j + 1) * h)
-                    lam = domain.exit_fraction(p, q)
-                    exit_time[gone] = (step + j + lam) * h
-                    exit_points[gone] = p + lam[:, np.newaxis] * (q - p)
-                    ids, x_new = ids[inside], x_new[inside]
-                    if not ids.size:
-                        break
-                x = x_new
-            step += nb
-            chunk += 1
+    def shard(first: int, stop: int) -> BlowUpError | None:
+        """Step path blocks ``first`` to ``stop - 1``; return a blow-up."""
+        rows = slice(first * _PATH_BLOCK, stop * _PATH_BLOCK)
+        times, points = exit_time[rows], exit_points[rows]
+        # compacted active set: ``x[r]`` is the state of shard row ``ids[r]``
+        ids = np.arange(times.size)
+        x = np.tile(x0, (ids.size, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for chunk, step in enumerate(range(0, n_steps, block)):
+                if not ids.size:
+                    break
+                nb = min(block, n_steps - step)
+                # rows of path blocks with no active path are never read
+                dw = np.empty((times.size, nb, model.dim_noise))
+                for b in np.unique(ids // _PATH_BLOCK).tolist():
+                    part = dw[b * _PATH_BLOCK:(b + 1) * _PATH_BLOCK]
+                    source = noise.child(chunk)
+                    if first + b:
+                        source = source.child(first + b)
+                    part[...] = source.generator().normal(0.0, sqrt_h, part.shape)
+                for j in range(nb):
+                    x_new = _em_step(model, x, h, dw[ids, j])
+                    inside = domain.contains(x_new)
+                    if np.count_nonzero(inside) < ids.size:
+                        out = ~inside
+                        p, q, gone = x[out], x_new[out], ids[out]
+                        if not np.all(np.isfinite(q)):
+                            return BlowUpError(step + j + 1, (step + j + 1) * h)
+                        lam = domain.exit_fraction(p, q)
+                        times[gone] = (step + j + lam) * h
+                        points[gone] = p + lam[:, np.newaxis] * (q - p)
+                        ids, x_new = ids[inside], x_new[inside]
+                        if not ids.size:
+                            break
+                    x = x_new
+        return None
+
+    n_blocks = -(-n_paths // _PATH_BLOCK)
+    n_shards = max(1, min(threads, n_blocks))
+    cuts = [n_blocks * s // n_shards for s in range(n_shards + 1)]
+    if n_shards == 1:
+        blowups = [shard(0, n_blocks)]
+    else:
+        with ThreadPoolExecutor(max_workers=n_shards) as pool:
+            blowups = list(pool.map(shard, cuts[:-1], cuts[1:]))
+    blowups = [err for err in blowups if err is not None]
+    if blowups:
+        raise min(blowups, key=lambda err: err.step_index)
 
     exited = np.flatnonzero(~np.isnan(exit_time))
     params = domain.boundary_parameter(exit_points[exited]) if exited.size else None

@@ -92,6 +92,19 @@ class TestRun:
                          "--out", str(tmp_path / "results")]) == 2
             assert f"{config}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment, key, value", [
+        ("sample-paths", "x0", "nan"), ("exit-ball-2d", "t_max", "inf")])
+    def test_non_finite_parameter_exits_two_naming_the_file(
+            self, tmp_path, capsys, experiment, key, value):
+        config = tmp_path / "bad.ini"
+        config.write_text(f"[experiment]\nname = {experiment}\n"
+                          f"[parameters]\n{key} = {value}\n", encoding="utf-8")
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert (f"{config}: parameter {key!r}: expected a finite number"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_parse_error_exits_two_with_position(self, tmp_path, capsys):
         config = tmp_path / "bad.ini"
         config.write_text("[experiment\nname = arcsine-law\n", encoding="utf-8")

@@ -55,6 +55,14 @@ class TestParameterSpec:
         with pytest.raises(ConfigError, match="comma-separated"):
             self.spec(kind="floats").convert(" ")
 
+    @pytest.mark.parametrize("kind, raw", [
+        ("float", "nan"), ("float", "inf"), ("float", float("-inf")),
+        ("floats", "0.5, inf"), ("floats", [0.5, float("nan")]),
+    ])
+    def test_non_finite_numbers_are_rejected(self, kind, raw):
+        with pytest.raises(ConfigError, match="expected a finite number"):
+            self.spec(kind=kind).convert(raw, source="exp.ini")
+
     def test_minimum_bound_is_enforced(self):
         spec = self.spec(minimum=2)
         with pytest.raises(ConfigError, match=">= 2"):

@@ -1,7 +1,9 @@
 """Tests for exit-time Monte Carlo, domains and the closed-form oracles."""
 
+import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -307,6 +309,49 @@ class TestMcExit:
             0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0,
             0.0, 0.0,
         ]
+
+    def test_thread_count_does_not_change_results(self):
+        # 2500 paths span three path blocks, so threads 2 and 3 shard them;
+        # a short switch interval makes the shards interleave often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs = [mc_exit(SdeModel.brownian(), 0.0, Domain.interval(-1.0, 1.0),
+                            h=1e-3, n_paths=2500, stream=GaussianStream(8335),
+                            t_max=0.5, threads=threads)
+                    for threads in (1, 2, 3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert 0 < runs[0].n_exited < 2500
+        for other in runs[1:]:
+            np.testing.assert_array_equal(other.exit_times, runs[0].exit_times)
+            np.testing.assert_array_equal(other.path_ids, runs[0].path_ids)
+            np.testing.assert_array_equal(other.boundary_params,
+                                          runs[0].boundary_params)
+
+    def test_multi_block_noise_layout_is_pinned(self):
+        # 1100 paths: path block 1 draws from its own child stream
+        stats = mc_exit(SdeModel.brownian(), 0.0, Domain.interval(-1.0, 1.0),
+                        h=1e-3, n_paths=1100, stream=GaussianStream(2024), t_max=2.5)
+        assert stats.n_exited == 1030
+        digest = hashlib.sha256(stats.exit_times.tobytes()).hexdigest()
+        assert digest == ("a99717deaf1c25129e4c0de840fd6700"
+                          "d053bb03857371ff1fe70c81cc14e48a")
+
+    def test_earliest_blow_up_over_all_shards_is_raised(self):
+        cubic = SdeModel.scalar(lambda x: x**3, lambda x: 0.5)
+        whole_line = Domain.predicate(lambda x: np.ones(x.shape[:-1], dtype=bool))
+
+        def blow_up_step(n_paths, threads=1):
+            with pytest.raises(BlowUpError) as excinfo:
+                mc_exit(cubic, 0.0, whole_line, h=0.05, n_paths=n_paths,
+                        stream=GaussianStream(8333), t_max=40.0, threads=threads)
+            return excinfo.value.step_index
+
+        # path block 0 on its own blows up later than a path in blocks 1-2,
+        # so the first shard's blow-up is not the one to report
+        assert blow_up_step(1024) == 23
+        assert [blow_up_step(3000, threads) for threads in (1, 2, 3)] == [21] * 3
 
 
 class TestRadialHitting:

@@ -5,7 +5,8 @@ routed through ``sdelab._io``, except two lines that were deliberately
 changed: the kernel sidecar now carries ``row_leakage``, and
 ``ExitStatistics.to_json`` no longer writes a ``laplace`` map.  No random
 numbers are involved, so any byte that changes here changes the SHA-256
-of a run artifact.
+of a run artifact.  The same kind of ``ast`` guard keeps the thread pool
+in ``firstexit``, home of the only Monte Carlo exit routine.
 """
 
 import ast
@@ -237,9 +238,35 @@ def _format_uses(tree: ast.AST) -> list[str]:
     return found
 
 
-def test_only_the_io_module_knows_the_file_format():
+def _package_uses(finder) -> dict[str, list[str]]:
     package = Path(sdelab.__file__).parent
-    uses = {path.name: _format_uses(ast.parse(path.read_text(encoding="utf-8")))
+    return {path.name: finder(ast.parse(path.read_text(encoding="utf-8")))
             for path in sorted(package.glob("*.py"))}
+
+
+def test_only_the_io_module_knows_the_file_format():
+    uses = _package_uses(_format_uses)
     assert uses.pop("_io.py"), "the guard no longer sees the format module's own uses"
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def _worker_uses(tree: ast.AST) -> list[str]:
+    """Every import of a thread or process pool module in a module."""
+    pools = ("concurrent", "threading", "multiprocessing")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] in pools]
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.split(".")[0] in pools):
+            found.append(node.module)
+    return found
+
+
+def test_only_firstexit_starts_workers():
+    # threads shard the one noise plan of ``mc_exit``; a second pool
+    # elsewhere would be a second way to lay out the same work
+    uses = _package_uses(_worker_uses)
+    assert uses.pop("firstexit.py") == ["concurrent.futures"], \
+        "the guard no longer sees firstexit's own pool"
     assert {name: found for name, found in uses.items() if found} == {}
