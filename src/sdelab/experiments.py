@@ -140,7 +140,7 @@ class ParameterSpec:
             value = self._convert(raw)
             if self.kind in ("float", "floats") and not np.all(np.isfinite(value)):
                 raise ValueError(f"expected a finite number, got {value!r}")
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(
                 f"parameter {self.name!r}: {err}", source=source) from None
         self._check_bound(value, source)

@@ -7,7 +7,8 @@ straddling step and paths that outlive ``t_max`` reported as censored.
 (path block, step block) independently of how long any path survives, so
 runs over nested domains with the same stream see the same trajectories,
 and its ``threads`` option shards the path blocks without changing a bit
-of the result.
+of the result.  It checks exits once per window of steps, so a path may
+take up to one window of steps past its exit; those steps are discarded.
 
 The closed-form side collects the classical exit oracles for Brownian
 motion and geometric Brownian motion: mean exit times from balls, hitting
@@ -28,8 +29,8 @@ from typing import Callable
 import numpy as np
 
 from ._io import write_csv, write_json
-from .sde import (BlowUpError, GaussianStream, SdeModel, TimeGrid, _em_step,
-                  sample_wiener)
+from .sde import (BlowUpError, GaussianStream, SdeModel, TimeGrid, _disperse,
+                  _em_update, sample_wiener)
 
 __all__ = [
     "Domain",
@@ -267,6 +268,10 @@ class ExitStatistics:
 
 _NOISE_BLOCK_CAP = 20_000_000  # Gaussian draws per noise block
 _PATH_BLOCK = 1024  # paths per block of the noise plan
+# row-steps per exit-check window: on the perfbench probes 1024 (one-step
+# windows at 1000 rows) was slower than per-step checks, and the gain levels
+# off at 32768, whose 256 KB buffers per state dimension stay in cache
+_WINDOW_ROW_STEPS = 32768
 
 
 def _chunk_size(n_paths: int, dim_noise: int) -> int:
@@ -281,12 +286,19 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
     Paths advance with fixed-step Euler-Maruyama until they leave
     ``domain``; the exit time is interpolated linearly between the
     straddling nodes (no bridge correction, giving the usual O(sqrt(h))
-    late-detection bias).  Only the paths still inside are stepped.
+    late-detection bias).  Only paths inside at a window's start are stepped.
     ``t_max`` defaults to 50 times a pilot estimate of the mean exit time;
     paths still inside at ``t_max`` are censored.  A run where nothing
     exits is flagged invalid rather than averaged.  A non-finite state is
     never inside a domain, so blow-up is detected among the rows that exit
     at a step and raises :class:`~sdelab.sde.BlowUpError` at that step.
+
+    Exits are checked once per window of ``_WINDOW_ROW_STEPS // active
+    paths`` steps (at most to the end of the step block): every active path
+    takes the window's steps on noise gathered and dispersed once, then
+    each path's first step outside is found in one pass.  A path may take
+    up to one window of steps past its exit; they are discarded, so the
+    results are those of checking after every step, bit for bit.
 
     The noise is addressed by (path block, step block): blocks of
     ``_PATH_BLOCK`` paths, and step blocks whose length depends on
@@ -327,6 +339,7 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
     noise = stream.child(0)
     block = _chunk_size(n_paths, model.dim_noise)
     sqrt_h = math.sqrt(h)
+    g = model.constant_dispersion
     exit_time = np.full(n_paths, np.nan)
     exit_points = np.zeros((n_paths, model.dim_state))
 
@@ -337,7 +350,7 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
         # compacted active set: ``x[r]`` is the state of shard row ``ids[r]``
         ids = np.arange(times.size)
         x = np.tile(x0, (ids.size, 1))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for chunk, step in enumerate(range(0, n_steps, block)):
                 if not ids.size:
                     break
@@ -350,21 +363,37 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
                     if first + b:
                         source = source.child(first + b)
                     part[...] = source.generator().normal(0.0, sqrt_h, part.shape)
-                for j in range(nb):
-                    x_new = _em_step(model, x, h, dw[ids, j])
-                    inside = domain.contains(x_new)
-                    if np.count_nonzero(inside) < ids.size:
-                        out = ~inside
-                        p, q, gone = x[out], x_new[out], ids[out]
-                        if not np.all(np.isfinite(q)):
-                            return BlowUpError(step + j + 1, (step + j + 1) * h)
+                j = 0
+                while j < nb and ids.size:
+                    w = min(nb - j, max(1, _WINDOW_ROW_STEPS // ids.size))
+                    # path[k] holds the states after step + j + k steps; the
+                    # noise is step-major so that each step's rows are
+                    # contiguous and einsum sums them in the per-step order
+                    path = np.empty((w + 1,) + x.shape)
+                    path[0] = x
+                    dw_w = np.ascontiguousarray(dw[ids, j:j + w].swapaxes(0, 1))
+                    g_dw_w = None if g is None else _disperse(g, dw_w)
+                    for k in range(w):
+                        g_dw = (_disperse(model.dispersion(path[k]), dw_w[k])
+                                if g_dw_w is None else g_dw_w[k])
+                        path[k + 1] = _em_update(model, path[k], h, g_dw)
+                    inside = domain.contains(path[1:])
+                    x = path[w]
+                    if not inside.all():
+                        stay = inside.all(axis=0)
+                        r = np.flatnonzero(~stay)
+                        k_out = np.argmin(inside[:, r], axis=0)  # first step out
+                        p, q = path[k_out, r], path[k_out + 1, r]
+                        finite = np.isfinite(q).all(axis=1)
+                        if not finite.all():
+                            at = step + j + int(k_out[~finite].min()) + 1
+                            return BlowUpError(at, at * h)
                         lam = domain.exit_fraction(p, q)
-                        times[gone] = (step + j + lam) * h
+                        gone = ids[r]
+                        times[gone] = (step + j + k_out + lam) * h
                         points[gone] = p + lam[:, np.newaxis] * (q - p)
-                        ids, x_new = ids[inside], x_new[inside]
-                        if not ids.size:
-                            break
-                    x = x_new
+                        ids, x = ids[stay], x[stay]
+                    j += w
         return None
 
     n_blocks = -(-n_paths // _PATH_BLOCK)

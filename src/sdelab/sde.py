@@ -429,12 +429,22 @@ def _check_finite(x: np.ndarray, step: int, t: float) -> None:
         raise BlowUpError(step, t)
 
 
+def _disperse(g: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """The noise term ``g dW`` over leading batch axes; an ``(n, k)`` ``g`` broadcasts."""
+    return np.einsum("...ik,...k->...i", g, dw)
+
+
+def _em_update(model: SdeModel, x: np.ndarray, dt: float, g_dw: np.ndarray) -> np.ndarray:
+    """The Euler-Maruyama update ``x + f(x) dt + g dW`` given ``g dW``."""
+    return x + model.drift(x) * dt + g_dw
+
+
 def _em_step(model: SdeModel, x: np.ndarray, dt: float, dw: np.ndarray) -> np.ndarray:
     """One Euler-Maruyama step ``x + f(x) dt + g(x) dW`` over leading batch axes."""
     g = model.constant_dispersion
     if g is None:
         g = model.dispersion(x)
-    return x + model.drift(x) * dt + np.einsum("...ik,...k->...i", g, dw)
+    return _em_update(model, x, dt, _disperse(g, dw))
 
 
 def euler_maruyama(model: SdeModel, x0, grid: TimeGrid, *,

@@ -105,6 +105,18 @@ class TestRun:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_integer_too_large_for_a_float_exits_two_naming_the_file(
+            self, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text('{"experiment": {"name": "sample-paths"}, '
+                          '"parameters": {"x0": 1' + "0" * 400 + '}}',
+                          encoding="utf-8")
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert (f"{config}: parameter 'x0': int too large to convert to float"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_parse_error_exits_two_with_position(self, tmp_path, capsys):
         config = tmp_path / "bad.ini"
         config.write_text("[experiment\nname = arcsine-law\n", encoding="utf-8")

@@ -28,6 +28,7 @@ from sdelab.firstexit import (
     shell_hitting_probability,
     three_set_bound,
 )
+from sdelab.firstexit import _WINDOW_ROW_STEPS, _chunk_size
 from sdelab.sde import BlowUpError, GaussianStream, SdeModel, TimeGrid
 
 
@@ -352,6 +353,97 @@ class TestMcExit:
         # so the first shard's blow-up is not the one to report
         assert blow_up_step(1024) == 23
         assert [blow_up_step(3000, threads) for threads in (1, 2, 3)] == [21] * 3
+
+
+def per_step_exit(model, x0, domain, *, h, n_paths, stream, t_max):
+    """First exits from a plain loop that checks every path after every step.
+
+    It draws ``mc_exit``'s noise for a single path block (step block ``c``
+    from ``stream.child(0).child(c)``) and keeps stepping paths after they
+    exit.  Returns exit times, exit points and, per path, whether it was
+    back inside the domain at a later step of the same step block.
+    """
+    n_steps = math.ceil(t_max / h)
+    block = _chunk_size(n_paths, model.dim_noise)
+    rows = np.arange(n_paths)
+    x = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
+    times = np.full(n_paths, np.nan)
+    points = np.zeros_like(x)
+    returned = np.zeros(n_paths, dtype=bool)
+    for step in range(n_steps):
+        if step % block == 0:
+            dw = stream.child(0).child(step // block).generator().normal(
+                0.0, math.sqrt(h), (n_paths, min(block, n_steps - step), model.dim_noise))
+            exit_block = np.full(n_paths, -1)
+        g = model.constant_dispersion
+        if g is None:
+            g = model.dispersion(x)
+        x_new = x + model.drift(x) * h + np.einsum("...ik,...k->...i", g, dw[rows, step % block])
+        inside = domain.contains(x_new)
+        first = ~inside & np.isnan(times)
+        if first.any():
+            p, q = x[first], x_new[first]
+            lam = domain.exit_fraction(p, q)
+            times[first] = (step + lam) * h
+            points[first] = p + lam[:, np.newaxis] * (q - p)
+            exit_block[first] = step // block
+        returned |= inside & (exit_block == step // block)
+        x = x_new
+    return times, points, returned
+
+
+class TestWindowedExitMatchesPerStepLoop:
+    """``mc_exit`` checks exits once per window of steps; it must record the
+    same first exits, bit for bit, as a loop that checks after every step."""
+
+    @staticmethod
+    def assert_same_exits(model, x0, domain, **kwargs):
+        stats = mc_exit(model, x0, domain, **kwargs)
+        times, points, returned = per_step_exit(model, x0, domain, **kwargs)
+        exited = np.flatnonzero(~np.isnan(times))
+        assert exited.size > 0
+        assert stats.path_ids.tolist() == exited.tolist()
+        assert stats.exit_times.tolist() == times[exited].tolist()
+        params = domain.boundary_parameter(points[exited])
+        if params is None:
+            assert stats.boundary_params is None
+        else:
+            assert stats.boundary_params.tolist() == params.tolist()
+        return returned
+
+    def test_dense_constant_dispersion_in_a_disk(self):
+        g = np.array([[0.6, 0.3, -0.2], [0.1, -0.5, 0.4]])
+        model = SdeModel(dim_state=2, dim_noise=3,
+                         drift=lambda x: -0.5 * x + np.sin(x[..., ::-1]),
+                         dispersion=lambda x: np.broadcast_to(g, x.shape[:-1] + g.shape),
+                         constant_dispersion=g)
+        # 3000 steps span two step blocks and several windows per block
+        self.assert_same_exits(model, [0.2, -0.1], Domain.ball(1.0, dim=2), h=1e-3,
+                               n_paths=40, stream=GaussianStream(8340), t_max=3.0)
+
+    def test_state_dependent_dispersion_is_evaluated_per_step(self):
+        shapes = []
+
+        def sigma(x):
+            shapes.append(np.shape(x))
+            return 0.5 + 0.25 * np.sin(3.0 * x)
+
+        model = SdeModel.scalar(lambda x: -x, sigma)
+        assert model.constant_dispersion is None
+        self.assert_same_exits(model, 0.3, Domain.interval(-0.8, 1.0), h=1e-3,
+                               n_paths=24, stream=GaussianStream(8341), t_max=3.0)
+        # one call per step on the active rows, never on a window of steps
+        assert {len(shape) for shape in shapes} == {2}
+
+    def test_first_exit_is_kept_when_a_path_comes_back_inside(self):
+        box = Domain.predicate(lambda x: np.abs(x[..., 0]) < 1.0)
+        n_paths, n_steps = 16, 1000
+        # with this few paths the first window holds all 1000 steps
+        assert _WINDOW_ROW_STEPS // n_paths >= n_steps
+        returned = self.assert_same_exits(
+            SdeModel.brownian(), 0.0, box, h=1e-2, n_paths=n_paths,
+            stream=GaussianStream(8342), t_max=n_steps * 1e-2)
+        assert returned.any()
 
 
 class TestRadialHitting:
