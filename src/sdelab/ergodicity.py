@@ -150,8 +150,10 @@ def discretize_kernel(model: SdeModel, grid: Grid1D, t_step: float, *,
     """Transition matrix of ``model`` over one time step on ``grid``.
 
     Pushes the identity matrix through the backward solver (every column
-    is an indicator function), so one banded factorisation per time step
-    serves all rows at once; ``dt`` defaults to ``t_step / 500``.  With
+    is an indicator function), which returns the ``t_step / dt``-th power
+    of the backward-Euler resolvent, formed by repeated squaring; ``dt``
+    defaults to ``t_step / 500``, and a finer one costs a few more
+    products, not more solves.  With
     reflecting boundaries the rows are renormalized to probability vectors
     and the leaked mass recorded; with absorbing (``dirichlet_zero``)
     boundaries the rows are left substochastic, which is the

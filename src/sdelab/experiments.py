@@ -533,8 +533,9 @@ class RunManifest:
     ``outputs`` maps each data file to its SHA-256, so byte-identical
     reproduction is checkable without re-reading this module's code.
     The timestamp lives only here — data files stay deterministic.
-    ``environment`` names the Python, numpy and scipy versions and the
-    platform, since the bytes depend on numpy's samplers and kernels;
+    ``environment`` names the Python, numpy and scipy versions, numpy's
+    BLAS and the platform, since the bytes depend on numpy's samplers and
+    kernels and, for transition kernels, on BLAS matrix products;
     manifests written without it load with an empty mapping.
     """
 
@@ -581,8 +582,10 @@ class RunResult:
 
 
 def _environment() -> dict[str, str]:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "platform": platform.platform()}
+            "scipy": scipy.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "platform": platform.platform()}
 
 
 def run(config, *, seed: int | None = None, out=None,

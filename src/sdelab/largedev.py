@@ -27,11 +27,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from ._io import read_csv, write_csv
 from .expr import Expression
 from .firstexit import Domain, mc_exit
+from .kolmogorov import _factorize, _solve_factored
 from .sde import GaussianStream, SdeModel, TimeGrid
 
 __all__ = [
@@ -450,6 +450,7 @@ def minimize_action(model: SdeModel, x0, y, T: float, n_steps: int,
     banded[0, 1:] = -1.0
     banded[1, :] = 2.0
     banded[2, :-1] = -1.0
+    laplacian = _factorize(banded)
 
     action = _action_value(model, values, dt)
     history = [action]
@@ -459,9 +460,9 @@ def minimize_action(model: SdeModel, x0, y, T: float, n_steps: int,
         if np.max(np.abs(grad)) < tol:
             converged = True
             break
-        step = np.empty_like(grad)
-        for c in range(grad.shape[1]):
-            step[:, c] = solve_banded((1, 1), banded, grad[:, c]) * dt * d_bar
+        # row-major like ``grad``: the sums below depend on the memory order
+        step = _solve_factored(laplacian, np.array(grad, order="F"))
+        step = np.ascontiguousarray(step) * dt * d_bar
         slope = float(np.sum(grad * step))
         alpha = 1.0
         for _ in range(40):

@@ -201,6 +201,11 @@ DriftFn = Callable[[np.ndarray], np.ndarray]
 DispersionFn = Callable[[np.ndarray], np.ndarray]
 
 
+def _zero_drift(x: np.ndarray) -> np.ndarray:
+    """The drift of Brownian motion; :func:`_em_update` skips adding it."""
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
 @dataclass(frozen=True)
 class SdeModel:
     """Drift / dispersion pair defining ``dX = f(X) dt + g(X) dW``.
@@ -290,14 +295,11 @@ class SdeModel:
         """Standard Brownian motion in ``dim`` dimensions."""
         eye = np.eye(dim)
 
-        def f(x: np.ndarray) -> np.ndarray:
-            return np.zeros_like(np.asarray(x, dtype=float))
-
         def g(x: np.ndarray) -> np.ndarray:
             x = np.asarray(x, dtype=float)
             return np.broadcast_to(eye, x.shape + (dim,)).copy()
 
-        return cls(dim_state=dim, dim_noise=dim, drift=f, dispersion=g,
+        return cls(dim_state=dim, dim_noise=dim, drift=_zero_drift, dispersion=g,
                    constant_dispersion=eye)
 
     @classmethod
@@ -436,6 +438,8 @@ def _disperse(g: np.ndarray, dw: np.ndarray) -> np.ndarray:
 
 def _em_update(model: SdeModel, x: np.ndarray, dt: float, g_dw: np.ndarray) -> np.ndarray:
     """The Euler-Maruyama update ``x + f(x) dt + g dW`` given ``g dW``."""
+    if model.drift is _zero_drift:
+        return x + g_dw
     return x + model.drift(x) * dt + g_dw
 
 

@@ -2,8 +2,12 @@
 
 import json
 import hashlib
+import os
 import platform
+import subprocess
+import sys
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -341,9 +345,11 @@ class TestRunArtifacts:
         result = run(self.config(), out=tmp_path)
         path = result.run_dir / "manifest.json"
         environment = RunManifest.load(path).environment
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert environment == {
             "python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "platform": platform.platform()}
+            "scipy": scipy.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "platform": platform.platform()}
         data = json.loads(path.read_text())
         del data["environment"]
         path.write_text(json.dumps(data))
@@ -397,6 +403,31 @@ class TestThreadInvariance:
                        parameters={"n_paths": 40, "h": 5e-3, "t_max": 5.0},
                        seed=3, threads=4)
         assert one.summary == four.summary
+
+    SCRIPT = (
+        "import sys\n"
+        "from sdelab.experiments import ExperimentConfig, run\n"
+        "config = ExperimentConfig('hm-ou-kernel', parameters={'n_cells': 120})\n"
+        "print(run(config, out=sys.argv[1]).manifest.outputs)\n")
+
+    def test_blas_thread_count_does_not_change_kernel_results(self, tmp_path):
+        # a transition kernel is a product of dense matrices; at 121 nodes
+        # OpenBLAS splits such a product over two threads, where at 61 or
+        # 81 nodes it keeps it on one
+        src = str(Path(sdelab.__file__).resolve().parents[1])
+        outputs = []
+        for n in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p)
+            done = subprocess.run(
+                [sys.executable, "-c", self.SCRIPT, str(tmp_path / n)],
+                env=env, timeout=300, capture_output=True, text=True, check=True)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        results = [(tmp_path / n / "hm-ou-kernel" / "result.json").read_bytes()
+                   for n in ("1", "2")]
+        assert results[0] == results[1]
 
     def test_fewer_paths_than_chunks_still_runs(self):
         out = execute("exit-ball-2d",

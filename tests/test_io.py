@@ -6,7 +6,9 @@ changed: the kernel sidecar now carries ``row_leakage``, and
 ``ExitStatistics.to_json`` no longer writes a ``laplace`` map.  No random
 numbers are involved, so any byte that changes here changes the SHA-256
 of a run artifact.  The same kind of ``ast`` guard keeps the thread pool
-in ``firstexit``, home of the only Monte Carlo exit routine.
+in ``firstexit``, home of the only Monte Carlo exit routine, and the
+tridiagonal factorisation in ``kolmogorov``, home of the only implicit
+time stepper.
 """
 
 import ast
@@ -269,4 +271,32 @@ def test_only_firstexit_starts_workers():
     uses = _package_uses(_worker_uses)
     assert uses.pop("firstexit.py") == ["concurrent.futures"], \
         "the guard no longer sees firstexit's own pool"
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def _banded_solver_uses(tree: ast.AST) -> list[str]:
+    """Every import of scipy's LAPACK wrappers or of ``solve_banded`` in a module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name.startswith("scipy.linalg.lapack")]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("scipy.linalg.lapack"):
+                found.append(node.module)
+            elif node.module.startswith("scipy"):
+                found += [f"{node.module}.{a.name}" for a in node.names
+                          if a.name in ("lapack", "solve_banded")]
+        elif isinstance(node, ast.Attribute) and node.attr in ("lapack", "solve_banded"):
+            found.append(node.attr)
+    return found
+
+
+def test_only_kolmogorov_factorises_banded_systems():
+    # one factorisation serves every implicit step and the action
+    # minimiser's preconditioner; a second solver would be a second
+    # stepper with its own bits
+    uses = _package_uses(_banded_solver_uses)
+    assert uses.pop("kolmogorov.py") == ["scipy.linalg.lapack"], \
+        "the guard no longer sees kolmogorov's own import"
     assert {name: found for name, found in uses.items() if found} == {}

@@ -1,11 +1,19 @@
 """Tests for the generator stencils, PDE solvers and density formulas."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
+from scipy.linalg import solve_banded
 
+import sdelab
+from sdelab import kolmogorov
+from sdelab.ergodicity import discretize_kernel
 from sdelab.kolmogorov import (
     BoundaryCondition,
     DensityField,
@@ -32,6 +40,16 @@ def ou_model(rate: float = 1.0, noise: float = 1.0) -> SdeModel:
 def gradient_quadratic() -> SdeModel:
     # dX = -X dt + sqrt(2) dW, stationary density N(0, 1)
     return SdeModel.gradient(lambda x: 0.5 * x**2, lambda x: x)
+
+
+def banded_stepping(banded_a, state, n_steps, dt):
+    """Backward Euler by one ``solve_banded`` call per step: the reference
+    that ``kolmogorov._evolve`` is checked against."""
+    lhs = -dt * banded_a
+    lhs[1] += 1.0
+    for _ in range(n_steps):
+        state = solve_banded((1, 1), lhs, state)
+    return state
 
 
 class TestGridAndField:
@@ -197,6 +215,92 @@ class TestBackwardSolver:
             solve_backward_kolmogorov(ou_model(), phi, grid, -1.0, 0.1)
         with pytest.raises(ValueError):
             solve_backward_kolmogorov(ou_model(), np.ones(3), grid, 1.0, 0.1)
+
+
+BOUNDARIES = ["neumann_zero", "natural", "dirichlet_zero"]
+
+
+class TestOneFactorisation:
+    """The stepper against one ``solve_banded`` call per step.
+
+    Vectors are stepped with the same eliminations, so they match to the
+    bit; kernels are a power of the resolvent, so their entries match to
+    a tolerance set from the rounding of about 14 products of
+    non-negative 121 x 121 matrices (a few 1e-14 each).
+    """
+
+    @pytest.mark.parametrize("bc", BOUNDARIES)
+    def test_kernel_matches_the_banded_loop(self, monkeypatch, bc):
+        grid = Grid1D(-3.0, 3.0, 120)
+        kernel = discretize_kernel(ou_model(), grid, 1.0, bc=bc)
+        monkeypatch.setattr(kolmogorov, "_evolve", banded_stepping)
+        reference = discretize_kernel(ou_model(), grid, 1.0, bc=bc)
+        big = reference.matrix > 1e-12
+        assert big.sum() > 10 * reference.n_states
+        np.testing.assert_allclose(kernel.matrix[big], reference.matrix[big],
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(kernel.matrix[~big], reference.matrix[~big],
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(kernel.row_leakage, reference.row_leakage,
+                                   rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("bc", BOUNDARIES)
+    def test_vector_solves_match_the_banded_loop(self, monkeypatch, bc):
+        grid = Grid1D(-3.0, 3.0, 300)
+        model = ou_model(rate=0.8, noise=0.9)
+        phi = np.exp(-grid.nodes**2)
+        start = delta_field(grid, 0.5)
+        runs = []
+        for evolve in (kolmogorov._evolve, banded_stepping):
+            monkeypatch.setattr(kolmogorov, "_evolve", evolve)
+            u = solve_backward_kolmogorov(model, phi, grid, 0.7, 0.01, bc=bc)
+            rho = solve_fokker_planck(model, start, 0.7, 0.01, bc=bc).values
+            runs.append((u, rho))
+        (u, rho), (u_ref, rho_ref) = runs
+        np.testing.assert_array_equal(u, u_ref)
+        np.testing.assert_array_equal(rho, rho_ref)
+
+    def test_singular_system_raises_linalg_error(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            kolmogorov._factorize(np.zeros((3, 5)))
+
+    SCRIPT = (
+        "from sdelab import kolmogorov\n"
+        "from sdelab.ergodicity import discretize_kernel\n"
+        "from sdelab.sde import SdeModel\n"
+        "resolvent = kolmogorov._resolvent\n"
+        "def negative(factors, n):\n"
+        "    r = resolvent(factors, n)\n"
+        "    r[n // 2, n // 2 + 1] = -0.5\n"
+        "    return r\n"
+        "kolmogorov._resolvent = negative\n"
+        "model = SdeModel.scalar(lambda x: -x, lambda x: 1.0)\n"
+        "try:\n"
+        "    discretize_kernel(model, kolmogorov.Grid1D(-3.0, 3.0, 30), 1.0)\n"
+        "except RuntimeError as error:\n"
+        "    raise SystemExit(0 if 'positivity' in str(error) else 2)\n"
+        "raise SystemExit(1)\n")
+
+    def test_negative_resolvent_fails_the_positivity_check(self, monkeypatch):
+        resolvent = kolmogorov._resolvent
+
+        def negative(factors, n):
+            r = resolvent(factors, n)
+            r[n // 2, n // 2 + 1] = -0.5
+            return r
+
+        monkeypatch.setattr(kolmogorov, "_resolvent", negative)
+        with pytest.raises(RuntimeError, match="positivity"):
+            discretize_kernel(ou_model(), Grid1D(-3.0, 3.0, 30), 1.0)
+
+    def test_negative_resolvent_fails_under_optimisation(self):
+        src = str(Path(sdelab.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-O", "-c", self.SCRIPT],
+                              env=env, timeout=120)
+        assert done.returncode == 0
 
 
 class TestFokkerPlanck:
