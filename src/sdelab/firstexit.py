@@ -7,8 +7,9 @@ straddling step and paths that outlive ``t_max`` reported as censored.
 (path block, step block) independently of how long any path survives, so
 runs over nested domains with the same stream see the same trajectories,
 and its ``threads`` option shards the path blocks without changing a bit
-of the result.  It checks exits once per window of steps, so a path may
-take up to one window of steps past its exit; those steps are discarded.
+of the result.  It checks exits once per window of steps, each stepped by
+the one Euler-Maruyama loop ``sde._em_path``, so a path may take up to one
+window of steps past its exit; those steps are discarded.
 
 The closed-form side collects the classical exit oracles for Brownian
 motion and geometric Brownian motion: mean exit times from balls, hitting
@@ -29,8 +30,8 @@ from typing import Callable
 import numpy as np
 
 from ._io import write_csv, write_json
-from .sde import (BlowUpError, GaussianStream, SdeModel, TimeGrid, _disperse,
-                  _em_update, sample_wiener)
+from .sde import (_WINDOW_ROW_STEPS, BlowUpError, GaussianStream, SdeModel,
+                  TimeGrid, _em_path, sample_wiener)
 
 __all__ = [
     "Domain",
@@ -268,10 +269,8 @@ class ExitStatistics:
 
 _NOISE_BLOCK_CAP = 20_000_000  # Gaussian draws per noise block
 _PATH_BLOCK = 1024  # paths per block of the noise plan
-# row-steps per exit-check window: on the perfbench probes 1024 (one-step
-# windows at 1000 rows) was slower than per-step checks, and the gain levels
-# off at 32768, whose 256 KB buffers per state dimension stay in cache
-_WINDOW_ROW_STEPS = 32768
+_SNAP_FRACTION = 1e-4  # of the gap width: mc_radial_hitting's hit distance
+_MAX_ROUNDS = 200_000  # mc_radial_hitting's steps before open paths are snapped
 
 
 def _chunk_size(n_paths: int, dim_noise: int) -> int:
@@ -294,11 +293,10 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
     at a step and raises :class:`~sdelab.sde.BlowUpError` at that step.
 
     Exits are checked once per window of ``_WINDOW_ROW_STEPS // active
-    paths`` steps (at most to the end of the step block): every active path
-    takes the window's steps on noise gathered and dispersed once, then
-    each path's first step outside is found in one pass.  A path may take
-    up to one window of steps past its exit; they are discarded, so the
-    results are those of checking after every step, bit for bit.
+    paths`` steps (at most to the end of the step block): one ``_em_path``
+    call steps every active path through the window, then each path's first
+    step outside is found in one pass.  Steps past an exit are discarded,
+    so the results are those of checking after every step, bit for bit.
 
     The noise is addressed by (path block, step block): blocks of
     ``_PATH_BLOCK`` paths, and step blocks whose length depends on
@@ -322,8 +320,12 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
                          f"a {model.dim_state}-dimensional model")
     if not bool(domain.contains(x0)):
         raise ValueError(f"starting point {x0} is not inside the domain")
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
+    if not 0 < h < math.inf:
+        raise ValueError(f"step size h must be positive and finite, got {h}")
+    if t_max is not None and not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     if threads < 1:
         raise ValueError("threads must be at least 1")
     if t_max is None:
@@ -339,7 +341,6 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
     noise = stream.child(0)
     block = _chunk_size(n_paths, model.dim_noise)
     sqrt_h = math.sqrt(h)
-    g = model.constant_dispersion
     exit_time = np.full(n_paths, np.nan)
     exit_points = np.zeros((n_paths, model.dim_state))
 
@@ -366,17 +367,9 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
                 j = 0
                 while j < nb and ids.size:
                     w = min(nb - j, max(1, _WINDOW_ROW_STEPS // ids.size))
-                    # path[k] holds the states after step + j + k steps; the
-                    # noise is step-major so that each step's rows are
-                    # contiguous and einsum sums them in the per-step order
-                    path = np.empty((w + 1,) + x.shape)
-                    path[0] = x
-                    dw_w = np.ascontiguousarray(dw[ids, j:j + w].swapaxes(0, 1))
-                    g_dw_w = None if g is None else _disperse(g, dw_w)
-                    for k in range(w):
-                        g_dw = (_disperse(model.dispersion(path[k]), dw_w[k])
-                                if g_dw_w is None else g_dw_w[k])
-                        path[k + 1] = _em_update(model, path[k], h, g_dw)
+                    # path[k] holds the states after step + j + k steps
+                    path = _em_path(model, x, h, np.ascontiguousarray(
+                        dw[ids, j:j + w].swapaxes(0, 1)))
                     inside = domain.contains(path[1:])
                     x = path[w]
                     if not inside.all():
@@ -420,8 +413,7 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
 
 def mc_radial_hitting(r_start: float, r_inner: float, r_outer: float, dim: int,
                       n_paths: int, stream: GaussianStream, *,
-                      kappa: float = 0.2, snap_fraction: float = 1e-4,
-                      max_rounds: int = 200_000) -> tuple[float, float]:
+                      kappa: float = 0.2) -> tuple[float, float]:
     """Probability that Brownian motion hits the inner sphere before the outer.
 
     Exploits exact Gaussian increments with a state-dependent clock: each
@@ -429,7 +421,8 @@ def mc_radial_hitting(r_start: float, r_inner: float, r_outer: float, dim: int,
     the nearest sphere, which is exact in law at the sampled times and
     makes skipping a boundary between samples overwhelmingly unlikely
     (probability ~ exp(-2/kappa^2) per step).  Paths within
-    ``snap_fraction`` of the gap width are assigned to the nearer sphere.
+    ``_SNAP_FRACTION`` of the gap width are assigned to the nearer sphere,
+    as are those still open after ``_MAX_ROUNDS`` steps.
     Returns ``(estimate, standard_error)``.
     """
     if not 0.0 < r_inner < r_start < r_outer:
@@ -439,14 +432,14 @@ def mc_radial_hitting(r_start: float, r_inner: float, r_outer: float, dim: int,
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     gen = stream.generator()
-    snap = snap_fraction * (r_outer - r_inner)
+    snap = _SNAP_FRACTION * (r_outer - r_inner)
 
     x = np.zeros((n_paths, dim))
     x[:, 0] = r_start
     hit_inner = np.zeros(n_paths, dtype=bool)
     open_paths = np.arange(n_paths)
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         if open_paths.size == 0:
             break
         r = np.linalg.norm(x[open_paths], axis=1)

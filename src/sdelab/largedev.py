@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 _FD_STEP = 1e-5  # the one finite-difference step, for callables without exact derivatives
+_EQUILIBRIUM_TOL = 1e-6  # largest |f(x_star)| that quasipotential accepts as an equilibrium
+_MAX_CENSORED = 0.05  # largest censored fraction of an arrhenius_check exit run
 
 
 @dataclass
@@ -323,6 +325,21 @@ def action_gradient(model: SdeModel, path: ActionPath) -> np.ndarray:
 # Hamiltonian side
 # ---------------------------------------------------------------------------
 
+def _rk4(rhs: Callable, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Classical RK4 for ``ydot = rhs(y)`` from ``y0``: one state per node of ``grid``."""
+    y = np.empty((grid.n_nodes,) + y0.shape)
+    y[0] = y0
+    dt = grid.dt
+    for k in range(grid.n_steps):
+        p = y[k]
+        k1 = rhs(p)
+        k2 = rhs(p + 0.5 * dt * k1)
+        k3 = rhs(p + 0.5 * dt * k2)
+        k4 = rhs(p + dt * k3)
+        y[k + 1] = p + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
+
+
 def hamiltonian(model: SdeModel, state: HamiltonianState) -> float:
     """Hamiltonian ``H = 1/2 <psi, D psi> + <psi, f>`` of the action."""
     d = model.diffusion_matrix(state.phi)
@@ -341,28 +358,18 @@ def hamilton_flow(model: SdeModel, state0: HamiltonianState, T: float,
     if T <= 0:
         raise ValueError("T must be positive")
     grid = TimeGrid(0.0, T, n_steps)
-    dim = state0.phi.size
 
-    def rhs(phi: np.ndarray, psi: np.ndarray):
+    def rhs(state: np.ndarray) -> np.ndarray:
+        phi, psi = state
         # step scaled to the state so rounding in phi +- step stays benign
         # on trajectories that grow exponentially
         jac_f, d_dd = _model_jacobians(model, phi[np.newaxis],
                                        1.0 + float(np.max(np.abs(phi))))
-        return (model.diffusion_matrix(phi) @ psi + model.drift(phi),
-                -psi @ jac_f[0] - 0.5 * np.einsum("i,lij,j->l", psi, d_dd[0], psi))
+        return np.stack([model.diffusion_matrix(phi) @ psi + model.drift(phi),
+                         -psi @ jac_f[0] - 0.5 * np.einsum("i,lij,j->l", psi, d_dd[0], psi)])
 
-    phi = np.empty((grid.n_nodes, dim))
-    psi = np.empty((grid.n_nodes, dim))
-    phi[0], psi[0] = state0.phi, state0.psi
-    dt = grid.dt
-    for k in range(n_steps):
-        p, q = phi[k], psi[k]
-        k1p, k1q = rhs(p, q)
-        k2p, k2q = rhs(p + 0.5 * dt * k1p, q + 0.5 * dt * k1q)
-        k3p, k3q = rhs(p + 0.5 * dt * k2p, q + 0.5 * dt * k2q)
-        k4p, k4q = rhs(p + dt * k3p, q + dt * k3q)
-        phi[k + 1] = p + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        psi[k + 1] = q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
+    states = _rk4(rhs, np.stack([state0.phi, state0.psi]), grid)
+    phi, psi = np.ascontiguousarray(states.swapaxes(0, 1))
 
     h_values = np.array([
         hamiltonian(model, HamiltonianState(phi[k], psi[k]))
@@ -383,23 +390,6 @@ def _action_value(model: SdeModel, values: np.ndarray, dt: float) -> float:
     except np.linalg.LinAlgError:
         return math.inf
     return float(0.5 * dt * np.sum(r * a))
-
-
-def _ode_init(model: SdeModel, x0: np.ndarray, y: np.ndarray,
-              grid: TimeGrid) -> np.ndarray:
-    """Integrate ``phidot = f`` from ``x0`` and bend the tail onto ``y``."""
-    values = np.empty((grid.n_nodes, x0.size))
-    values[0] = x0
-    dt = grid.dt
-    for k in range(grid.n_steps):
-        p = values[k]
-        k1 = model.drift(p)
-        k2 = model.drift(p + 0.5 * dt * k1)
-        k3 = model.drift(p + 0.5 * dt * k2)
-        k4 = model.drift(p + dt * k3)
-        values[k + 1] = p + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    s = (grid.nodes - grid.t0) / (grid.t_end - grid.t0)
-    return values + s[:, None] * (y - values[-1])[None, :]
 
 
 def minimize_action(model: SdeModel, x0, y, T: float, n_steps: int,
@@ -437,7 +427,9 @@ def minimize_action(model: SdeModel, x0, y, T: float, n_steps: int,
     elif init == "line":
         values = ActionPath.line(x0, y, grid).values.copy()
     elif init == "ode":
-        values = _ode_init(model, x0, y, grid)
+        # the zero-cost flow line from x0, its tail bent onto y
+        values = _rk4(model.drift, x0, grid)
+        values += (grid.nodes / T)[:, None] * (y - values[-1])[None, :]
     else:
         raise ValueError(f"init must be 'line' or 'ode', got {init!r}")
 
@@ -481,8 +473,7 @@ def minimize_action(model: SdeModel, x0, y, T: float, n_steps: int,
 
 def quasipotential(model: SdeModel, x_star, y, T_list: Sequence[float],
                    *, n_steps: int = 600, tol: float = 1e-8,
-                   max_iter: int = 500,
-                   equilibrium_tol: float = 1e-6) -> QuasipotentialResult:
+                   max_iter: int = 500) -> QuasipotentialResult:
     """Infimum of the action from an equilibrium ``x_star`` to ``y``.
 
     The infimum over travel times is taken over the grid ``T_list``, with
@@ -494,7 +485,7 @@ def quasipotential(model: SdeModel, x_star, y, T_list: Sequence[float],
     if not T_list:
         raise ValueError("T_list must be non-empty")
     speed = np.max(np.abs(model.drift(x_star)))
-    if speed > equilibrium_tol:
+    if speed > _EQUILIBRIUM_TOL:
         raise ValueError(
             f"x_star is not an equilibrium: |f(x_star)| = {speed:.3g}")
     if np.array_equal(x_star, y):
@@ -578,8 +569,7 @@ def _well_minimum(U: Callable, a: float, b: float) -> float:
 
 def arrhenius_check(U: Callable, eps_list: Sequence[float], exit_domain: Domain,
                     *, n_paths: int = 1000, h: float = 2e-3,
-                    stream: GaussianStream, t_max: float | None = None,
-                    max_censored: float = 0.05) -> ArrheniusFit:
+                    stream: GaussianStream, t_max: float | None = None) -> ArrheniusFit:
     """Fit the small-noise exit-time law ``E[tau] ~ exp(v_bar / eps)``.
 
     Runs Monte Carlo first exits of ``dX = -U'(X) dt + sqrt(eps) dW`` from
@@ -587,7 +577,8 @@ def arrhenius_check(U: Callable, eps_list: Sequence[float], exit_domain: Domain,
     ``eps log E[tau]`` versus ``eps``: the intercept estimates the
     activation energy and is reported next to the theoretical
     ``v_bar = 2 min_boundary [U - U(bottom)]``.  Runs dominated by
-    censoring are rejected rather than silently biasing the fit.
+    censoring (over ``_MAX_CENSORED`` of the paths) are rejected rather
+    than silently biasing the fit.
     """
     eps = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     if eps.size < 3:
@@ -607,7 +598,7 @@ def arrhenius_check(U: Callable, eps_list: Sequence[float], exit_domain: Domain,
         model = SdeModel.scalar(lambda x: -dU(x), math.sqrt(e))
         stats = mc_exit(model, x_star, exit_domain, h=h, n_paths=n_paths,
                         stream=stream.child(i), t_max=t_max)
-        if stats.fraction_censored > max_censored:
+        if stats.fraction_censored > _MAX_CENSORED:
             raise RuntimeError(
                 f"exit run at eps={e} is censored-dominated "
                 f"({stats.fraction_censored:.1%}); increase t_max")

@@ -186,6 +186,24 @@ class TestMcExit:
         with pytest.raises(ValueError):
             mc_exit(model, np.zeros(2), box, h=1e-2, n_paths=8, stream=GaussianStream(1))
 
+    def test_rejects_a_run_without_paths(self):
+        # an empty run has no censored fraction to report
+        with pytest.raises(ValueError, match="n_paths must be at least 1, got 0"):
+            mc_exit(SdeModel.brownian(), 0.0, Domain.interval(-1.0, 1.0), h=1e-2,
+                    n_paths=0, stream=GaussianStream(1), t_max=1.0)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, 0.0])
+    def test_rejects_a_step_that_is_not_positive_and_finite(self, h):
+        with pytest.raises(ValueError, match="step size h must be positive and finite"):
+            mc_exit(SdeModel.brownian(), 0.0, Domain.interval(-1.0, 1.0), h=h,
+                    n_paths=8, stream=GaussianStream(1), t_max=1.0)
+
+    @pytest.mark.parametrize("t_max", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_a_horizon_that_is_not_positive_and_finite(self, t_max):
+        with pytest.raises(ValueError, match="t_max must be positive and finite"):
+            mc_exit(SdeModel.brownian(), 0.0, Domain.interval(-1.0, 1.0), h=1e-2,
+                    n_paths=8, stream=GaussianStream(1), t_max=t_max)
+
     def test_interval_mean_exit_matches_dynkin_at_three_points(self):
         model = SdeModel.brownian()
         box = Domain.interval(-1.0, 1.0)

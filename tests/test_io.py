@@ -6,9 +6,10 @@ changed: the kernel sidecar now carries ``row_leakage``, and
 ``ExitStatistics.to_json`` no longer writes a ``laplace`` map.  No random
 numbers are involved, so any byte that changes here changes the SHA-256
 of a run artifact.  The same kind of ``ast`` guard keeps the thread pool
-in ``firstexit``, home of the only Monte Carlo exit routine, and the
+in ``firstexit``, home of the only Monte Carlo exit routine, the
 tridiagonal factorisation in ``kolmogorov``, home of the only implicit
-time stepper.
+time stepper, and the pieces of the Euler-Maruyama update in ``sde``,
+home of the only Euler-Maruyama loop.
 """
 
 import ast
@@ -300,3 +301,25 @@ def test_only_kolmogorov_factorises_banded_systems():
     assert uses.pop("kolmogorov.py") == ["scipy.linalg.lapack"], \
         "the guard no longer sees kolmogorov's own import"
     assert {name: found for name, found in uses.items() if found} == {}
+
+
+def _em_piece_uses(tree: ast.AST) -> list[str]:
+    """Every import or attribute use of the Euler-Maruyama loop or its noise term."""
+    names = ("_em_path", "_disperse")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if a.name in names]
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            found.append(node.attr)
+    return found
+
+
+def test_only_sde_applies_the_euler_maruyama_update():
+    # ``sde._em_path`` is the one loop over Euler-Maruyama steps; a module
+    # that imports its noise term ``g dW`` steps on its own
+    uses = _package_uses(_em_piece_uses)
+    assert uses.pop("firstexit.py") == ["_em_path"], \
+        "the guard no longer sees firstexit's own import"
+    assert {name: found for name, found in uses.items()
+            if set(found) - {"_em_path"}} == {}

@@ -27,6 +27,7 @@ from sdelab.sde import (
     sine_fixture,
     stratonovich_integral,
 )
+from sdelab.sde import _WINDOW_ROW_STEPS
 
 
 class ZeroStream:
@@ -388,6 +389,71 @@ def test_ensemble_noise_layout_is_pinned():
         [0.9591102206432748, 0.5582237915318315],
         [-0.32261980512439603, 2.1773677784681977],
     ]
+
+
+def per_step_reference(model, x, grid, draw):
+    """Euler-Maruyama one step at a time, ``x + f(x) dt + g(x) dW`` with
+    ``dW = draw()``, raising at the first non-finite state."""
+    out = [x]
+    for k in range(grid.n_steps):
+        x = x + model.drift(x) * grid.dt + np.einsum(
+            "...ik,...k->...i", model.dispersion(x), draw())
+        if not np.isfinite(x).all():
+            raise BlowUpError(k + 1, grid.nodes[k + 1])
+        out.append(x)
+    return np.stack(out, axis=-2)
+
+
+def reference_ensemble(model, x0, grid, n_paths, stream):
+    """The ensemble as one ``(n_paths, dim_noise)`` draw per step."""
+    rng = stream.generator()
+    x = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, model.dim_state))
+    return per_step_reference(model, x, grid, lambda: rng.normal(
+        0.0, math.sqrt(grid.dt), size=(n_paths, model.dim_noise)))
+
+
+# windows of 7 steps: 30 steps are four full windows and a ragged one of 2
+WINDOWED = dict(n_paths=_WINDOW_ROW_STEPS // 7, grid=TimeGrid(0.0, 0.3, 30))
+DENSE_G = np.array([[0.6, 0.3], [-0.2, 0.5]])
+
+
+@pytest.mark.parametrize("model, x0", [
+    (SdeModel.scalar(lambda x: 0.05 * x, lambda x: 0.4 * x), 1.0),
+    (SdeModel(2, 2, lambda x: -0.5 * x + np.sin(x[..., ::-1]),
+              lambda x: np.broadcast_to(DENSE_G, x.shape[:-1] + (2, 2)),
+              constant_dispersion=DENSE_G), [0.2, -0.1]),
+    (SdeModel.brownian(2), [0.0, 1.0]),
+], ids=["gbm", "dense-constant", "brownian-2d"])
+def test_windowed_ensemble_equals_the_per_step_loop(model, x0):
+    window = _WINDOW_ROW_STEPS // WINDOWED["n_paths"]
+    assert window > 1 and WINDOWED["grid"].n_steps % window
+    paths = euler_maruyama_ensemble(model, x0, stream=GaussianStream(31), **WINDOWED)
+    expected = reference_ensemble(model, x0, stream=GaussianStream(31), **WINDOWED)
+    assert np.array_equal(paths, expected)
+
+
+def test_blow_up_inside_a_window_is_raised_at_the_per_step_loop_step():
+    model = SdeModel.scalar(lambda x: x**3, 0.1)
+    n_paths, grid = WINDOWED["n_paths"], TimeGrid(0.0, 1.0, 100)
+    window = _WINDOW_ROW_STEPS // n_paths
+    wiener = sample_wiener(grid, GaussianStream(32))
+    raised = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for run in (
+            lambda: euler_maruyama_ensemble(model, 2.5, grid, n_paths, GaussianStream(32)),
+            lambda: reference_ensemble(model, 2.5, grid, n_paths, GaussianStream(32)),
+            lambda: euler_maruyama(model, 2.5, grid, wiener=wiener),
+            lambda: per_step_reference(model, np.array([2.5]), grid,
+                                       iter(wiener.increments()).__next__),
+        ):
+            with pytest.raises(BlowUpError) as excinfo:
+                run()
+            raised.append((excinfo.value.step_index, excinfo.value.time))
+    assert raised[0] == raised[1] and raised[2] == raised[3]
+    # the ensemble blows up on neither the first nor the last step of a
+    # window, the single path inside its one window of 100 steps
+    assert 0 < (raised[0][0] - 1) % window < window - 1
+    assert 1 < raised[2][0] < grid.n_steps
 
 
 # ---------------------------------------------------------------------------
