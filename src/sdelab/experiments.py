@@ -53,6 +53,7 @@ from .firstexit import (
     fk_conditional_mean,
     fk_laplace_interval,
     fk_laplace_one_sided,
+    interval_exit_reference,
     mc_exit,
     mc_radial_hitting,
     shell_hitting_probability,
@@ -1055,6 +1056,8 @@ def _run_arrhenius(run: _Run) -> ExperimentOutcome:
         "slope": fit.slope,
         "value_at_smallest_eps": smallest,
         "value_at_smallest_eps_target": fit.v_bar,
+        "value_at_smallest_eps_exact": float(fit.exact[-1]),
+        "discretisation_bias_z": float((smallest - fit.exact[-1]) / fit.stderr[-1]),
         "rel_error_at_smallest_eps": abs(smallest - fit.v_bar) / fit.v_bar,
         "tolerance": 0.15,
         "monotone": bool(fit.monotone),
@@ -1062,8 +1065,8 @@ def _run_arrhenius(run: _Run) -> ExperimentOutcome:
             fit.monotone
             and abs(smallest - fit.v_bar) <= 0.15 * fit.v_bar),
     }
-    rows = list(zip(fit.eps, fit.eps_log_mean_tau, fit.stderr))
-    tables = {"fit": (("eps", "eps_log_mean_tau", "stderr"), rows)}
+    rows = list(zip(fit.eps, fit.eps_log_mean_tau, fit.stderr, fit.exact))
+    tables = {"fit": (("eps", "eps_log_mean_tau", "stderr", "exact"), rows)}
     return ExperimentOutcome("arrhenius-well", summary, tables)
 
 
@@ -1077,6 +1080,8 @@ def _run_eyring_kramers(run: _Run) -> ExperimentOutcome:
                     Domain.interval(p["floor"], p["crossing"]),
                     h=p["h"], n_paths=p["n_paths"], stream=run.stream,
                     t_max=p["t_max"])
+    exact, _ = interval_exit_reference(model, p["x_star"], p["floor"],
+                                       p["crossing"])
     ratio = stats.mean_time / formula
     summary = {
         "potential": U.source,
@@ -1085,6 +1090,8 @@ def _run_eyring_kramers(run: _Run) -> ExperimentOutcome:
         "mc_mean_time": stats.mean_time,
         "mc_mean_time_std_error": stats.time_std_error,
         "mc_mean_time_target": float(formula),
+        "exact_mean_time": exact,
+        "discretisation_bias_z": (stats.mean_time - exact) / stats.time_std_error,
         "ratio": float(ratio),
         "ratio_window": [0.5, 2.0],
         "within_tolerance": bool(0.5 <= ratio <= 2.0),
@@ -1197,7 +1204,7 @@ _register(Experiment(
     "Mean exit time of planar Brownian motion from the unit disc (target 1/2).",
     (
         _p("n_paths", "int", 10_000, "Monte Carlo sample size", minimum=2),
-        _p("h", "float", 1e-3, "Euler-Maruyama step", minimum=0, exclusive=True),
+        _p("h", "float", 4e-3, "Euler-Maruyama step", minimum=0, exclusive=True),
         _p("t_max", "float", 30.0, "censoring horizon", minimum=0, exclusive=True),
     ),
     _run_exit_ball,
@@ -1222,7 +1229,7 @@ _register(Experiment(
     "Laplace transforms of the interval exit time against cosh/sinh closed forms.",
     (
         _p("n_paths", "int", 10_000, "Monte Carlo sample size", minimum=2),
-        _p("h", "float", 7e-5, "Euler-Maruyama step", minimum=0, exclusive=True),
+        _p("h", "float", 1e-3, "Euler-Maruyama step", minimum=0, exclusive=True),
         _p("a", "float", 1.0, "interval half-width", minimum=0, exclusive=True),
         _p("lambdas", "floats", (0.5, 1.0, 2.0), "Laplace parameters"),
         _p("t_max", "float", 40.0, "censoring horizon", minimum=0, exclusive=True),
@@ -1352,7 +1359,7 @@ _register(Experiment(
         _p("crossing", "float", 0.5, "level whose hitting ends the transition"),
         _p("floor", "float", -4.0, "reflecting-side boundary for the MC run"),
         _p("n_paths", "int", 500, "Monte Carlo sample size", minimum=2),
-        _p("h", "float", 1e-3, "Euler-Maruyama step", minimum=0, exclusive=True),
+        _p("h", "float", 4e-3, "Euler-Maruyama step", minimum=0, exclusive=True),
         _p("t_max", "float", 1e4, "censoring horizon", minimum=0, exclusive=True),
     ),
     _run_eyring_kramers,

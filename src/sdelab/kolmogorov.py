@@ -287,7 +287,8 @@ def _evolve(banded_a: np.ndarray, state: np.ndarray, n_steps: int,
     A matrix with at least as many columns, such as the identity that
     assembles a transition kernel, is mapped by the ``n_steps``-th power
     of the resolvent ``R = (I - dt A)^{-1}``: about ``2 log2(n_steps)``
-    dense products instead of ``n_steps`` solves of every column.  ``R``
+    dense products instead of ``n_steps`` solves of every column.  The
+    identity itself is not multiplied: the power is returned.  ``R``
     is entrywise non-negative here, and a product of non-negative
     matrices has a componentwise relative error of at most about ``n``
     units in the last place (Higham, *Accuracy and Stability of Numerical
@@ -299,7 +300,11 @@ def _evolve(banded_a: np.ndarray, state: np.ndarray, n_steps: int,
     n = lhs.shape[1]
     state = np.asarray_chkfinite(state)
     if state.ndim == 2 and state.shape[1] >= n:
-        return np.linalg.matrix_power(_resolvent(factors, n), n_steps) @ state
+        power = np.linalg.matrix_power(_resolvent(factors, n), n_steps)
+        if (state.shape[1] == n and np.count_nonzero(state) == n
+                and np.all(np.diagonal(state) == 1.0)):
+            return power  # the identity that assembles a transition kernel
+        return power @ state
     u = np.array(state.reshape(n, -1), order="F")
     for _ in range(n_steps):
         u = _solve_factored(factors, u)

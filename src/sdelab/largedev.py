@@ -30,7 +30,7 @@ import numpy as np
 
 from ._io import read_csv, write_csv
 from .expr import Expression
-from .firstexit import Domain, mc_exit
+from .firstexit import Domain, interval_exit_reference, mc_exit
 from .kolmogorov import _factorize, _solve_factored
 from .sde import GaussianStream, SdeModel, TimeGrid
 
@@ -542,7 +542,10 @@ class ArrheniusFit:
 
     The intercept extrapolates the activation energy at zero noise and is
     compared against ``v_bar``, the doubled potential barrier from the
-    quasipotential of the exit domain.
+    quasipotential of the exit domain.  ``exact`` holds ``eps log E[tau]``
+    at each level from :func:`~sdelab.firstexit.interval_exit_reference`,
+    the target that the Monte Carlo values miss by their discretisation
+    bias and noise.
     """
 
     eps: np.ndarray
@@ -552,6 +555,7 @@ class ArrheniusFit:
     intercept: float
     v_bar: float
     monotone: bool
+    exact: np.ndarray
 
 
 def _well_minimum(U: Callable, a: float, b: float) -> float:
@@ -594,6 +598,7 @@ def arrhenius_check(U: Callable, eps_list: Sequence[float], exit_domain: Domain,
     dU = _derivative(U)
     eps_log = np.empty(eps.size)
     stderr = np.empty(eps.size)
+    exact = np.empty(eps.size)
     for i, e in enumerate(eps):
         model = SdeModel.scalar(lambda x: -dU(x), math.sqrt(e))
         stats = mc_exit(model, x_star, exit_domain, h=h, n_paths=n_paths,
@@ -604,10 +609,11 @@ def arrhenius_check(U: Callable, eps_list: Sequence[float], exit_domain: Domain,
                 f"({stats.fraction_censored:.1%}); increase t_max")
         eps_log[i] = e * math.log(stats.mean_time)
         stderr[i] = e * stats.time_std_error / stats.mean_time
+        exact[i] = e * math.log(interval_exit_reference(model, x_star, a, b)[0])
     slope, intercept = np.polyfit(eps, eps_log, 1)
     monotone = bool(np.all(np.diff(eps_log) > 0))
     return ArrheniusFit(eps, eps_log, stderr, float(slope), float(intercept),
-                        v_bar, monotone)
+                        v_bar, monotone, exact)
 
 
 def eyring_kramers_time(U: Callable, x_star, z_star, eps: float) -> float:

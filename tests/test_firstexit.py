@@ -22,13 +22,15 @@ from sdelab.firstexit import (
     fk_laplace_interval,
     fk_laplace_one_sided,
     gbm_exit,
+    interval_exit_reference,
     line_hitting_2d,
     mc_exit,
     mc_radial_hitting,
     shell_hitting_probability,
     three_set_bound,
 )
-from sdelab.firstexit import _WINDOW_ROW_STEPS, _chunk_size
+from sdelab import firstexit
+from sdelab.firstexit import _WINDOW_ROW_STEPS, _chunk_size, _normal_variance
 from sdelab.sde import BlowUpError, GaussianStream, SdeModel, TimeGrid
 
 
@@ -77,6 +79,59 @@ class TestDomain:
             Domain.half_space(0.0, side="sideways")
         with pytest.raises(ValueError):
             Domain.ball(1.0, center=(0.0, 0.0), dim=3)
+
+    def test_distance_to_the_boundary(self):
+        ball = Domain.ball(2.0, center=(1.0, 0.0))
+        np.testing.assert_allclose(ball.distance(np.array([[1.0, 0.0], [1.0, 1.5],
+                                                           [4.0, 0.0]])), [2.0, 0.5, -1.0])
+        box = Domain.interval(-1.0, 3.0)
+        np.testing.assert_array_equal(box.distance(np.array([[0.0], [2.5], [4.0]])),
+                                      [1.0, 0.5, -1.0])
+        above = Domain.half_space(1.0, axis=1, side="above")
+        np.testing.assert_array_equal(above.distance(np.array([[9.0, 3.0], [0.0, 0.5]])),
+                                      [2.0, -0.5])
+        with pytest.raises(ValueError, match="predicate"):
+            Domain.predicate(lambda x: x[..., 0] > 0).distance(np.zeros((1, 1)))
+
+    def test_membership_by_distance_matches_the_direct_comparisons(self):
+        rng = np.random.default_rng(12)
+        pts = 1.5 * rng.normal(size=(500, 2))
+        pts[:6] = [[np.nan, 0.0], [-np.inf, 0.0], [0.0, np.inf], [1.0, 0.0],
+                   [0.3, 0.0], [-0.5, -0.2]]
+        finite = np.isfinite(pts).all(axis=1)
+        expected = {
+            Domain.ball(1.0, dim=2): np.linalg.norm(pts, axis=1) < 1.0,
+            Domain.interval(-0.5, 0.7): (-0.5 < pts[:, 0]) & (pts[:, 0] < 0.7),
+            Domain.half_space(0.3, side="below"): (pts[:, 0] < 0.3) & finite,
+            Domain.half_space(-0.2, axis=1, side="above"): (pts[:, 1] > -0.2) & finite,
+        }
+        for domain, inside in expected.items():
+            np.testing.assert_array_equal(domain.contains(pts), inside)
+
+    def test_nearest_boundary_point(self):
+        ball = Domain.ball(2.0, center=(1.0, 0.0))
+        np.testing.assert_allclose(
+            ball._nearest_boundary_point(np.array([[1.0, 1.0], [4.0, 0.0]])),
+            [[1.0, 2.0], [3.0, 0.0]])
+        box = Domain.interval(-1.0, 3.0)
+        np.testing.assert_array_equal(
+            box._nearest_boundary_point(np.array([[0.5], [1.5]])), [[-1.0], [3.0]])
+        below = Domain.half_space(1.0, axis=1)
+        np.testing.assert_array_equal(
+            below._nearest_boundary_point(np.array([[5.0, 0.2]])), [[5.0, 1.0]])
+
+    def test_normal_variance_is_the_variance_along_the_normal(self):
+        g = np.array([[0.6, 0.3, -0.2], [0.1, -0.5, 0.4]])
+        diffusion = g @ g.T
+        pts = np.array([[0.3, -0.4], [-2.0, 0.1], [0.0, 5.0]])
+        normals = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        np.testing.assert_allclose(
+            _normal_variance(Domain.ball(1.0, dim=2), diffusion, pts),
+            np.sum((normals @ g) ** 2, axis=1), rtol=1e-14)
+        assert _normal_variance(Domain.half_space(0.0, axis=1), diffusion, pts) == \
+            diffusion[1, 1]
+        assert _normal_variance(Domain.interval(-1.0, 1.0), np.array([[0.7]]),
+                                pts[:, :1]) == 0.7
 
     def test_ball_exit_fraction_lands_on_sphere(self):
         ball = Domain.ball(1.5, center=(0.5, -0.25))
@@ -219,16 +274,16 @@ class TestMcExit:
                         h=2e-3, n_paths=1500, stream=GaussianStream(8322), t_max=40.0)
         assert abs(stats.mean_time - 0.5) < 3 * stats.time_std_error + 0.04
 
-    def test_coarser_steps_overestimate_exit_times(self):
-        # the crossing is detected late by O(sqrt(h)), so the bias is upward
-        # and grows with h
+    def test_halving_the_step_keeps_the_mean_exit_time_unbiased(self):
+        # node-only detection misses crossings between nodes: on these streams
+        # it reads 1.095 at h = 1e-2 and 1.045 at 2.5e-3, 4.7 and 2.4 standard
+        # errors high; the bridge kill leaves an O(h) bias inside the noise
         model = SdeModel.brownian()
         box = Domain.interval(-1.0, 1.0)
-        coarse = mc_exit(model, 0.0, box, h=1e-2, n_paths=2000,
-                         stream=GaussianStream(8323), t_max=50.0)
-        fine = mc_exit(model, 0.0, box, h=2.5e-4, n_paths=2000,
-                       stream=GaussianStream(8324), t_max=50.0)
-        assert coarse.mean_time > fine.mean_time
+        for h, seed in ((1e-2, 8323), (2.5e-3, 8324)):
+            stats = mc_exit(model, 0.0, box, h=h, n_paths=2000,
+                            stream=GaussianStream(seed), t_max=50.0)
+            assert abs(stats.mean_time - 1.0) < 3 * stats.time_std_error
 
     def test_nested_balls_exit_earlier_path_by_path(self):
         model = SdeModel.brownian(dim=2)
@@ -309,18 +364,18 @@ class TestMcExit:
         np.testing.assert_array_equal(a.exit_times, b.exit_times)
 
     def test_noise_layout_is_pinned(self):
-        # Golden values: the (path, step) noise-block layout fixes every
-        # manifest SHA-256, so any change to it must show up here.  Brownian
-        # paths on an interval need no libm call, so the values are portable;
-        # path 6 is censored and the run spans two noise blocks.
+        # Golden values from ``per_step_exit`` below: the (path, step) noise
+        # layout of the Gaussians and of the bridge's exponentials fixes every
+        # manifest SHA-256, so any change to it must show up here.  Path 6 is
+        # censored, the run spans two noise blocks, and paths 2-5, 8, 10, 14
+        # and 15 are killed inside a step, at (k + 1/2) h.
         stats = mc_exit(SdeModel.brownian(), 0.0, Domain.interval(-1.0, 1.0),
                         h=1e-3, n_paths=16, stream=GaussianStream(2024), t_max=2.5)
         assert stats.exit_times.tolist() == [
-            0.2224854354704753, 1.416772543151246, 1.6993479466776336,
-            2.031111801129162, 1.0552865338231103, 1.6614492773718805,
-            0.5979820474772327, 0.7120223830490412, 0.7457317425068303,
-            0.23562820261187162, 0.8505896259162227, 1.4558877216189612,
-            0.14189217521867067, 0.5183740258399122, 1.9125937697954185,
+            0.2224854354704753, 1.416772543151246, 1.6915, 2.0155, 1.0535,
+            1.6515, 0.5979820474772327, 0.7115, 0.7457317425068303, 0.1135,
+            0.8505896259162227, 1.4558877216189612, 0.14189217521867067,
+            0.5045000000000001, 1.9115,
         ]
         assert stats.path_ids.tolist() == [0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11,
                                            12, 13, 14, 15]
@@ -342,6 +397,8 @@ class TestMcExit:
         finally:
             sys.setswitchinterval(interval)
         assert 0 < runs[0].n_exited < 2500
+        # some paths are killed inside a step, at (k + 1/2) h
+        assert np.any(np.abs(runs[0].exit_times / 1e-3 % 1.0 - 0.5) < 1e-6)
         for other in runs[1:]:
             np.testing.assert_array_equal(other.exit_times, runs[0].exit_times)
             np.testing.assert_array_equal(other.path_ids, runs[0].path_ids)
@@ -352,10 +409,11 @@ class TestMcExit:
         # 1100 paths: path block 1 draws from its own child stream
         stats = mc_exit(SdeModel.brownian(), 0.0, Domain.interval(-1.0, 1.0),
                         h=1e-3, n_paths=1100, stream=GaussianStream(2024), t_max=2.5)
-        assert stats.n_exited == 1030
+        # golden from ``per_step_exit``, in which 515 of the paths are killed
+        assert stats.n_exited == 1035
         digest = hashlib.sha256(stats.exit_times.tobytes()).hexdigest()
-        assert digest == ("a99717deaf1c25129e4c0de840fd6700"
-                          "d053bb03857371ff1fe70c81cc14e48a")
+        assert digest == ("a2833960736dd9e57bc195e87bf39fac"
+                          "8044f768d988bbbe88135bcf676b0243")
 
     def test_earliest_blow_up_over_all_shards_is_raised(self):
         cubic = SdeModel.scalar(lambda x: x**3, lambda x: 0.5)
@@ -376,38 +434,65 @@ class TestMcExit:
 def per_step_exit(model, x0, domain, *, h, n_paths, stream, t_max):
     """First exits from a plain loop that checks every path after every step.
 
-    It draws ``mc_exit``'s noise for a single path block (step block ``c``
-    from ``stream.child(0).child(c)``) and keeps stepping paths after they
-    exit.  Returns exit times, exit points and, per path, whether it was
-    back inside the domain at a later step of the same step block.
+    It draws ``mc_exit``'s noise plan in full: in step block ``c`` path block
+    ``b`` takes its Gaussians from ``stream.child(0).child(c)`` and the
+    bridge's exponentials from ``stream.child(2).child(c)``, each with a
+    further ``.child(b)`` for ``b >= 1``.  It keeps stepping paths after they
+    exit.  Where the domain has a distance and the model a constant
+    dispersion, a path with both nodes of a step inside is killed in that
+    step when ``d0 d1 < min(E, cap) s2 h / 2``, for its standard exponential
+    ``E`` and ``cap = _KILL_CAP``: probability ``exp(-2 d0 d1 / (s2 h))``,
+    or 0 below ``exp(-cap)``.  Returns exit times, exit
+    points, per path whether it was killed, and whether it was back inside
+    the domain at a later step of the same step block.
     """
     n_steps = math.ceil(t_max / h)
     block = _chunk_size(n_paths, model.dim_noise)
+    g = model.constant_dispersion
+    bridge = domain.kind != "predicate" and g is not None
     rows = np.arange(n_paths)
     x = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
     times = np.full(n_paths, np.nan)
     points = np.zeros_like(x)
+    killed = np.zeros(n_paths, dtype=bool)
     returned = np.zeros(n_paths, dtype=bool)
     for step in range(n_steps):
         if step % block == 0:
-            dw = stream.child(0).child(step // block).generator().normal(
-                0.0, math.sqrt(h), (n_paths, min(block, n_steps - step), model.dim_noise))
+            nb = min(block, n_steps - step)
+            dw = np.empty((n_paths, nb, model.dim_noise))
+            e = np.empty((n_paths, nb))
+            for b, start in enumerate(range(0, n_paths, 1024)):
+                part = slice(start, start + 1024)
+                gaussians = stream.child(0).child(step // block)
+                exponentials = stream.child(2).child(step // block)
+                if b:
+                    gaussians, exponentials = gaussians.child(b), exponentials.child(b)
+                dw[part] = gaussians.generator().normal(0.0, math.sqrt(h),
+                                                        dw[part].shape)
+                e[part] = exponentials.generator().standard_exponential(e[part].shape)
             exit_block = np.full(n_paths, -1)
-        g = model.constant_dispersion
-        if g is None:
-            g = model.dispersion(x)
-        x_new = x + model.drift(x) * h + np.einsum("...ik,...k->...i", g, dw[rows, step % block])
+        gx = g if g is not None else model.dispersion(x)
+        x_new = x + model.drift(x) * h + np.einsum("...ik,...k->...i", gx, dw[rows, step % block])
         inside = domain.contains(x_new)
-        first = ~inside & np.isnan(times)
+        kill = np.zeros(n_paths, dtype=bool)
+        if bridge:
+            var = _normal_variance(domain, g @ g.T, x_new)
+            slack = np.minimum(e[:, step % block], firstexit._KILL_CAP) * (var * (0.5 * h))
+            kill = inside & (domain.distance(x) * domain.distance(x_new) < slack)
+        first = (~inside | kill) & np.isnan(times)
         if first.any():
             p, q = x[first], x_new[first]
-            lam = domain.exit_fraction(p, q)
+            lam = np.where(kill[first], 0.5, domain.exit_fraction(p, q))
             times[first] = (step + lam) * h
             points[first] = p + lam[:, np.newaxis] * (q - p)
+            new_kills = first & kill
+            if new_kills.any():
+                points[new_kills] = domain._nearest_boundary_point(x_new[new_kills])
+            killed |= new_kills
             exit_block[first] = step // block
         returned |= inside & (exit_block == step // block)
         x = x_new
-    return times, points, returned
+    return times, points, killed, returned
 
 
 class TestWindowedExitMatchesPerStepLoop:
@@ -417,7 +502,7 @@ class TestWindowedExitMatchesPerStepLoop:
     @staticmethod
     def assert_same_exits(model, x0, domain, **kwargs):
         stats = mc_exit(model, x0, domain, **kwargs)
-        times, points, returned = per_step_exit(model, x0, domain, **kwargs)
+        times, points, killed, returned = per_step_exit(model, x0, domain, **kwargs)
         exited = np.flatnonzero(~np.isnan(times))
         assert exited.size > 0
         assert stats.path_ids.tolist() == exited.tolist()
@@ -427,17 +512,57 @@ class TestWindowedExitMatchesPerStepLoop:
             assert stats.boundary_params is None
         else:
             assert stats.boundary_params.tolist() == params.tolist()
-        return returned
+        return killed, returned
+
+    @staticmethod
+    def dense_disk_model():
+        g = np.array([[0.6, 0.3, -0.2], [0.1, -0.5, 0.4]])
+        return SdeModel(dim_state=2, dim_noise=3,
+                        drift=lambda x: -0.5 * x + np.sin(x[..., ::-1]),
+                        dispersion=lambda x: np.broadcast_to(g, x.shape[:-1] + g.shape),
+                        constant_dispersion=g)
 
     def test_dense_constant_dispersion_in_a_disk(self):
-        g = np.array([[0.6, 0.3, -0.2], [0.1, -0.5, 0.4]])
-        model = SdeModel(dim_state=2, dim_noise=3,
-                         drift=lambda x: -0.5 * x + np.sin(x[..., ::-1]),
-                         dispersion=lambda x: np.broadcast_to(g, x.shape[:-1] + g.shape),
-                         constant_dispersion=g)
         # 3000 steps span two step blocks and several windows per block
-        self.assert_same_exits(model, [0.2, -0.1], Domain.ball(1.0, dim=2), h=1e-3,
-                               n_paths=40, stream=GaussianStream(8340), t_max=3.0)
+        killed, _ = self.assert_same_exits(
+            self.dense_disk_model(), [0.2, -0.1], Domain.ball(1.0, dim=2), h=1e-3,
+            n_paths=40, stream=GaussianStream(8340), t_max=3.0)
+        assert killed.any()
+
+    def test_kill_takes_the_normal_variance_at_the_end_node(self):
+        # at this step the variance along the start node's normal would
+        # decide some kills differently
+        killed, _ = self.assert_same_exits(
+            self.dense_disk_model(), [0.2, -0.1], Domain.ball(1.0, dim=2), h=1e-2,
+            n_paths=100, stream=GaussianStream(8340), t_max=4.0)
+        assert killed.sum() > 20
+
+    def test_bridge_kills_on_an_interval_across_path_blocks(self):
+        # 1100 paths: path block 1 draws its Gaussians and exponentials from
+        # its own child streams
+        model = SdeModel.scalar(lambda x: -x, 0.7)
+        killed, _ = self.assert_same_exits(
+            model, 0.3, Domain.interval(-0.8, 1.0), h=2e-2, n_paths=1100,
+            stream=GaussianStream(8343), t_max=2.0)
+        assert killed[:1024].any() and killed[1024:].any()
+
+    def test_bridge_kills_at_a_half_space(self):
+        model = SdeModel.brownian(2)
+        killed, _ = self.assert_same_exits(
+            model, [0.0, 0.0], Domain.half_space(0.5, axis=1, side="below"),
+            h=1e-2, n_paths=64, stream=GaussianStream(8344), t_max=4.0)
+        assert killed.any()
+
+    def test_a_low_cap_leaves_the_lazy_draws_exact(self, monkeypatch):
+        # at a cap of 0.3 a window needs exponentials only for a step within
+        # about 0.4 sqrt(h) of the boundary, and the cap decides most kills;
+        # one step per window leaves many windows without such a step
+        monkeypatch.setattr(firstexit, "_KILL_CAP", 0.3)
+        monkeypatch.setattr(firstexit, "_WINDOW_ROW_STEPS", 256)
+        killed, _ = self.assert_same_exits(
+            SdeModel.scalar(lambda x: 0.0 * x, 0.2), 0.0, Domain.interval(-1.0, 1.0),
+            h=1e-2, n_paths=1100, stream=GaussianStream(8345), t_max=30.0)
+        assert killed[:1024].any() and killed[1024:].any()
 
     def test_state_dependent_dispersion_is_evaluated_per_step(self):
         shapes = []
@@ -448,8 +573,11 @@ class TestWindowedExitMatchesPerStepLoop:
 
         model = SdeModel.scalar(lambda x: -x, sigma)
         assert model.constant_dispersion is None
-        self.assert_same_exits(model, 0.3, Domain.interval(-0.8, 1.0), h=1e-3,
-                               n_paths=24, stream=GaussianStream(8341), t_max=3.0)
+        killed, _ = self.assert_same_exits(
+            model, 0.3, Domain.interval(-0.8, 1.0), h=1e-3, n_paths=24,
+            stream=GaussianStream(8341), t_max=3.0)
+        # no constant dispersion, no bridge: exits are detected at nodes
+        assert not killed.any()
         # one call per step on the active rows, never on a window of steps
         assert {len(shape) for shape in shapes} == {2}
 
@@ -458,10 +586,11 @@ class TestWindowedExitMatchesPerStepLoop:
         n_paths, n_steps = 16, 1000
         # with this few paths the first window holds all 1000 steps
         assert _WINDOW_ROW_STEPS // n_paths >= n_steps
-        returned = self.assert_same_exits(
+        killed, returned = self.assert_same_exits(
             SdeModel.brownian(), 0.0, box, h=1e-2, n_paths=n_paths,
             stream=GaussianStream(8342), t_max=n_steps * 1e-2)
         assert returned.any()
+        assert not killed.any()  # a predicate domain has no distance
 
 
 class TestRadialHitting:
@@ -489,6 +618,11 @@ class TestRadialHitting:
             mc_radial_hitting(0.5, 1.0, 8.0, dim=3, n_paths=10, stream=stream)
         with pytest.raises(ValueError):
             mc_radial_hitting(2.0, 1.0, 8.0, dim=0, n_paths=10, stream=stream)
+
+    def test_rejects_a_run_without_paths(self):
+        with pytest.raises(ValueError, match="n_paths must be at least 1, got 0"):
+            mc_radial_hitting(2.0, 1.0, 8.0, dim=3, n_paths=0,
+                              stream=GaussianStream(0))
 
     def test_reproducible(self):
         a = mc_radial_hitting(2.0, 1.0, 8.0, dim=3, n_paths=500,
@@ -524,6 +658,14 @@ class TestLineHitting:
             line_hitting_2d(0, h=0.01, stream=GaussianStream(0))
         with pytest.raises(ValueError):
             line_hitting_2d(10, h=0.0, stream=GaussianStream(0))
+
+    def test_rejects_a_step_that_is_not_a_positive_number(self):
+        with pytest.raises(ValueError, match="step size h must be positive and finite"):
+            line_hitting_2d(10, h=math.nan, stream=GaussianStream(0))
+
+    def test_rejects_a_negative_horizon(self):
+        with pytest.raises(ValueError, match="t_max must be positive and finite"):
+            line_hitting_2d(10, h=0.01, stream=GaussianStream(0), t_max=-1.0)
 
 
 class TestBallClosedForms:
@@ -656,6 +798,44 @@ class TestFeynmanKacFormulas:
         vals = fk_laplace_interval(1.0, 1.0, xs)
         assert vals.shape == (3,)
         assert vals[0] == pytest.approx(vals[2])  # even in x
+
+
+class TestIntervalExitReference:
+    """The scale-function quadrature against closed forms and pinned values."""
+
+    @pytest.mark.parametrize("x0, a, b", [(0.0, -1.0, 1.0), (0.4, -1.0, 1.0),
+                                          (0.3, -0.5, 2.0)])
+    def test_brownian_motion_matches_dynkin(self, x0, a, b):
+        mean, p_b = interval_exit_reference(SdeModel.brownian(), x0, a, b)
+        assert abs(mean - (b - x0) * (x0 - a)) < 1e-10
+        assert abs(p_b - (x0 - a) / (b - a)) < 1e-10
+
+    @pytest.mark.parametrize("eps, value", [(0.5, 0.752217), (0.35, 0.805870),
+                                            (0.25, 0.827934), (0.125, 0.864487)])
+    def test_ornstein_uhlenbeck_scaled_log_times(self, eps, value):
+        # U = x^2/2 on (-1, 1) from the bottom of the well
+        model = SdeModel.scalar(lambda x: -x, math.sqrt(eps))
+        mean, p_b = interval_exit_reference(model, 0.0, -1.0, 1.0)
+        assert eps * math.log(mean) == pytest.approx(value, abs=5e-7)
+        assert p_b == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("eps, value", [(0.15, 136.0807), (0.5, 10.8151)])
+    def test_double_well_transition_time(self, eps, value):
+        # U = x^4/4 - x^2/2 on (-4, 0.5) from -1: 2U/eps reaches 750 on the
+        # floor, where an unshifted exp(2U/eps) overflows
+        model = SdeModel.scalar(lambda x: x - x**3, math.sqrt(eps))
+        mean, p_b = interval_exit_reference(model, -1.0, -4.0, 0.5)
+        assert mean == pytest.approx(value, abs=5e-5)
+        assert p_b == 1.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="constant dispersion"):
+            interval_exit_reference(SdeModel.brownian(2), 0.0, -1.0, 1.0)
+        with pytest.raises(ValueError, match="constant dispersion"):
+            interval_exit_reference(SdeModel.scalar(lambda x: -x, lambda x: 1 + x * x),
+                                    0.0, -1.0, 1.0)
+        with pytest.raises(ValueError, match="a < x0 < b"):
+            interval_exit_reference(SdeModel.brownian(), 1.0, -1.0, 1.0)
 
 
 class TestArcsine:

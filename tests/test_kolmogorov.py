@@ -260,6 +260,16 @@ class TestOneFactorisation:
         np.testing.assert_array_equal(u, u_ref)
         np.testing.assert_array_equal(rho, rho_ref)
 
+    def test_the_identity_is_not_multiplied_into_the_power(self):
+        # a zero column appended to the identity takes the dense product;
+        # the identity alone returns the power, with the same bits
+        grid = Grid1D(-3.0, 3.0, 100)
+        eye = np.eye(grid.n_nodes)
+        kernel = solve_backward_kolmogorov(ou_model(), eye, grid, 1.0, 0.002)
+        padded = solve_backward_kolmogorov(
+            ou_model(), np.hstack([eye, np.zeros((grid.n_nodes, 1))]), grid, 1.0, 0.002)
+        np.testing.assert_array_equal(kernel, padded[:, :-1])
+
     def test_singular_system_raises_linalg_error(self):
         with pytest.raises(np.linalg.LinAlgError):
             kolmogorov._factorize(np.zeros((3, 5)))
