@@ -1079,7 +1079,7 @@ def _run_eyring_kramers(run: _Run) -> ExperimentOutcome:
     stats = mc_exit(model, p["x_star"],
                     Domain.interval(p["floor"], p["crossing"]),
                     h=p["h"], n_paths=p["n_paths"], stream=run.stream,
-                    t_max=p["t_max"])
+                    t_max=p["t_max"], threads=run.threads)
     exact, _ = interval_exit_reference(model, p["x_star"], p["floor"],
                                        p["crossing"])
     ratio = stats.mean_time / formula

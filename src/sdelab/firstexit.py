@@ -4,13 +4,13 @@ The Monte Carlo side simulates Euler-Maruyama paths until they leave a
 :class:`Domain`, with the exit time interpolated linearly inside the
 straddling step, a Brownian-bridge kill for crossings between two nodes
 inside, and paths that outlive ``t_max`` reported as censored.
-:func:`mc_exit` is the only exit routine.  Its noise is addressed by
-(path block, step block) independently of how long any path survives, so
-runs over nested domains with the same stream see the same trajectories,
-and its ``threads`` option shards the path blocks without changing a bit
-of the result.  It checks exits once per window of steps, each stepped by
-the one Euler-Maruyama loop ``sde._em_path``, so a path may take up to one
-window of steps past its exit; those steps are discarded.
+:func:`mc_exit` is the only exit routine.  Each path reads its noise from
+its own (path, step block) addresses, so runs over nested domains with the
+same stream see the same trajectories, the first n paths of a run are an
+n-path run, and ``threads`` shards the paths without changing a bit of the
+result.  It checks exits once per window of steps, each stepped by the one
+Euler-Maruyama loop ``sde._em_path``, so a path may take up to one window
+of steps past its exit; those steps are discarded.
 
 The closed-form side collects the classical exit oracles for Brownian
 motion and geometric Brownian motion: mean exit times from balls, hitting
@@ -34,7 +34,7 @@ import numpy as np
 
 from ._io import write_csv, write_json
 from .sde import (_WINDOW_ROW_STEPS, BlowUpError, GaussianStream, SdeModel,
-                  TimeGrid, _em_path, sample_wiener)
+                  TimeGrid, _addressed_draws, _em_path, sample_wiener)
 
 __all__ = [
     "Domain",
@@ -296,18 +296,13 @@ class ExitStatistics:
                   zip(self.path_ids, self.exit_times, locations))
 
 
-_NOISE_BLOCK_CAP = 20_000_000  # Gaussian draws per noise block
-_PATH_BLOCK = 1024  # paths per block of the noise plan
+_STEP_BLOCK = 256  # steps per noise address of mc_exit
 # mc_exit's bridge kills when d0 d1 < min(E, _KILL_CAP) s2 h / 2 for a
 # standard exponential E: kill probabilities below e^-40 count as zero, so a
 # window with no step that close to the boundary needs no exponentials
 _KILL_CAP = 40.0
 _SNAP_FRACTION = 1e-4  # of the gap width: mc_radial_hitting's hit distance
 _MAX_ROUNDS = 200_000  # mc_radial_hitting's steps before open paths are snapped
-
-
-def _chunk_size(n_paths: int, dim_noise: int) -> int:
-    return max(16, min(2048, _NOISE_BLOCK_CAP // max(1, n_paths * dim_noise)))
 
 
 def _check_sampling(n_paths: int, h: float | None = None,
@@ -319,22 +314,6 @@ def _check_sampling(n_paths: int, h: float | None = None,
         raise ValueError(f"step size h must be positive and finite, got {h}")
     if t_max is not None and not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
-
-
-def _draw_blocks(out: np.ndarray, stream: GaussianStream, step_block: int,
-                 path_blocks: list[int], first: int, sample) -> np.ndarray:
-    """Fill the rows of each of ``path_blocks`` with ``sample(generator, shape)``.
-
-    ``out`` holds the rows of path blocks ``first`` onwards; block ``b``
-    draws from ``stream.child(step_block)``, with a further ``.child(b)``
-    for ``b >= 1``.  Rows of other blocks are left as they are.
-    """
-    for b in path_blocks:
-        part = slice((b - first) * _PATH_BLOCK, (b - first + 1) * _PATH_BLOCK)
-        source = stream.child(step_block)
-        source = source.child(b) if b else source
-        out[part] = sample(source.generator(), out[part].shape)
-    return out
 
 
 def _normal_variance(domain: Domain, diffusion: np.ndarray, x: np.ndarray):
@@ -391,23 +370,20 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
     Steps past an exit are discarded, so the results are those of checking
     after every step, bit for bit.
 
-    The noise is addressed by (path block, step block): blocks of
-    ``_PATH_BLOCK`` paths, and step blocks whose length depends on
-    ``n_paths`` but not on ``threads``.  In step block ``j`` path block 0
-    draws its Gaussians from ``stream.child(0).child(j)`` and path block
-    ``b >= 1`` from ``stream.child(0).child(j).child(b)``; the bridge's
-    exponentials come from ``stream.child(2)`` addressed the same way, so
-    they leave the Gaussians unchanged, and are drawn only once a step
-    comes close enough to the boundary to need them.  Only blocks with an
-    active path are drawn, so a path's draws never depend on when the
-    others exit.
-    The first rows of a draw equal a smaller draw from the same generator,
-    so block 0 repeats what runs of at most ``_PATH_BLOCK`` paths drew
-    before there were path blocks.
+    The noise is addressed by (path, step block), with step blocks of
+    ``_STEP_BLOCK`` steps: path ``p`` reads the Gaussians of step block
+    ``j`` from the Philox of ``stream.child(0)`` at counter ``(0, p, j,
+    0)``, and the bridge's exponentials from counter ``(0, p, j, 1)``.  A
+    step block is drawn for the paths still active at its start, and its
+    exponentials for the paths active at the first window with a step
+    close enough to the boundary to need them.  So a path's noise depends
+    only on (seed, path, step): not on ``n_paths``, ``threads``, the window
+    or when the other paths exit, and the first n paths of a run equal an
+    n-path run with the same stream, bit for bit.
 
-    ``threads`` shards the path blocks into contiguous runs, one worker
-    each.  It changes only the speed: the noise, the results and the step
-    of a blow-up (the earliest over all shards) are the same at any count.
+    ``threads`` shards the paths into contiguous ranges, one worker each.
+    It changes only the speed: the noise, the results and the step of a
+    blow-up (the earliest over all shards) are the same at any count.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (model.dim_state,):
@@ -430,52 +406,47 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
         t_max = 50.0 * pilot.mean_time
 
     n_steps = max(1, math.ceil(t_max / h))
-    noise, exponentials = stream.child(0), stream.child(2)
+    noise = stream.child(0)
     g = model.constant_dispersion
     bridge = domain.kind != "predicate" and g is not None
     diffusion = g @ g.T if bridge else None
-    block = _chunk_size(n_paths, model.dim_noise)
     sqrt_h = math.sqrt(h)
     exit_time = np.full(n_paths, np.nan)
     exit_points = np.zeros((n_paths, model.dim_state))
 
-    def shard(first: int, stop: int) -> BlowUpError | None:
-        """Step path blocks ``first`` to ``stop - 1``; return a blow-up."""
-        rows = slice(first * _PATH_BLOCK, stop * _PATH_BLOCK)
-        times, points = exit_time[rows], exit_points[rows]
-        # compacted active set: ``x[r]`` is the state of shard row ``ids[r]``
-        ids = np.arange(times.size)
+    def shard(start: int, stop: int) -> BlowUpError | None:
+        """Step paths ``start`` to ``stop - 1``; return a blow-up."""
+        # compacted active set: ``x[r]`` is the state of path ``ids[r]``, whose
+        # noise in the current step block is row ``rows[r]`` of ``dw`` and ``e``
+        ids = np.arange(start, stop)
         x = np.tile(x0, (ids.size, 1))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for chunk, step in enumerate(range(0, n_steps, block)):
+            for block, step in enumerate(range(0, n_steps, _STEP_BLOCK)):
                 if not ids.size:
                     break
-                nb = min(block, n_steps - step)
-                # rows of path blocks with no active path are never read
-                blocks = (first + np.unique(ids // _PATH_BLOCK)).tolist()
-                dw = _draw_blocks(np.empty((times.size, nb, model.dim_noise)), noise,
-                                  chunk, blocks, first,
-                                  lambda gen, shape: gen.normal(0.0, sqrt_h, shape))
-                # the exponentials are drawn on the first window of the step
-                # block with a step close enough to the boundary to need them
-                e = None
+                nb = min(_STEP_BLOCK, n_steps - step)
+                dw = e = None  # release the last block's noise before drawing
+                dw = _addressed_draws(noise, ids, block, 0, (nb, model.dim_noise))
+                dw *= sqrt_h
+                rows = np.arange(ids.size)
                 j = 0
                 while j < nb and ids.size:
                     w = min(nb - j, max(1, _WINDOW_ROW_STEPS // ids.size))
                     # path[k] holds the states after step + j + k steps
                     path = _em_path(model, x, h, np.ascontiguousarray(
-                        dw[ids, j:j + w].swapaxes(0, 1)))
+                        dw[rows, j:j + w].swapaxes(0, 1)))
                     if bridge:
                         dist = domain.distance(path)
                         inside = alive = dist[1:] > 0.0
                         scale = _normal_variance(domain, diffusion, path[1:]) * (0.5 * h)
                         gap = dist[:-1] * dist[1:]
                         if (gap < _KILL_CAP * scale).any():
+                            # drawn for the paths active at the first window of
+                            # the step block with a step this close to the boundary
                             if e is None:
-                                e = _draw_blocks(np.empty((times.size, nb)), exponentials,
-                                                 chunk, blocks, first,
-                                                 np.random.Generator.standard_exponential)
-                            slack = e[ids, j:j + w].T  # a gathered copy
+                                e = np.empty((dw.shape[0], nb))
+                                e[rows] = _addressed_draws(noise, ids, block, 1, (nb,))
+                            slack = e[rows, j:j + w].T  # a gathered copy
                             np.minimum(slack, _KILL_CAP, out=slack)
                             slack *= scale
                             alive = inside & ~(gap < slack)
@@ -496,20 +467,19 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
                         lam = np.full(r.size, 0.5)
                         lam[crossed] = domain.exit_fraction(p[crossed], q[crossed])
                         gone = ids[r]
-                        times[gone] = (step + j + k_out + lam) * h
-                        points[gone] = p + lam[:, np.newaxis] * (q - p)
+                        exit_time[gone] = (step + j + k_out + lam) * h
+                        exit_points[gone] = p + lam[:, np.newaxis] * (q - p)
                         if killed.any():
-                            points[gone[killed]] = domain._nearest_boundary_point(
+                            exit_points[gone[killed]] = domain._nearest_boundary_point(
                                 q[killed])
-                        ids, x = ids[stay], x[stay]
+                        ids, rows, x = ids[stay], rows[stay], x[stay]
                     j += w
         return None
 
-    n_blocks = -(-n_paths // _PATH_BLOCK)
-    n_shards = max(1, min(threads, n_blocks))
-    cuts = [n_blocks * s // n_shards for s in range(n_shards + 1)]
+    n_shards = min(threads, n_paths)
+    cuts = [n_paths * s // n_shards for s in range(n_shards + 1)]
     if n_shards == 1:
-        blowups = [shard(0, n_blocks)]
+        blowups = [shard(0, n_paths)]
     else:
         with ThreadPoolExecutor(max_workers=n_shards) as pool:
             blowups = list(pool.map(shard, cuts[:-1], cuts[1:]))
@@ -548,6 +518,8 @@ def mc_radial_hitting(r_start: float, r_inner: float, r_outer: float, dim: int,
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     _check_sampling(n_paths)
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be at least 2 for a standard error, got {n_paths}")
     gen = stream.generator()
     snap = _SNAP_FRACTION * (r_outer - r_inner)
 

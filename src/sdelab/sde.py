@@ -144,6 +144,30 @@ class GaussianStream:
         return replace(self, branch=(*self.branch, index))
 
 
+def _addressed_draws(stream: GaussianStream, ids: np.ndarray, step_block: int,
+                     kind: int, shape: tuple[int, ...]) -> np.ndarray:
+    """One row of ``shape`` per path in ``ids``, read from its own address.
+
+    Address ``(path, step_block, kind)`` is the counter ``(0, path,
+    step_block, kind)`` of the stream's Philox, under its key (Salmon et
+    al., SC'11).  Word 0 counts the draws inside an address, so no two
+    overlap.  Kind 0 holds standard Gaussians, kind 1 standard exponentials.
+    """
+    gen = stream.generator()
+    bits = gen.bit_generator
+    # moving one generator costs a fraction of building one per address
+    state = bits.state
+    counter = state["state"]["counter"]
+    counter[2:] = step_block, kind
+    draw = (gen.standard_normal, gen.standard_exponential)[kind]
+    out = np.empty((len(ids),) + tuple(shape))
+    for row, path in zip(out, ids.tolist()):
+        counter[1] = path
+        bits.state = state
+        draw(out=row)
+    return out
+
+
 def _as_node_columns(values) -> np.ndarray:
     """Coerce path values to shape ``(n_nodes, dim)``; 1-D input is a column."""
     arr = np.asarray(values, dtype=float)

@@ -396,13 +396,12 @@ class TestRunArtifacts:
 
 class TestThreadInvariance:
     def test_thread_count_does_not_change_results(self):
-        one = execute("exit-ball-2d",
-                      parameters={"n_paths": 40, "h": 5e-3, "t_max": 5.0},
-                      seed=3, threads=1)
-        four = execute("exit-ball-2d",
-                       parameters={"n_paths": 40, "h": 5e-3, "t_max": 5.0},
-                       seed=3, threads=4)
-        assert one.summary == four.summary
+        for name, parameters in (
+                ("exit-ball-2d", {"n_paths": 40, "h": 5e-3, "t_max": 5.0}),
+                ("eyring-kramers", {"n_paths": 40, "eps": 0.5})):
+            one = execute(name, parameters=parameters, seed=3, threads=1)
+            four = execute(name, parameters=parameters, seed=3, threads=4)
+            assert one.summary == four.summary
 
     SCRIPT = (
         "import sys\n"
@@ -429,10 +428,10 @@ class TestThreadInvariance:
                    for n in ("1", "2")]
         assert results[0] == results[1]
 
-    def test_fewer_paths_than_chunks_still_runs(self):
+    def test_fewer_paths_than_threads_still_runs(self):
         out = execute("exit-ball-2d",
                       parameters={"n_paths": 5, "h": 5e-3, "t_max": 5.0},
-                      seed=3, threads=2)
+                      seed=3, threads=8)
         assert out.summary["n_paths"] == 5
 
 

@@ -30,7 +30,7 @@ from sdelab.firstexit import (
     three_set_bound,
 )
 from sdelab import firstexit
-from sdelab.firstexit import _WINDOW_ROW_STEPS, _chunk_size, _normal_variance
+from sdelab.firstexit import _STEP_BLOCK, _WINDOW_ROW_STEPS, _normal_variance
 from sdelab.sde import BlowUpError, GaussianStream, SdeModel, TimeGrid
 
 
@@ -366,27 +366,27 @@ class TestMcExit:
     def test_noise_layout_is_pinned(self):
         # Golden values from ``per_step_exit`` below: the (path, step) noise
         # layout of the Gaussians and of the bridge's exponentials fixes every
-        # manifest SHA-256, so any change to it must show up here.  Path 6 is
-        # censored, the run spans two noise blocks, and paths 2-5, 8, 10, 14
-        # and 15 are killed inside a step, at (k + 1/2) h.
+        # manifest SHA-256, so any change to it must show up here.  Path 5 is
+        # censored, the run spans ten step blocks, and paths 0-2, 7-9, 13 and
+        # 14 are killed inside a step, at (k + 1/2) h.
         stats = mc_exit(SdeModel.brownian(), 0.0, Domain.interval(-1.0, 1.0),
                         h=1e-3, n_paths=16, stream=GaussianStream(2024), t_max=2.5)
         assert stats.exit_times.tolist() == [
-            0.2224854354704753, 1.416772543151246, 1.6915, 2.0155, 1.0535,
-            1.6515, 0.5979820474772327, 0.7115, 0.7457317425068303, 0.1135,
-            0.8505896259162227, 1.4558877216189612, 0.14189217521867067,
-            0.5045000000000001, 1.9115,
+            0.4975, 1.1265, 0.2455, 1.698640472344855, 1.0179918515924853,
+            1.4445671677657461, 0.8425, 0.2985, 1.9385000000000001,
+            0.7491558320860742, 0.8766476042003123, 1.3206300895331795,
+            0.2565, 0.7605000000000001, 1.1248530540585588,
         ]
-        assert stats.path_ids.tolist() == [0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11,
+        assert stats.path_ids.tolist() == [0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11,
                                            12, 13, 14, 15]
         assert stats.boundary_params.tolist() == [
-            0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0,
-            0.0, 0.0,
+            1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0,
+            0.0, 1.0,
         ]
 
     def test_thread_count_does_not_change_results(self):
-        # 2500 paths span three path blocks, so threads 2 and 3 shard them;
-        # a short switch interval makes the shards interleave often
+        # threads 2 and 3 shard the 2500 paths into contiguous ranges; a
+        # short switch interval makes the shards interleave often
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -406,14 +406,30 @@ class TestMcExit:
                                           runs[0].boundary_params)
 
     def test_multi_block_noise_layout_is_pinned(self):
-        # 1100 paths: path block 1 draws from its own child stream
+        # 1100 paths over ten step blocks, each path from its own addresses
         stats = mc_exit(SdeModel.brownian(), 0.0, Domain.interval(-1.0, 1.0),
                         h=1e-3, n_paths=1100, stream=GaussianStream(2024), t_max=2.5)
-        # golden from ``per_step_exit``, in which 515 of the paths are killed
+        # golden from ``per_step_exit``, in which 500 of the paths are killed
         assert stats.n_exited == 1035
         digest = hashlib.sha256(stats.exit_times.tobytes()).hexdigest()
-        assert digest == ("a2833960736dd9e57bc195e87bf39fac"
-                          "8044f768d988bbbe88135bcf676b0243")
+        assert digest == ("77e92d68cd5ee1167f82d835ebcb6d48"
+                          "44263f7fe6ca2ece2666fb54c2881b23")
+
+    def test_runs_are_prefix_stable(self):
+        # a path's noise depends on its address alone, not on how many paths
+        # run: the first 100 of 10 000 paths are a 100-path run, also past
+        # the first step block
+        kwargs = dict(h=1e-3, stream=GaussianStream(8336), t_max=3.0)
+        big = mc_exit(SdeModel.brownian(), 0.0, Domain.interval(-1.0, 1.0),
+                      n_paths=10_000, **kwargs)
+        small = mc_exit(SdeModel.brownian(), 0.0, Domain.interval(-1.0, 1.0),
+                        n_paths=100, **kwargs)
+        assert np.any(small.exit_times > _STEP_BLOCK * 1e-3)
+        first = big.path_ids < 100
+        np.testing.assert_array_equal(big.exit_times[first], small.exit_times)
+        np.testing.assert_array_equal(big.path_ids[first], small.path_ids)
+        np.testing.assert_array_equal(big.boundary_params[first],
+                                      small.boundary_params)
 
     def test_earliest_blow_up_over_all_shards_is_raised(self):
         cubic = SdeModel.scalar(lambda x: x**3, lambda x: 0.5)
@@ -425,29 +441,35 @@ class TestMcExit:
                         stream=GaussianStream(8333), t_max=40.0, threads=threads)
             return excinfo.value.step_index
 
-        # path block 0 on its own blows up later than a path in blocks 1-2,
-        # so the first shard's blow-up is not the one to report
-        assert blow_up_step(1024) == 23
-        assert [blow_up_step(3000, threads) for threads in (1, 2, 3)] == [21] * 3
+        # goldens from ``per_step_exit``: the first 1500 paths on their own
+        # blow up later than path 2188, so at 2 or 3 threads the first
+        # shard's blow-up is not the one to report
+        assert blow_up_step(1500) == 24
+        assert [blow_up_step(3000, threads) for threads in (1, 2, 3)] == [23] * 3
 
 
 def per_step_exit(model, x0, domain, *, h, n_paths, stream, t_max):
     """First exits from a plain loop that checks every path after every step.
 
-    It draws ``mc_exit``'s noise plan in full: in step block ``c`` path block
-    ``b`` takes its Gaussians from ``stream.child(0).child(c)`` and the
-    bridge's exponentials from ``stream.child(2).child(c)``, each with a
-    further ``.child(b)`` for ``b >= 1``.  It keeps stepping paths after they
-    exit.  Where the domain has a distance and the model a constant
-    dispersion, a path with both nodes of a step inside is killed in that
-    step when ``d0 d1 < min(E, cap) s2 h / 2``, for its standard exponential
-    ``E`` and ``cap = _KILL_CAP``: probability ``exp(-2 d0 d1 / (s2 h))``,
-    or 0 below ``exp(-cap)``.  Returns exit times, exit
-    points, per path whether it was killed, and whether it was back inside
-    the domain at a later step of the same step block.
+    It draws ``mc_exit``'s noise in full, for every path and step block,
+    from a Philox it builds for each address: in step block ``c`` path
+    ``p`` takes its Gaussians from counter ``(0, p, c, 0)`` under the key of
+    ``stream.child(0)``, and the bridge's exponentials from counter
+    ``(0, p, c, 1)``.  It keeps stepping paths after they exit.  Where the
+    domain has a distance and the model a constant dispersion, a path with
+    both nodes of a step inside is killed in that step when
+    ``d0 d1 < min(E, cap) s2 h / 2``, for its standard exponential ``E``
+    and ``cap = _KILL_CAP``: probability ``exp(-2 d0 d1 / (s2 h))``, or 0
+    below ``exp(-cap)``.  Returns exit times, exit points, per path whether
+    it was killed, and whether it was back inside the domain at a later
+    step of the same step block.
     """
     n_steps = math.ceil(t_max / h)
-    block = _chunk_size(n_paths, model.dim_noise)
+    key = stream.child(0).generator().bit_generator.state["state"]["key"]
+
+    def address(path, block, kind):
+        return np.random.Generator(np.random.Philox(key=key, counter=(0, path, block, kind)))
+
     g = model.constant_dispersion
     bridge = domain.kind != "predicate" and g is not None
     rows = np.arange(n_paths)
@@ -457,27 +479,21 @@ def per_step_exit(model, x0, domain, *, h, n_paths, stream, t_max):
     killed = np.zeros(n_paths, dtype=bool)
     returned = np.zeros(n_paths, dtype=bool)
     for step in range(n_steps):
-        if step % block == 0:
-            nb = min(block, n_steps - step)
-            dw = np.empty((n_paths, nb, model.dim_noise))
-            e = np.empty((n_paths, nb))
-            for b, start in enumerate(range(0, n_paths, 1024)):
-                part = slice(start, start + 1024)
-                gaussians = stream.child(0).child(step // block)
-                exponentials = stream.child(2).child(step // block)
-                if b:
-                    gaussians, exponentials = gaussians.child(b), exponentials.child(b)
-                dw[part] = gaussians.generator().normal(0.0, math.sqrt(h),
-                                                        dw[part].shape)
-                e[part] = exponentials.generator().standard_exponential(e[part].shape)
+        block, at = divmod(step, _STEP_BLOCK)
+        if at == 0:
+            nb = min(_STEP_BLOCK, n_steps - step)
+            dw = np.array([address(p, block, 0).standard_normal((nb, model.dim_noise))
+                           for p in range(n_paths)]) * math.sqrt(h)
+            e = np.array([address(p, block, 1).standard_exponential(nb)
+                          for p in range(n_paths)])
             exit_block = np.full(n_paths, -1)
         gx = g if g is not None else model.dispersion(x)
-        x_new = x + model.drift(x) * h + np.einsum("...ik,...k->...i", gx, dw[rows, step % block])
+        x_new = x + model.drift(x) * h + np.einsum("...ik,...k->...i", gx, dw[rows, at])
         inside = domain.contains(x_new)
         kill = np.zeros(n_paths, dtype=bool)
         if bridge:
             var = _normal_variance(domain, g @ g.T, x_new)
-            slack = np.minimum(e[:, step % block], firstexit._KILL_CAP) * (var * (0.5 * h))
+            slack = np.minimum(e[:, at], firstexit._KILL_CAP) * (var * (0.5 * h))
             kill = inside & (domain.distance(x) * domain.distance(x_new) < slack)
         first = (~inside | kill) & np.isnan(times)
         if first.any():
@@ -489,8 +505,8 @@ def per_step_exit(model, x0, domain, *, h, n_paths, stream, t_max):
             if new_kills.any():
                 points[new_kills] = domain._nearest_boundary_point(x_new[new_kills])
             killed |= new_kills
-            exit_block[first] = step // block
-        returned |= inside & (exit_block == step // block)
+            exit_block[first] = block
+        returned |= inside & (exit_block == block)
         x = x_new
     return times, points, killed, returned
 
@@ -537,9 +553,8 @@ class TestWindowedExitMatchesPerStepLoop:
             n_paths=100, stream=GaussianStream(8340), t_max=4.0)
         assert killed.sum() > 20
 
-    def test_bridge_kills_on_an_interval_across_path_blocks(self):
-        # 1100 paths: path block 1 draws its Gaussians and exponentials from
-        # its own child streams
+    def test_bridge_kills_on_an_interval(self):
+        # 1100 paths, each with its own Gaussians and exponentials
         model = SdeModel.scalar(lambda x: -x, 0.7)
         killed, _ = self.assert_same_exits(
             model, 0.3, Domain.interval(-0.8, 1.0), h=2e-2, n_paths=1100,
@@ -584,8 +599,8 @@ class TestWindowedExitMatchesPerStepLoop:
     def test_first_exit_is_kept_when_a_path_comes_back_inside(self):
         box = Domain.predicate(lambda x: np.abs(x[..., 0]) < 1.0)
         n_paths, n_steps = 16, 1000
-        # with this few paths the first window holds all 1000 steps
-        assert _WINDOW_ROW_STEPS // n_paths >= n_steps
+        # with this few paths each window is a whole step block
+        assert _WINDOW_ROW_STEPS // n_paths >= _STEP_BLOCK
         killed, returned = self.assert_same_exits(
             SdeModel.brownian(), 0.0, box, h=1e-2, n_paths=n_paths,
             stream=GaussianStream(8342), t_max=n_steps * 1e-2)
@@ -622,6 +637,10 @@ class TestRadialHitting:
     def test_rejects_a_run_without_paths(self):
         with pytest.raises(ValueError, match="n_paths must be at least 1, got 0"):
             mc_radial_hitting(2.0, 1.0, 8.0, dim=3, n_paths=0,
+                              stream=GaussianStream(0))
+        # one path has no standard error
+        with pytest.raises(ValueError, match="n_paths must be at least 2"):
+            mc_radial_hitting(2.0, 1.0, 8.0, dim=3, n_paths=1,
                               stream=GaussianStream(0))
 
     def test_reproducible(self):

@@ -323,3 +323,26 @@ def test_only_sde_applies_the_euler_maruyama_update():
         "the guard no longer sees firstexit's own import"
     assert {name: found for name, found in uses.items()
             if set(found) - {"_em_path"}} == {}
+
+
+def _bit_generator_uses(tree: ast.AST) -> list[str]:
+    """Every name, attribute or import of numpy's Philox, seeding or bit generators."""
+    names = ("Philox", "SeedSequence", "bit_generator")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            found.append(node.attr)
+        elif isinstance(node, ast.Name) and node.id in names:
+            found.append(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [a.name for a in node.names if a.name.split(".")[-1] in names]
+    return found
+
+
+def test_only_sde_builds_bit_generators():
+    # ``sde`` turns a stream into a Philox key and a noise address into its
+    # counter; a second module doing either would be a second address format
+    uses = _package_uses(_bit_generator_uses)
+    assert set(uses.pop("sde.py")) == {"Philox", "SeedSequence", "bit_generator"}, \
+        "the guard no longer sees sde's own uses"
+    assert {name: found for name, found in uses.items() if found} == {}
