@@ -72,7 +72,7 @@ from .ergodicity import (
     verify_minorisation,
 )
 from .kolmogorov import DensityField, Grid1D, solve_fokker_planck, stationary_density_gradient
-from .largedev import _derivative, arrhenius_check, eyring_kramers_time, minimize_action, ou_exit_rate, quasipotential
+from .largedev import _drift, arrhenius_check, eyring_kramers_time, minimize_action, ou_exit_rate, quasipotential
 from .sde import GaussianStream, SdeModel, TimeGrid, euler_maruyama_ensemble, sample_wiener
 
 __all__ = [
@@ -284,7 +284,7 @@ class ModelSpec:
         if self.preset == "gbm":
             growth, sigma = self.growth, self.sigma
             return SdeModel.scalar(lambda x: growth * x, lambda x: sigma * x)
-        return SdeModel.gradient(self.potential, _derivative(self.potential))
+        return SdeModel(1, 1, _drift(self.potential), [[math.sqrt(2.0)]])
 
 
 # ---------------------------------------------------------------------------
@@ -951,8 +951,7 @@ def _run_birkhoff(run: _Run) -> ExperimentOutcome:
             continue
         worst = max(worst, hilbert_metric(two @ f, two @ g) / before)
 
-    bm = SdeModel.scalar(lambda x: 0.0 * x, 1.0)
-    killed = discretize_kernel(bm, Grid1D(-1.0, 1.0, p["n_cells"]),
+    killed = discretize_kernel(SdeModel.brownian(1), Grid1D(-1.0, 1.0, p["n_cells"]),
                                p["t_step"], bc="dirichlet_zero")
     perron = power_iteration_jentzsch(killed, tol=p["tol"])
     bounds = fit_cone_bounds(killed)
@@ -987,8 +986,7 @@ def _run_minimum_action(run: _Run) -> ExperimentOutcome:
                            tol=p["tol"], max_iter=p["max_iter"])
     closed = ou_exit_rate(0.0, p["level"], p["t_end"])
 
-    free = SdeModel.scalar(lambda x: 0.0 * x, 1.0)
-    free_path = minimize_action(free, 0.0, 1.0, 4.0, 100)
+    free_path = minimize_action(SdeModel.brownian(1), 0.0, 1.0, 4.0, 100)
 
     flags = []
     if not path.converged:
@@ -1018,8 +1016,7 @@ def _run_minimum_action(run: _Run) -> ExperimentOutcome:
 def _run_quasipotential(run: _Run) -> ExperimentOutcome:
     p = run.params
     U = p["potential"]
-    dU = _derivative(U)
-    model = SdeModel.scalar(lambda x: -dU(x), 1.0)
+    model = SdeModel(1, 1, _drift(U), [[1.0]])
     result = quasipotential(model, p["x_star"], p["y"], p["horizons"],
                             n_steps=p["n_steps"], tol=p["tol"],
                             max_iter=p["max_iter"])
@@ -1074,8 +1071,7 @@ def _run_eyring_kramers(run: _Run) -> ExperimentOutcome:
     p = run.params
     U, eps = p["potential"], p["eps"]
     formula = eyring_kramers_time(U, p["x_star"], p["saddle"], eps)
-    dU = _derivative(U)
-    model = SdeModel.scalar(lambda x: -dU(x), math.sqrt(eps))
+    model = SdeModel(1, 1, _drift(U), [[math.sqrt(eps)]])
     stats = mc_exit(model, p["x_star"],
                     Domain.interval(p["floor"], p["crossing"]),
                     h=p["h"], n_paths=p["n_paths"], stream=run.stream,
@@ -1113,8 +1109,7 @@ def _run_certificates(run: _Run) -> ExperimentOutcome:
     minor = verify_minorisation(kernel, p["level"], v)
     minor_bad = minor.violations(kernel)
 
-    bm = SdeModel.scalar(lambda x: 0.0 * x, 1.0)
-    killed = discretize_kernel(bm, Grid1D(-1.0, 1.0, 80), 0.1,
+    killed = discretize_kernel(SdeModel.brownian(1), Grid1D(-1.0, 1.0, 80), 0.1,
                                bc="dirichlet_zero")
     bounds = fit_cone_bounds(killed)
     cone_bad = bounds.violations(killed)

@@ -358,6 +358,12 @@ class Expression:
     def __reduce__(self):
         return Expression, (self.source, self.root)  # closures do not pickle
 
+    def __neg__(self) -> "Expression":
+        """``-self``: its values are those of ``self`` with the sign flipped,
+        bit for bit, since ``_neg`` folds only constants and double negations."""
+        root = _neg(self.root)
+        return Expression(_render(root), root)
+
     def derivative(self) -> "Expression":
         """The symbolic derivative d/dx, with constants folded.
 

@@ -81,8 +81,8 @@ class Domain:
 
     @classmethod
     def ball(cls, radius: float, center=None, *, dim: int | None = None) -> "Domain":
-        if radius <= 0:
-            raise ValueError(f"ball radius must be positive, got {radius}")
+        if not 0 < radius < math.inf:
+            raise ValueError(f"ball radius must be positive and finite, got {radius}")
         if center is None:
             center = np.zeros(dim if dim is not None else 1)
         center = np.atleast_1d(np.asarray(center, dtype=float))
@@ -100,6 +100,8 @@ class Domain:
     def half_space(cls, level: float, axis: int = 0, side: str = "below") -> "Domain":
         if side not in ("below", "above"):
             raise ValueError(f"side must be 'below' or 'above', got {side!r}")
+        if not math.isfinite(level):
+            raise ValueError(f"half-space level must be finite, got {level}")
         return cls(kind="half_space", level=float(level), axis=axis, side=side)
 
     @classmethod
@@ -729,13 +731,15 @@ def interval_exit_reference(model: SdeModel, x0: float, a: float,
         raise ValueError("need a one-dimensional model with a constant dispersion")
     if not -math.inf < a < x0 < b < math.inf:
         raise ValueError(f"need finite a < x0 < b, got {(a, x0, b)}")
+    var = float((g @ g.T)[0, 0])
+    if var == 0.0:
+        raise ValueError("need a nonzero dispersion, got sigma = 0")
     n_left = min(max(1, round(_REFERENCE_CELLS * (x0 - a) / (b - a))),
                  _REFERENCE_CELLS - 1)
     nodes = np.concatenate([np.linspace(a, x0, n_left + 1)[:-1],
                             np.linspace(x0, b, _REFERENCE_CELLS - n_left + 1)])
     dx = np.diff(nodes)
     f = np.asarray(model.drift(nodes[:, np.newaxis]), dtype=float)[:, 0]
-    var = float((g @ g.T)[0, 0])
     phi = np.concatenate([[0.0], np.cumsum(-(f[1:] + f[:-1]) * dx)]) / var
 
     def log_integral(log_y: np.ndarray, cells: slice = slice(None)) -> np.ndarray:

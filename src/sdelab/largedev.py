@@ -271,23 +271,24 @@ def _central_differences(f: Callable, x, dim: int,
     return out
 
 
-def _derivative(U: Callable) -> Callable:
-    """``U'`` of a 1-D potential: symbolic for an :class:`Expression`, else
-    (also for ``x`` in an exponent) by central differences."""
+def _drift(U: Callable) -> Callable:
+    """The drift ``-U'`` of a 1-D potential, built once: an :class:`Expression`
+    for an :class:`Expression` ``U``, else (also for ``x`` in an exponent)
+    central differences."""
     if isinstance(U, Expression):
         try:
-            return U.derivative()
+            return -U.derivative()
         except ValueError:
             pass  # no logarithm in the grammar: fall back to differences
-    return lambda x: _central_differences(U, x, 1)[0]
+    return lambda x: -_central_differences(U, x, 1)[0]
 
 
 def _hessian(U: Callable, x: np.ndarray) -> np.ndarray:
     """Hessian of ``U(*x)``: the exact ``U''`` of a 1-D :class:`Expression`,
     else central differences of the central-difference gradient."""
-    dU = _derivative(U)
-    if x.size == 1 and isinstance(dU, Expression):
-        return np.reshape(dU.derivative()(x), (1, 1))
+    drift = _drift(U)
+    if x.size == 1 and isinstance(drift, Expression):
+        return np.reshape((-drift.derivative())(x), (1, 1))
     grad = lambda y: np.array(_central_differences(lambda z: U(*z), y, y.size))
     return np.array(_central_differences(grad, x, x.size))
 
@@ -587,20 +588,20 @@ def arrhenius_check(U: Callable, eps_list: Sequence[float], exit_domain: Domain,
     eps = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     if eps.size < 3:
         raise ValueError("need at least three noise levels for a stable fit")
-    if np.any(eps <= 0):
-        raise ValueError("noise levels must be positive")
+    if not np.all((eps > 0) & np.isfinite(eps)):
+        raise ValueError(f"noise levels must be positive and finite, got {eps_list}")
     if exit_domain.kind != "interval":
         raise ValueError("the exit-time harness supports interval domains")
     a, b = exit_domain.a, exit_domain.b
     x_star = _well_minimum(U, a, b)
     u_star = U(x_star)
     v_bar = 2.0 * (min(U(a), U(b)) - u_star)
-    dU = _derivative(U)
+    drift = _drift(U)
     eps_log = np.empty(eps.size)
     stderr = np.empty(eps.size)
     exact = np.empty(eps.size)
     for i, e in enumerate(eps):
-        model = SdeModel.scalar(lambda x: -dU(x), math.sqrt(e))
+        model = SdeModel(1, 1, drift, [[math.sqrt(e)]])
         stats = mc_exit(model, x_star, exit_domain, h=h, n_paths=n_paths,
                         stream=stream.child(i), t_max=t_max)
         if stats.fraction_censored > _MAX_CENSORED:

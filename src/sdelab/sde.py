@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -232,6 +232,11 @@ def _zero_drift(x: np.ndarray) -> np.ndarray:
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
+def _broadcast_dispersion(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The constant ``(n, k)`` dispersion ``g`` at states ``x`` of shape ``(..., n)``."""
+    return np.broadcast_to(g, np.shape(x)[:-1] + g.shape)
+
+
 @dataclass(frozen=True)
 class SdeModel:
     """Drift / dispersion pair defining ``dX = f(X) dt + g(X) dW``.
@@ -244,46 +249,43 @@ class SdeModel:
         Dimension ``k`` of the driving Brownian motion.
     drift : callable
         Maps states of shape ``(..., n)`` to drifts of the same shape.
-    dispersion : callable
-        Maps states of shape ``(..., n)`` to matrices of shape
-        ``(..., n, k)``.
-    potential : callable, optional
-        Present exactly for gradient systems built via :meth:`gradient`,
-        where ``f = -grad U`` and ``g = sqrt(2) * I`` so that the
-        stationary density is proportional to ``exp(-U)``.
-    grad_potential : callable, optional
-        Gradient of ``potential`` (same shape convention as ``drift``).
-    constant_dispersion : ndarray, optional
-        The ``(n, k)`` matrix ``g`` when it does not depend on the state,
-        as for :meth:`brownian`, :meth:`gradient` and :meth:`scalar` with
-        a number dispersion.  The Euler-Maruyama step then uses it
-        directly instead of calling ``dispersion`` on every step; it must
-        agree with ``dispersion``.  It takes no part in equality or
-        hashing.
+    dispersion : callable or array_like
+        Either a callable mapping states of shape ``(..., n)`` to matrices
+        of shape ``(..., n, k)``, or the constant ``(n, k)`` matrix ``g``
+        itself.  A matrix is stored read-only as :attr:`constant_dispersion`
+        (which takes no part in equality or hashing), and ``dispersion``
+        becomes its broadcast over the batch axes.  The Euler-Maruyama step
+        and the exit drivers use a constant ``g`` directly.
+
+    A gradient system ``dX = -grad U dt + sqrt(2) dW`` in ``n`` dimensions
+    is ``SdeModel(n, n, drift, math.sqrt(2) * np.eye(n))``; with this
+    normalisation ``exp(-U) / Z`` is the stationary density, which is what
+    :func:`sdelab.kolmogorov.stationary_density_gradient` computes.
     """
 
     dim_state: int
     dim_noise: int
     drift: DriftFn
-    dispersion: DispersionFn
-    potential: Callable[[np.ndarray], np.ndarray] | None = None
-    grad_potential: DriftFn | None = None
-    constant_dispersion: np.ndarray | None = field(default=None, compare=False,
+    dispersion: DispersionFn | np.ndarray
+    constant_dispersion: np.ndarray | None = field(init=False, compare=False,
                                                    repr=False)
 
     def __post_init__(self) -> None:
-        if self.constant_dispersion is not None:
-            g = np.array(self.constant_dispersion, dtype=float)
+        if self.dim_state < 1 or self.dim_noise < 1:
+            raise ValueError(f"need dim_state and dim_noise >= 1, got "
+                             f"({self.dim_state}, {self.dim_noise})")
+        g = None
+        if not callable(self.dispersion):
+            g = np.array(self.dispersion, dtype=float)
             if g.shape != (self.dim_state, self.dim_noise):
                 raise ValueError(
-                    f"constant_dispersion must have shape ({self.dim_state}, "
+                    f"a constant dispersion must have shape ({self.dim_state}, "
                     f"{self.dim_noise}), got {g.shape}")
+            if not np.isfinite(g).all():
+                raise ValueError(f"a constant dispersion must be finite, got {g.tolist()}")
             g.flags.writeable = False
-            object.__setattr__(self, "constant_dispersion", g)
-
-    @property
-    def is_gradient(self) -> bool:
-        return self.potential is not None
+            object.__setattr__(self, "dispersion", partial(_broadcast_dispersion, g))
+        object.__setattr__(self, "constant_dispersion", g)
 
     def diffusion_matrix(self, x: np.ndarray) -> np.ndarray:
         """``D(x) = g(x) g(x)^T`` with shape ``(..., n, n)``."""
@@ -293,15 +295,8 @@ class SdeModel:
     @classmethod
     def scalar(cls, drift: Callable[[np.ndarray], np.ndarray],
                dispersion: Callable[[np.ndarray], np.ndarray] | float) -> "SdeModel":
-        """One-dimensional model from elementwise scalar callables.
-
-        ``dispersion`` may also be a number, which makes it the model's
-        :attr:`constant_dispersion`.
-        """
-        constant = None
-        if not callable(dispersion):
-            constant = [[float(dispersion)]]
-            dispersion = lambda x, sigma=float(dispersion): sigma
+        """One-dimensional model from elementwise scalar callables; a number
+        ``dispersion`` is the constant matrix ``[[dispersion]]``."""
 
         def f(x: np.ndarray) -> np.ndarray:
             out = np.asarray(drift(x), dtype=float)
@@ -313,42 +308,12 @@ class SdeModel:
             out = np.broadcast_to(np.asarray(dispersion(x), dtype=float), np.shape(x))
             return out[..., np.newaxis]
 
-        return cls(dim_state=1, dim_noise=1, drift=f, dispersion=g,
-                   constant_dispersion=constant)
+        return cls(1, 1, f, g if callable(dispersion) else [[dispersion]])
 
     @classmethod
     def brownian(cls, dim: int = 1) -> "SdeModel":
         """Standard Brownian motion in ``dim`` dimensions."""
-        eye = np.eye(dim)
-
-        def g(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            return np.broadcast_to(eye, x.shape + (dim,)).copy()
-
-        return cls(dim_state=dim, dim_noise=dim, drift=_zero_drift, dispersion=g,
-                   constant_dispersion=eye)
-
-    @classmethod
-    def gradient(cls, potential: Callable[[np.ndarray], np.ndarray],
-                 grad_potential: DriftFn, dim: int = 1) -> "SdeModel":
-        """Gradient system ``dX = -grad U dt + sqrt(2) dW``.
-
-        With this normalisation ``exp(-U) / Z`` is the stationary density,
-        which is what :func:`sdelab.kolmogorov.stationary_density_gradient`
-        computes.
-        """
-        root2_eye = math.sqrt(2.0) * np.eye(dim)
-
-        def f(x: np.ndarray) -> np.ndarray:
-            return -np.asarray(grad_potential(x), dtype=float)
-
-        def g(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            return np.broadcast_to(root2_eye, x.shape + (dim,)).copy()
-
-        return cls(dim_state=dim, dim_noise=dim, drift=f, dispersion=g,
-                   potential=potential, grad_potential=grad_potential,
-                   constant_dispersion=root2_eye)
+        return cls(dim, dim, _zero_drift, np.eye(dim))
 
 
 # ---------------------------------------------------------------------------

@@ -514,8 +514,7 @@ class TestLyapunovReport:
         lv_exact = sympy.lambdify(
             x, -sympy.diff(u, x) ** 2 + sympy.diff(u, x, 2), "numpy")
         grid = Grid1D(-3.0, 3.0, 1200)
-        model = SdeModel.gradient(lambda y: 0.25 * (y**2 - 1) ** 2,
-                                  lambda y: y * (y**2 - 1))
+        model = SdeModel.scalar(lambda y: -(y * (y**2 - 1)), math.sqrt(2.0))
         report = mt_lyapunov_report(model, lambda y: 0.25 * (y**2 - 1) ** 2, grid)
         assert np.allclose(report.generator_values, lv_exact(grid.nodes[1:-1]),
                            rtol=1e-4, atol=1e-4)

@@ -130,9 +130,15 @@ class TestModelSpec:
         spec = ModelSpec.from_mapping(
             {"preset": "gradient", "potential": "x^4/4 - x^2/2"})
         model = spec.build()
-        assert model.is_gradient
         assert model.drift(np.array([2.0]))[0] == pytest.approx(-6.0)
         assert model.diffusion_matrix(np.array([2.0]))[0, 0] == pytest.approx(2.0)
+
+    def test_gradient_build_drift_is_one_compiled_expression(self):
+        # an Euler-Maruyama step then makes one drift call, with no wrappers
+        model = ModelSpec.from_mapping(
+            {"preset": "gradient", "potential": "x^4/4 - x^2/2"}).build()
+        assert isinstance(model.drift, Expression)
+        assert model.drift.source == "-(x^3-x)"
 
     def test_gradient_build_differences_a_variable_exponent(self):
         model = ModelSpec.from_mapping(

@@ -120,6 +120,14 @@ class TestCompiledGoldens:
             assert type(out) is float
             assert out == self.GOLDENS[source][1]
 
+    @pytest.mark.parametrize("source", sorted(GOLDENS))
+    def test_negation_flips_the_sign_bit_for_bit(self, source):
+        e = parse_expression(source)
+        xs = np.random.Generator(np.random.Philox(7)).uniform(0.05, 4.0, 4096)
+        assert np.array_equal((-e)(xs), -(e(xs)))
+        assert (-e)(1.7) == -self.GOLDENS[source][1]
+        assert (-(-e)).root == e.root
+
 
 class TestErrors:
     def test_empty_expression(self):

@@ -79,6 +79,10 @@ class TestDomain:
             Domain.half_space(0.0, side="sideways")
         with pytest.raises(ValueError):
             Domain.ball(1.0, center=(0.0, 0.0), dim=3)
+        with pytest.raises(ValueError, match="finite"):
+            Domain.ball(math.nan)
+        with pytest.raises(ValueError, match="finite"):
+            Domain.half_space(math.nan)
 
     def test_distance_to_the_boundary(self):
         ball = Domain.ball(2.0, center=(1.0, 0.0))
@@ -534,9 +538,7 @@ class TestWindowedExitMatchesPerStepLoop:
     def dense_disk_model():
         g = np.array([[0.6, 0.3, -0.2], [0.1, -0.5, 0.4]])
         return SdeModel(dim_state=2, dim_noise=3,
-                        drift=lambda x: -0.5 * x + np.sin(x[..., ::-1]),
-                        dispersion=lambda x: np.broadcast_to(g, x.shape[:-1] + g.shape),
-                        constant_dispersion=g)
+                        drift=lambda x: -0.5 * x + np.sin(x[..., ::-1]), dispersion=g)
 
     def test_dense_constant_dispersion_in_a_disk(self):
         # 3000 steps span two step blocks and several windows per block
@@ -855,6 +857,8 @@ class TestIntervalExitReference:
                                     0.0, -1.0, 1.0)
         with pytest.raises(ValueError, match="a < x0 < b"):
             interval_exit_reference(SdeModel.brownian(), 1.0, -1.0, 1.0)
+        with pytest.raises(ValueError, match="nonzero dispersion"):
+            interval_exit_reference(SdeModel.scalar(lambda x: -x, 0.0), 0.0, -1.0, 1.0)
 
 
 class TestArcsine:

@@ -346,3 +346,27 @@ def test_only_sde_builds_bit_generators():
     assert set(uses.pop("sde.py")) == {"Philox", "SeedSequence", "bit_generator"}, \
         "the guard no longer sees sde's own uses"
     assert {name: found for name, found in uses.items() if found} == {}
+
+
+def _differentiation_uses(tree: ast.AST) -> list[str]:
+    """Every attribute use, name or import of ``derivative`` or ``_central_differences``."""
+    names = ("derivative", "_central_differences")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            found.append(node.attr)
+        elif isinstance(node, ast.Name) and node.id in names:
+            found.append(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if a.name in names]
+    return found
+
+
+def test_only_largedev_differentiates_potentials():
+    # ``largedev._drift`` is the one rule from a potential to its drift -U';
+    # a second module differentiating would be a second rule with its own bits
+    uses = _package_uses(_differentiation_uses)
+    uses.pop("expr.py")  # defines ``derivative``
+    assert set(uses.pop("largedev.py")) == {"derivative", "_central_differences"}, \
+        "the guard no longer sees largedev's own uses"
+    assert {name: found for name, found in uses.items() if found} == {}

@@ -39,7 +39,7 @@ def ou_model(rate: float = 1.0, noise: float = 1.0) -> SdeModel:
 
 def gradient_quadratic() -> SdeModel:
     # dX = -X dt + sqrt(2) dW, stationary density N(0, 1)
-    return SdeModel.gradient(lambda x: 0.5 * x**2, lambda x: x)
+    return SdeModel.scalar(lambda x: -x, math.sqrt(2.0))
 
 
 def banded_stepping(banded_a, state, n_steps, dt):

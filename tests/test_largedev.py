@@ -1,5 +1,6 @@
 """Tests for rate functionals, action minimization and metastable exit laws."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdelab.expr import parse_expression
+from sdelab.expr import Expression, parse_expression
 from sdelab.firstexit import Domain, mc_exit
 from sdelab.largedev import (
     ActionPath,
+    _drift,
     HamiltonianState,
     action_gradient,
     arrhenius_check,
@@ -454,6 +456,10 @@ class TestArrheniusCheck:
             arrhenius_check(lambda x: 0.5 * x * x, [0.5, 0.25, -0.1],
                             Domain.interval(-1.0, 1.0),
                             stream=GaussianStream(1))
+        with pytest.raises(ValueError, match="positive and finite"):
+            arrhenius_check(lambda x: 0.5 * x * x, [0.5, math.nan, 0.3],
+                            Domain.interval(-1.0, 1.0),
+                            stream=GaussianStream(1))
 
     def test_non_interval_domain_rejected(self):
         with pytest.raises(ValueError, match="interval"):
@@ -491,6 +497,29 @@ class TestEyringKramers:
             * math.exp(2.0 * (U(0.0) - U(-1.0)) / 0.2)
         assert eyring_kramers_time(U, -1.0, 0.0, 0.2) == \
             pytest.approx(expected, rel=1e-6)
+
+    # -U' on 4096 Philox(7) draws from [-2, 2] as one column, recorded from
+    # the negated symbolic or central-difference derivative that ``_drift``
+    # replaced: (SHA-256 of the values, value at 1.7), compared with ``==``
+    DRIFTS = {
+        "x^4/4 - x^2/2": (
+            "0d154f66a470368e351a864defa0fc6da6857db1fd11cc94f789927b283c3937",
+            -3.212999999999999, Expression),
+        "x^2/2 + 2^x/1000": (
+            "b03be88cd1f27b1c553a60f4e03a2b5db775e421071f826cb877ce9be7fcaa4b",
+            -1.7022520418463747, None),
+    }
+
+    @pytest.mark.parametrize("source", sorted(DRIFTS))
+    def test_drift_is_the_negated_derivative_bit_for_bit(self, source):
+        digest, at_1_7, kind = self.DRIFTS[source]
+        drift = _drift(parse_expression(source))
+        assert isinstance(drift, Expression) == (kind is Expression)
+        xs = np.random.Generator(np.random.Philox(7)).uniform(-2.0, 2.0, 4096)
+        out = drift(xs[:, np.newaxis])
+        assert out.shape == (4096, 1)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+        assert drift(np.array([1.7]))[0] == at_1_7
 
     def test_scalar_potentials_are_called_with_scalars(self):
         # U(*x): math.cos rejects arrays, so the fallback must not pass one

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -303,7 +304,7 @@ def test_euler_maruyama_with_zero_dispersion_is_explicit_euler_exactly():
 
 
 def test_constant_dispersion_models_stay_hashable():
-    models = [SdeModel.brownian(2), SdeModel.gradient(np.square, np.negative),
+    models = [SdeModel.brownian(2), SdeModel(1, 1, np.negative, [[math.sqrt(2.0)]]),
               SdeModel.scalar(lambda x: -x, 0.5)]
     for model in models:
         assert hash(model) == hash(model)
@@ -313,14 +314,23 @@ def test_constant_dispersion_models_stay_hashable():
 
 def test_constant_dispersion_agrees_with_the_dispersion_callable():
     x = np.array([[0.3, -1.2], [2.0, 0.5]])
-    for model in (SdeModel.brownian(2), SdeModel.gradient(np.square, np.negative, 2)):
+    for model in (SdeModel.brownian(2), SdeModel(2, 2, np.negative, math.sqrt(2) * np.eye(2))):
         assert np.array_equal(model.dispersion(x),
                               np.broadcast_to(model.constant_dispersion, (2, 2, 2)))
     scalar = SdeModel.scalar(lambda x: -x, 0.5)
     assert np.array_equal(scalar.dispersion(x[:, :1]), np.full((2, 1, 1), 0.5))
     assert not scalar.constant_dispersion.flags.writeable
     with pytest.raises(ValueError, match="shape"):
-        SdeModel(1, 1, np.negative, np.negative, constant_dispersion=np.eye(2))
+        SdeModel(1, 1, np.negative, np.eye(2))
+    with pytest.raises(ValueError, match="finite"):
+        SdeModel.scalar(lambda x: -x, math.nan)
+    with pytest.raises(ValueError, match=">= 1"):
+        SdeModel.brownian(0)
+
+
+def test_a_model_states_each_coefficient_once():
+    assert [f.name for f in dataclasses.fields(SdeModel) if f.init] == \
+        ["dim_state", "dim_noise", "drift", "dispersion"]
 
 
 def test_number_dispersion_steps_bit_identically_to_a_constant_callable():
@@ -419,9 +429,7 @@ DENSE_G = np.array([[0.6, 0.3], [-0.2, 0.5]])
 
 @pytest.mark.parametrize("model, x0", [
     (SdeModel.scalar(lambda x: 0.05 * x, lambda x: 0.4 * x), 1.0),
-    (SdeModel(2, 2, lambda x: -0.5 * x + np.sin(x[..., ::-1]),
-              lambda x: np.broadcast_to(DENSE_G, x.shape[:-1] + (2, 2)),
-              constant_dispersion=DENSE_G), [0.2, -0.1]),
+    (SdeModel(2, 2, lambda x: -0.5 * x + np.sin(x[..., ::-1]), DENSE_G), [0.2, -0.1]),
     (SdeModel.brownian(2), [0.0, 1.0]),
 ], ids=["gbm", "dense-constant", "brownian-2d"])
 def test_windowed_ensemble_equals_the_per_step_loop(model, x0):
