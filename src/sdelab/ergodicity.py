@@ -162,31 +162,27 @@ def discretize_kernel(model: SdeModel, grid: Grid1D, t_step: float, *,
     if t_step <= 0:
         raise ValueError("t_step must be positive")
     dt = t_step / 500 if dt is None else dt
+    # non-negative: the backward solver clips data that starts non-negative
     k = solve_backward_kolmogorov(model, np.eye(grid.n_nodes), grid,
                                   t_end=t_step, dt=dt, bc=bc)
-    if bc == "dirichlet_zero":
+    absorbing = bc == "dirichlet_zero"
+    if absorbing:
         # Absorbed mass never returns, so the boundary columns are
         # identically zero; the kernel lives on the interior nodes.
         if grid.n_cells < 4:
             raise ValueError("need at least 4 cells for an absorbing kernel")
-        inner = Grid1D(grid.x_min + grid.dx, grid.x_max - grid.dx,
-                       grid.n_cells - 2)
-        k = np.clip(k[1:-1, 1:-1], 0.0, None)
-        sums = k.sum(axis=1)
-        if np.any(sums <= 0):
-            raise ValueError("a kernel row received no mass; refine the discretization")
-        k = np.where(sums[:, None] > 1.0, k / sums[:, None], k)
-        return DiscreteKernel(k, inner, substochastic=True, t_step=t_step,
-                              row_leakage=1.0 - k.sum(axis=1))
-
-    k = np.clip(k, 0.0, None)
+        grid = Grid1D(grid.x_min + grid.dx, grid.x_max - grid.dx,
+                      grid.n_cells - 2)
+        k = k[1:-1, 1:-1]
     sums = k.sum(axis=1)
     if np.any(sums <= 0):
         raise ValueError("a kernel row received no mass; refine the discretization")
-    leakage = 1.0 - sums
-    k = k / sums[:, None]
-    return DiscreteKernel(k, grid, substochastic=False, t_step=t_step,
-                          row_leakage=leakage)
+    if absorbing:
+        k = np.where(sums[:, None] > 1.0, k / sums[:, None], k)
+        return DiscreteKernel(k, grid, substochastic=True, t_step=t_step,
+                              row_leakage=1.0 - k.sum(axis=1))
+    return DiscreteKernel(k / sums[:, None], grid, substochastic=False,
+                          t_step=t_step, row_leakage=1.0 - sums)
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,13 @@ def _resolve_model(experiment: Experiment,
     return spec
 
 
+def _check_seed(seed: int | None, source: str | None = None) -> None:
+    """Reject a seed that numpy's generators cannot take."""
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}",
+                          source=source)
+
+
 def execute(name: str, *, parameters: Mapping[str, object] | None = None,
             model: "ModelSpec | Mapping[str, object] | None" = None,
             seed: int | None = None, threads: int = 1) -> ExperimentOutcome:
@@ -408,6 +415,7 @@ def execute(name: str, *, parameters: Mapping[str, object] | None = None,
     spec = _resolve_model(experiment, model)
     if threads < 1:
         raise ConfigError("threads must be at least 1")
+    _check_seed(seed)
     stream = GaussianStream(experiment.default_seed if seed is None else seed)
     return experiment.runner(_Run(params, spec, stream, threads))
 
@@ -496,6 +504,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         except ValueError:
             raise ConfigError(f"seed must be an integer, got {raw!r}",
                               source=source) from None
+        _check_seed(seed, source)
     out_root = Path(str(head.pop("out"))).expanduser() if "out" in head else None
     if head:
         raise ConfigError(

@@ -28,7 +28,6 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -60,13 +59,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Domain:
-    """Open subset of R^n with a vectorised membership test.
+    """Open subset of R^n with a vectorised distance to its boundary.
 
-    Construct through the classmethods :meth:`ball`, :meth:`interval`,
-    :meth:`half_space` or :meth:`predicate`.  Points on the boundary count
-    as outside, matching the convention that the first-exit time is the
-    first entry into the closed complement.  A point with a non-finite
-    coordinate is never inside, so a blown-up path leaves the domain.
+    Construct through the classmethods :meth:`ball`, :meth:`interval` or
+    :meth:`half_space`.  Points on the boundary count as outside, matching
+    the convention that the first-exit time is the first entry into the
+    closed complement.  A point with a non-finite coordinate is never
+    inside, so a blown-up path leaves the domain.
     """
 
     kind: str
@@ -77,7 +76,6 @@ class Domain:
     level: float | None = None
     axis: int = 0
     side: str = "below"
-    membership: Callable[[np.ndarray], np.ndarray] | None = None
 
     @classmethod
     def ball(cls, radius: float, center=None, *, dim: int | None = None) -> "Domain":
@@ -92,6 +90,8 @@ class Domain:
 
     @classmethod
     def interval(cls, a: float, b: float) -> "Domain":
+        """The open interval ``(a, b)``; either end may be infinite, and
+        ``Domain.interval(-inf, inf)`` is the whole line of finite points."""
         if not a < b:
             raise ValueError(f"need a < b, got ({a}, {b})")
         return cls(kind="interval", a=float(a), b=float(b))
@@ -104,11 +104,6 @@ class Domain:
             raise ValueError(f"half-space level must be finite, got {level}")
         return cls(kind="half_space", level=float(level), axis=axis, side=side)
 
-    @classmethod
-    def predicate(cls, membership: Callable[[np.ndarray], np.ndarray]) -> "Domain":
-        """Domain given by a membership test acting on ``(..., n)`` batches."""
-        return cls(kind="predicate", membership=membership)
-
     @property
     def dim(self) -> int | None:
         if self.kind == "ball":
@@ -118,33 +113,27 @@ class Domain:
         return None
 
     def contains(self, x) -> np.ndarray:
-        if self.kind != "predicate":
-            return self.distance(x) > 0.0
-        x = np.asarray(x, dtype=float)
-        inside = np.asarray(self.membership(x), dtype=bool)
-        return inside & np.isfinite(x).all(axis=-1)
+        return self.distance(x) > 0.0
 
     def distance(self, x) -> np.ndarray:
         """Distance from each point to the boundary: positive exactly inside.
 
-        Balls, intervals and half-spaces only (an interval's distance is
-        to its nearer endpoint); a point with a non-finite coordinate gets
-        a distance that is not positive.
+        An interval's distance is to its nearer endpoint; a point with a
+        non-finite coordinate gets a distance that is not positive.
         """
         x = np.asarray(x, dtype=float)
         if self.kind == "ball":
             return self.radius - np.linalg.norm(x - self.center, axis=-1)
         if self.kind == "interval":
             xi = x[..., 0]
-            return np.minimum(xi - self.a, self.b - xi)
-        if self.kind == "half_space":
-            xi = x[..., self.axis]
-            d = self.level - xi if self.side == "below" else xi - self.level
-            return np.where(np.isfinite(x).all(axis=-1), d, np.nan)
-        raise ValueError("a predicate domain has no distance to its boundary")
+            with np.errstate(invalid="ignore"):  # inf - inf at an infinite end
+                return np.minimum(xi - self.a, self.b - xi)
+        xi = x[..., self.axis]
+        d = self.level - xi if self.side == "below" else xi - self.level
+        return np.where(np.isfinite(x).all(axis=-1), d, np.nan)
 
     def _nearest_boundary_point(self, x: np.ndarray) -> np.ndarray:
-        """The boundary point nearest each row of ``x`` (non-predicate kinds)."""
+        """The boundary point nearest each row of ``x``."""
         if self.kind == "ball":
             rel = x - self.center
             norm = np.linalg.norm(rel, axis=1, keepdims=True)
@@ -159,9 +148,7 @@ class Domain:
     def exit_fraction(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Fraction lambda of the segment p -> q at which the boundary is hit.
 
-        ``p`` must be inside and ``q`` outside (row-wise).  Exact for
-        balls, intervals and half-spaces; 48 bisection rounds for
-        predicate domains.
+        ``p`` must be inside and ``q`` outside (row-wise).
         """
         p = np.atleast_2d(np.asarray(p, dtype=float))
         q = np.atleast_2d(np.asarray(q, dtype=float))
@@ -181,17 +168,8 @@ class Domain:
             for cand in (lam_left, lam_right):
                 ok = np.isfinite(cand) & (cand >= 0.0)
                 lam = np.where(ok & (cand < lam), cand, lam)
-        elif self.kind == "half_space":
-            lam = (self.level - p[:, self.axis]) / d[:, self.axis]
         else:
-            lo = np.zeros(p.shape[0])
-            hi = np.ones(p.shape[0])
-            for _ in range(48):
-                mid = 0.5 * (lo + hi)
-                inside = self.contains(p + mid[:, np.newaxis] * d)
-                lo = np.where(inside, mid, lo)
-                hi = np.where(inside, hi, mid)
-            lam = 0.5 * (lo + hi)
+            lam = (self.level - p[:, self.axis]) / d[:, self.axis]
         return np.clip(lam, 0.0, 1.0)
 
     def boundary_parameter(self, points: np.ndarray) -> np.ndarray | None:
@@ -336,7 +314,7 @@ def _normal_variance(domain: Domain, diffusion: np.ndarray, x: np.ndarray):
 
 
 def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
-            stream: GaussianStream, t_max: float | None = None,
+            stream: GaussianStream, t_max: float,
             threads: int = 1) -> ExitStatistics:
     """Monte Carlo first-exit statistics for ``model`` started at ``x0``.
 
@@ -355,11 +333,10 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
     per path and step: that probability, with any below ``e^-40`` taken as
     zero, and no ``exp`` of a mostly underflowing exponent.  A killed path
     exits at ``(k + 1/2) h`` in its step ``k``, at the boundary point
-    nearest the step's end node.  Predicate domains and models without
-    ``constant_dispersion`` keep node-only detection.
+    nearest the step's end node.  Models without ``constant_dispersion``
+    keep node-only detection.
 
-    Only paths inside at a window's start are stepped.  ``t_max`` defaults
-    to 50 times a pilot estimate of the mean exit time; paths still inside
+    Only paths inside at a window's start are stepped.  Paths still inside
     at ``t_max`` are censored.  A run where nothing exits is flagged
     invalid rather than averaged.  A non-finite state is never inside a
     domain, so blow-up is detected among the rows that exit at a step and
@@ -398,19 +375,11 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
     _check_sampling(n_paths, h, t_max)
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    if t_max is None:
-        pilot = mc_exit(model, x0, domain, h=h, n_paths=64,
-                        stream=stream.child(1), t_max=10_000 * h)
-        if not pilot.valid:
-            raise RuntimeError(
-                "pilot run produced no exits within 10^4 steps; pass t_max explicitly"
-            )
-        t_max = 50.0 * pilot.mean_time
 
     n_steps = max(1, math.ceil(t_max / h))
     noise = stream.child(0)
     g = model.constant_dispersion
-    bridge = domain.kind != "predicate" and g is not None
+    bridge = g is not None
     diffusion = g @ g.T if bridge else None
     sqrt_h = math.sqrt(h)
     exit_time = np.full(n_paths, np.nan)

@@ -17,7 +17,6 @@ independent cross-checks of the PDE routes.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -56,15 +55,10 @@ class BoundaryCondition(str, Enum):
     ``neumann_zero``
         Reflecting: zero derivative (backward equation) respectively zero
         probability flux (Fokker-Planck), which conserves mass exactly.
-    ``natural``
-        Copy-out extrapolation; mass may leave through the edges, and a
-        warning is emitted when more than 1e-4 of it sits within five grid
-        spacings of an edge.
     """
 
     DIRICHLET_ZERO = "dirichlet_zero"
     NEUMANN_ZERO = "neumann_zero"
-    NATURAL = "natural"
 
 
 @dataclass(frozen=True)
@@ -76,6 +70,9 @@ class Grid1D:
     n_cells: int
 
     def __post_init__(self) -> None:
+        for name in ("x_min", "x_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.x_max > self.x_min:
             raise ValueError(f"need x_max > x_min, got [{self.x_min}, {self.x_max}]")
         if self.n_cells < 2:
@@ -202,17 +199,12 @@ def _backward_operator(model: SdeModel, grid: Grid1D,
         diag[0] = diag[-1] = 0.0
         upper[1] = 0.0   # row 0 entry
         lower[-2] = 0.0  # row n-1 entry
-    elif bc is BoundaryCondition.NEUMANN_ZERO:
+    else:
         # ghost reflection u[-1] = u[1]: u' = 0, u'' = 2(u1 - u0)/dx^2
         diag[0] = -d[0] / dx**2
         upper[1] = d[0] / dx**2
         diag[-1] = -d[-1] / dx**2
         lower[-2] = d[-1] / dx**2
-    else:  # natural: copy-out ghost u[-1] = u[0]
-        diag[0] = -f[0] / (2 * dx) - d[0] / (2 * dx**2)
-        upper[1] = f[0] / (2 * dx) + d[0] / (2 * dx**2)
-        diag[-1] = f[-1] / (2 * dx) - d[-1] / (2 * dx**2)
-        lower[-2] = -f[-1] / (2 * dx) + d[-1] / (2 * dx**2)
     return np.vstack([upper, diag, lower])
 
 
@@ -240,16 +232,11 @@ def _adjoint_operator(model: SdeModel, grid: Grid1D,
     if bc is BoundaryCondition.DIRICHLET_ZERO:
         diag[0] = diag[-1] = 0.0
         upper[1] = lower[-2] = 0.0
-    elif bc is BoundaryCondition.NEUMANN_ZERO:
+    else:
         # no flux through the outer faces
         diag[0] = -(f[0] / 2 + d[0] / (2 * dx)) / dx
         upper[1] = -(f[1] / 2 - d[1] / (2 * dx)) / dx
         diag[-1] = (f[-1] / 2 - d[-1] / (2 * dx)) / dx
-        lower[-2] = (f[-2] / 2 + d[-2] / (2 * dx)) / dx
-    else:  # natural: drift-driven outflow through the edge faces
-        diag[0] = -(f[0] / 2 + d[0] / (2 * dx)) / dx - max(-f[0], 0.0) / dx
-        upper[1] = -(f[1] / 2 - d[1] / (2 * dx)) / dx
-        diag[-1] = (f[-1] / 2 - d[-1] / (2 * dx)) / dx - max(f[-1], 0.0) / dx
         lower[-2] = (f[-2] / 2 + d[-2] / (2 * dx)) / dx
     return np.vstack([upper, diag, lower])
 
@@ -356,8 +343,6 @@ def solve_fokker_planck(model: SdeModel, rho0: DensityField, t_end: float,
 
     Uses the conservative flux discretisation, so with reflecting
     (``neumann_zero``) boundaries ``sum rho dx`` is conserved to rounding.
-    With ``natural`` boundaries a warning reports when more than ``1e-4``
-    of the mass sits within five spacings of an edge.
     """
     bc = _resolve_bc(bc)
     if t_end <= 0 or dt <= 0:
@@ -373,22 +358,7 @@ def solve_fokker_planck(model: SdeModel, rho0: DensityField, t_end: float,
     if bc is BoundaryCondition.DIRICHLET_ZERO:
         rho[0] = rho[-1] = 0.0
     rho = np.clip(rho, 0.0, None)
-    out = DensityField(grid, rho, rho0.time + t_end)
-    if bc is BoundaryCondition.NATURAL:
-        _warn_on_boundary_mass(out)
-    return out
-
-
-def _warn_on_boundary_mass(field: DensityField, band: int = 5,
-                           threshold: float = 1e-4) -> None:
-    dx = field.grid.dx
-    edge = float(np.sum(field.values[:band + 1]) + np.sum(field.values[-band - 1:])) * dx
-    if edge > threshold:
-        warnings.warn(
-            f"{edge:.2e} of the probability mass lies within {band} grid spacings "
-            "of the domain edge; natural boundaries are leaking",
-            stacklevel=3,
-        )
+    return DensityField(grid, rho, rho0.time + t_end)
 
 
 def delta_field(grid: Grid1D, center: float, width: float | None = None) -> DensityField:

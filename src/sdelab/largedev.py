@@ -394,8 +394,7 @@ def _action_value(model: SdeModel, values: np.ndarray, dt: float) -> float:
 
 
 def minimize_action(model: SdeModel, x0, y, T: float, n_steps: int,
-                    init: str = "line", *, tol: float = 1e-8,
-                    max_iter: int = 500,
+                    *, tol: float = 1e-8, max_iter: int = 500,
                     init_values: np.ndarray | None = None) -> ActionPath:
     """Minimize the discretized action between fixed endpoints.
 
@@ -407,9 +406,8 @@ def minimize_action(model: SdeModel, x0, y, T: float, n_steps: int,
     hitting ``max_iter`` first, the best iterate is returned with
     ``converged=False``.
 
-    ``init_values`` overrides the initial guess (used for warm starts);
-    otherwise ``init`` selects the straight line or the zero-cost flow
-    line bent onto the far endpoint.
+    The initial guess is the straight line between the endpoints, unless
+    ``init_values`` gives one (used for warm starts).
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -425,14 +423,8 @@ def minimize_action(model: SdeModel, x0, y, T: float, n_steps: int,
         if values.shape != (grid.n_nodes, x0.size):
             raise ValueError("init_values does not match the grid")
         values[0], values[-1] = x0, y
-    elif init == "line":
-        values = ActionPath.line(x0, y, grid).values.copy()
-    elif init == "ode":
-        # the zero-cost flow line from x0, its tail bent onto y
-        values = _rk4(model.drift, x0, grid)
-        values += (grid.nodes / T)[:, None] * (y - values[-1])[None, :]
     else:
-        raise ValueError(f"init must be 'line' or 'ode', got {init!r}")
+        values = ActionPath.line(x0, y, grid).values.copy()
 
     dt = grid.dt
     # mean diffusion scale for the Laplacian preconditioner
@@ -574,16 +566,17 @@ def _well_minimum(U: Callable, a: float, b: float) -> float:
 
 def arrhenius_check(U: Callable, eps_list: Sequence[float], exit_domain: Domain,
                     *, n_paths: int = 1000, h: float = 2e-3,
-                    stream: GaussianStream, t_max: float | None = None) -> ArrheniusFit:
+                    stream: GaussianStream, t_max: float) -> ArrheniusFit:
     """Fit the small-noise exit-time law ``E[tau] ~ exp(v_bar / eps)``.
 
     Runs Monte Carlo first exits of ``dX = -U'(X) dt + sqrt(eps) dW`` from
     the bottom of the well for every noise level, then fits a line to
     ``eps log E[tau]`` versus ``eps``: the intercept estimates the
     activation energy and is reported next to the theoretical
-    ``v_bar = 2 min_boundary [U - U(bottom)]``.  Runs dominated by
-    censoring (over ``_MAX_CENSORED`` of the paths) are rejected rather
-    than silently biasing the fit.
+    ``v_bar = 2 min_boundary [U - U(bottom)]``.  Paths still inside at
+    ``t_max`` are censored, and runs dominated by censoring (over
+    ``_MAX_CENSORED`` of the paths) are rejected rather than silently
+    biasing the fit.
     """
     eps = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     if eps.size < 3:

@@ -93,6 +93,9 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
+        for name in ("t0", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.t_end > self.t0:
             raise ValueError(f"need t_end > t0, got [{self.t0}, {self.t_end}]")
         if self.n_steps < 1:

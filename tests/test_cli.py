@@ -117,6 +117,16 @@ class TestRun:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_negative_seed_exits_two_naming_the_file(self, tmp_path, capsys):
+        config = tmp_path / "bad.ini"
+        config.write_text("[experiment]\nname = arcsine-law\nseed = -2\n",
+                          encoding="utf-8")
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert (f"{config}: seed must be a non-negative integer, got -2"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_parse_error_exits_two_with_position(self, tmp_path, capsys):
         config = tmp_path / "bad.ini"
         config.write_text("[experiment\nname = arcsine-law\n", encoding="utf-8")

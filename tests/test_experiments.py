@@ -201,6 +201,11 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="threads"):
             execute("exit-ball-2d", threads=0)
 
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ConfigError,
+                           match="^seed must be a non-negative integer, got -2$"):
+            execute("exit-ball-2d", seed=-2)
+
 
 class TestConfigParsing:
     INI = """

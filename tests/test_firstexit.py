@@ -60,15 +60,13 @@ class TestDomain:
 
     def test_non_finite_points_are_outside_every_domain(self):
         bad = np.array([[np.nan, 0.0], [-np.inf, 0.0], [0.0, np.inf], [0.0, 0.0]])
-        domains = [Domain.ball(1.0, dim=2), Domain.half_space(1.0, side="below"),
-                   Domain.predicate(lambda x: np.ones(x.shape[:-1], dtype=bool))]
-        for domain in domains:
+        for domain in (Domain.ball(1.0, dim=2), Domain.half_space(1.0, side="below")):
             np.testing.assert_array_equal(domain.contains(bad),
                                           [False, False, False, True])
-        box = Domain.interval(-1.0, 1.0)
-        np.testing.assert_array_equal(
-            box.contains(np.array([[np.nan], [np.inf], [-np.inf], [0.0]])),
-            [False, False, False, True])
+        for box in (Domain.interval(-1.0, 1.0), Domain.interval(-math.inf, math.inf)):
+            np.testing.assert_array_equal(
+                box.contains(np.array([[np.nan], [np.inf], [-np.inf], [0.0]])),
+                [False, False, False, True])
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -94,8 +92,6 @@ class TestDomain:
         above = Domain.half_space(1.0, axis=1, side="above")
         np.testing.assert_array_equal(above.distance(np.array([[9.0, 3.0], [0.0, 0.5]])),
                                       [2.0, -0.5])
-        with pytest.raises(ValueError, match="predicate"):
-            Domain.predicate(lambda x: x[..., 0] > 0).distance(np.zeros((1, 1)))
 
     def test_membership_by_distance_matches_the_direct_comparisons(self):
         rng = np.random.default_rng(12)
@@ -148,15 +144,6 @@ class TestDomain:
         pts = p + lam[:, None] * (q - p)
         radii = np.linalg.norm(pts - ball.center, axis=1)
         np.testing.assert_allclose(radii, 1.5, atol=1e-12)
-
-    def test_predicate_bisection_matches_analytic_ball(self):
-        analytic = Domain.ball(1.0, dim=2)
-        implicit = Domain.predicate(lambda x: np.linalg.norm(x, axis=-1) < 1.0)
-        p = np.array([[0.2, 0.1], [-0.4, 0.3], [0.0, 0.0]])
-        q = np.array([[2.0, 0.5], [-1.5, 1.2], [0.0, -3.0]])
-        np.testing.assert_allclose(
-            implicit.exit_fraction(p, q), analytic.exit_fraction(p, q), atol=1e-9
-        )
 
     def test_interval_exit_fraction_picks_first_crossing(self):
         box = Domain.interval(-1.0, 1.0)
@@ -238,12 +225,13 @@ class TestMcExit:
     def test_rejects_outside_start_and_bad_step(self):
         model = SdeModel.brownian()
         box = Domain.interval(-1.0, 1.0)
+        kwargs = dict(n_paths=8, stream=GaussianStream(1), t_max=1.0)
         with pytest.raises(ValueError):
-            mc_exit(model, 1.5, box, h=1e-2, n_paths=8, stream=GaussianStream(1))
+            mc_exit(model, 1.5, box, h=1e-2, **kwargs)
         with pytest.raises(ValueError):
-            mc_exit(model, 0.0, box, h=-1e-2, n_paths=8, stream=GaussianStream(1))
+            mc_exit(model, 0.0, box, h=-1e-2, **kwargs)
         with pytest.raises(ValueError):
-            mc_exit(model, np.zeros(2), box, h=1e-2, n_paths=8, stream=GaussianStream(1))
+            mc_exit(model, np.zeros(2), box, h=1e-2, **kwargs)
 
     def test_rejects_a_run_without_paths(self):
         # an empty run has no censored fraction to report
@@ -336,7 +324,7 @@ class TestMcExit:
         # step_index recorded when every active row was checked on every
         # step: blow-up must surface at the same step among the exiting rows
         cubic = SdeModel.scalar(lambda x: x**3, lambda x: 0.1)
-        whole_line = Domain.predicate(lambda x: np.ones(x.shape[:-1], dtype=bool))
+        whole_line = Domain.interval(-math.inf, math.inf)
         for domain in (whole_line, Domain.interval(-1e300, 1e300)):
             with pytest.raises(BlowUpError) as excinfo:
                 mc_exit(cubic, 2.0, domain, h=0.1, n_paths=4,
@@ -347,18 +335,6 @@ class TestMcExit:
         with pytest.raises(ValueError, match="2-dimensional model"):
             mc_exit(SdeModel.brownian(2), [0.0, 0.0], Domain.interval(-1.0, 1.0),
                     h=1e-2, n_paths=4, stream=GaussianStream(8330), t_max=1.0)
-
-    def test_pilot_run_sets_generous_horizon(self):
-        stats = mc_exit(SdeModel.brownian(), 0.0, Domain.interval(-1.0, 1.0),
-                        h=2e-3, n_paths=500, stream=GaussianStream(8331))
-        assert 10.0 < stats.t_max < 200.0
-        assert stats.fraction_censored < 1e-3
-
-    def test_pilot_failure_raises(self):
-        with pytest.warns(UserWarning, match="censored"):
-            with pytest.raises(RuntimeError, match="pilot"):
-                mc_exit(SdeModel.brownian(), 0.0, Domain.interval(-1e6, 1e6),
-                        h=1e-3, n_paths=16, stream=GaussianStream(8332))
 
     def test_runs_are_reproducible(self):
         a = mc_exit(SdeModel.brownian(), 0.0, Domain.interval(-1.0, 1.0),
@@ -437,7 +413,7 @@ class TestMcExit:
 
     def test_earliest_blow_up_over_all_shards_is_raised(self):
         cubic = SdeModel.scalar(lambda x: x**3, lambda x: 0.5)
-        whole_line = Domain.predicate(lambda x: np.ones(x.shape[:-1], dtype=bool))
+        whole_line = Domain.interval(-math.inf, math.inf)
 
         def blow_up_step(n_paths, threads=1):
             with pytest.raises(BlowUpError) as excinfo:
@@ -460,8 +436,8 @@ def per_step_exit(model, x0, domain, *, h, n_paths, stream, t_max):
     ``p`` takes its Gaussians from counter ``(0, p, c, 0)`` under the key of
     ``stream.child(0)``, and the bridge's exponentials from counter
     ``(0, p, c, 1)``.  It keeps stepping paths after they exit.  Where the
-    domain has a distance and the model a constant dispersion, a path with
-    both nodes of a step inside is killed in that step when
+    model has a constant dispersion, a path with both nodes of a step
+    inside is killed in that step when
     ``d0 d1 < min(E, cap) s2 h / 2``, for its standard exponential ``E``
     and ``cap = _KILL_CAP``: probability ``exp(-2 d0 d1 / (s2 h))``, or 0
     below ``exp(-cap)``.  Returns exit times, exit points, per path whether
@@ -475,7 +451,7 @@ def per_step_exit(model, x0, domain, *, h, n_paths, stream, t_max):
         return np.random.Generator(np.random.Philox(key=key, counter=(0, path, block, kind)))
 
     g = model.constant_dispersion
-    bridge = domain.kind != "predicate" and g is not None
+    bridge = g is not None
     rows = np.arange(n_paths)
     x = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
     times = np.full(n_paths, np.nan)
@@ -599,15 +575,16 @@ class TestWindowedExitMatchesPerStepLoop:
         assert {len(shape) for shape in shapes} == {2}
 
     def test_first_exit_is_kept_when_a_path_comes_back_inside(self):
-        box = Domain.predicate(lambda x: np.abs(x[..., 0]) < 1.0)
+        # a callable dispersion keeps node-only detection: no path is killed
+        brownian = SdeModel.scalar(lambda x: 0.0 * x, lambda x: 1.0)
         n_paths, n_steps = 16, 1000
         # with this few paths each window is a whole step block
         assert _WINDOW_ROW_STEPS // n_paths >= _STEP_BLOCK
         killed, returned = self.assert_same_exits(
-            SdeModel.brownian(), 0.0, box, h=1e-2, n_paths=n_paths,
+            brownian, 0.0, Domain.interval(-1.0, 1.0), h=1e-2, n_paths=n_paths,
             stream=GaussianStream(8342), t_max=n_steps * 1e-2)
         assert returned.any()
-        assert not killed.any()  # a predicate domain has no distance
+        assert not killed.any()
 
 
 class TestRadialHitting:

@@ -9,7 +9,8 @@ of a run artifact.  The same kind of ``ast`` guard keeps the thread pool
 in ``firstexit``, home of the only Monte Carlo exit routine, the
 tridiagonal factorisation in ``kolmogorov``, home of the only implicit
 time stepper, and the pieces of the Euler-Maruyama update in ``sde``,
-home of the only Euler-Maruyama loop.
+home of the only Euler-Maruyama loop.  Another keeps ``assert`` out of the
+package, since ``python -O`` skips it.
 """
 
 import ast
@@ -369,4 +370,19 @@ def test_only_largedev_differentiates_potentials():
     uses.pop("expr.py")  # defines ``derivative``
     assert set(uses.pop("largedev.py")) == {"derivative", "_central_differences"}, \
         "the guard no longer sees largedev's own uses"
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def _assert_lines(tree: ast.AST) -> list[int]:
+    """The line of every ``assert`` statement in a module."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_no_module_asserts():
+    # ``python -O`` strips ``assert``, and a soundness check must still run
+    # there: the package raises instead
+    assert _assert_lines(ast.parse("x = 1\nassert x\n")) == [2], \
+        "the guard no longer sees an assert"
+    uses = _package_uses(_assert_lines)
+    assert len(uses) > 1
     assert {name: found for name, found in uses.items() if found} == {}

@@ -65,6 +65,13 @@ class TestGridAndField:
         with pytest.raises(ValueError):
             Grid1D(0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("ends, name", [((0.0, math.inf), "x_max"),
+                                             ((-math.inf, 0.0), "x_min"),
+                                             ((math.nan, 1.0), "x_min")])
+    def test_grid_rejects_a_non_finite_end(self, ends, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            Grid1D(*ends, 4)
+
     def test_field_validates_shape_and_sign(self):
         grid = Grid1D(0.0, 1.0, 4)
         with pytest.raises(ValueError):
@@ -217,7 +224,7 @@ class TestBackwardSolver:
             solve_backward_kolmogorov(ou_model(), np.ones(3), grid, 1.0, 0.1)
 
 
-BOUNDARIES = ["neumann_zero", "natural", "dirichlet_zero"]
+BOUNDARIES = ["neumann_zero", "dirichlet_zero"]
 
 
 class TestOneFactorisation:
@@ -359,14 +366,6 @@ class TestFokkerPlanck:
         )
         exact = reflected_bm_density(grid.nodes, 0.5, barrier)
         assert np.trapezoid(np.abs(evolved.values - exact), grid.nodes) < 0.02
-
-    def test_natural_boundary_warns_when_mass_reaches_edge(self):
-        # Outward drift dX = +X dt + dW pushes everything to the edges.
-        grid = Grid1D(-2.0, 2.0, 100)
-        start = delta_field(grid, 0.0, width=0.5)
-        pushy = SdeModel.scalar(lambda x: x, lambda x: 1.0)
-        with pytest.warns(UserWarning, match="natural boundaries"):
-            solve_fokker_planck(pushy, start, t_end=2.0, dt=0.02, bc="natural")
 
 
 class TestClosedFormDensities:

@@ -327,16 +327,6 @@ class TestMinimizeAction:
         grad = action_gradient(ou_model(), path)
         assert np.max(np.abs(grad)) < 1e-8
 
-    def test_ode_init_accepted(self):
-        path = minimize_action(double_well_model(), -1.0, 0.0, 3.0, 400,
-                               init="ode")
-        assert path.converged
-        assert path.action == pytest.approx(0.5218, abs=2e-3)
-
-    def test_unknown_init_rejected(self):
-        with pytest.raises(ValueError, match="init"):
-            minimize_action(ou_model(), 0.0, 1.0, 1.0, 100, init="guess")
-
     def test_warm_start_shape_checked(self):
         with pytest.raises(ValueError, match="grid"):
             minimize_action(ou_model(), 0.0, 1.0, 1.0, 100,
@@ -449,23 +439,23 @@ class TestArrheniusCheck:
         with pytest.raises(ValueError, match="three"):
             arrhenius_check(lambda x: 0.5 * x * x, [0.25],
                             Domain.interval(-1.0, 1.0),
-                            stream=GaussianStream(1))
+                            stream=GaussianStream(1), t_max=1.0)
 
     def test_non_positive_noise_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             arrhenius_check(lambda x: 0.5 * x * x, [0.5, 0.25, -0.1],
                             Domain.interval(-1.0, 1.0),
-                            stream=GaussianStream(1))
+                            stream=GaussianStream(1), t_max=1.0)
         with pytest.raises(ValueError, match="positive and finite"):
             arrhenius_check(lambda x: 0.5 * x * x, [0.5, math.nan, 0.3],
                             Domain.interval(-1.0, 1.0),
-                            stream=GaussianStream(1))
+                            stream=GaussianStream(1), t_max=1.0)
 
     def test_non_interval_domain_rejected(self):
         with pytest.raises(ValueError, match="interval"):
             arrhenius_check(lambda x: 0.5 * x * x, [0.5, 0.35, 0.25],
                             Domain.ball(1.0, dim=1),
-                            stream=GaussianStream(1))
+                            stream=GaussianStream(1), t_max=1.0)
 
     def test_censored_runs_rejected(self):
         with pytest.raises(RuntimeError, match="censored"):

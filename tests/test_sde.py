@@ -71,6 +71,14 @@ def test_grid_rejects_degenerate_intervals_and_step_counts():
         TimeGrid(0.0, 1.0, 0)
 
 
+@pytest.mark.parametrize("ends, name", [((0.0, math.inf), "t_end"),
+                                         ((-math.inf, 0.0), "t0"),
+                                         ((math.nan, 1.0), "t0")])
+def test_grid_rejects_a_non_finite_end(ends, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        TimeGrid(*ends, 4)
+
+
 def test_grid_refinement_doubles_steps_and_rejects_negative_levels():
     grid = TimeGrid(0.0, 1.0, 8)
     assert grid.refined(2).n_steps == 32
