@@ -18,7 +18,10 @@ accepted as an alternative)::
 
 Unknown sections, keys, and parameters are rejected against the
 per-experiment schema; model presets (``bm``, ``ou``, ``gbm``,
-``gradient`` with a potential expression) are validated the same way.
+``gradient`` with a potential expression) are checked by the same
+:class:`ParameterSpec` rules.  A configuration is checked once, when its
+:class:`ExperimentConfig` or :class:`ModelSpec` is built, so a
+``ModelSpec`` built in Python hashes like its config-file spelling.
 :func:`run` drives an experiment from a config file, :func:`execute`
 runs one in-process, and :func:`emit_plot_data` reshapes a finished run
 directory into plot-ready CSVs.
@@ -33,7 +36,7 @@ import json
 import math
 import os
 import platform
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Mapping
@@ -130,7 +133,7 @@ class ParameterSpec:
     """One schema entry: name, type, default, and an optional lower bound."""
 
     name: str
-    kind: str  # "int" | "float" | "floats" | "potential" | "str"
+    kind: str  # "int" | "float" | "floats" | "potential"
     default: object
     help: str
     minimum: float | None = None
@@ -141,6 +144,9 @@ class ParameterSpec:
             value = self._convert(raw)
             if self.kind in ("float", "floats") and not np.all(np.isfinite(value)):
                 raise ValueError(f"expected a finite number, got {value!r}")
+        except ExpressionError as err:
+            raise ConfigError(f"parameter {self.name!r}: {err}", source=source,
+                              line=err.line, column=err.column) from None
         except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(
                 f"parameter {self.name!r}: {err}", source=source) from None
@@ -170,14 +176,7 @@ class ParameterSpec:
             if not items:
                 raise ValueError("expected a comma-separated list of numbers")
             return tuple(float(item) for item in items)
-        if self.kind == "potential":
-            if isinstance(raw, Expression):
-                return raw
-            try:
-                return parse_expression(str(raw))
-            except ExpressionError as err:
-                raise ValueError(str(err)) from None
-        return str(raw)
+        return raw if isinstance(raw, Expression) else parse_expression(str(raw))
 
     def _check_bound(self, value: object, source: str | None) -> None:
         if self.minimum is None:
@@ -200,6 +199,23 @@ _PRESET_FIELDS = {
 }
 
 
+def _preset_fields(preset: str) -> tuple[str, ...]:
+    try:
+        return _PRESET_FIELDS[preset]
+    except KeyError:
+        raise ConfigError(f"unknown model preset {preset!r}; choose from "
+                          f"{sorted(_PRESET_FIELDS)}") from None
+
+
+_MODEL_FIELDS = {spec.name: spec for spec in (
+    ParameterSpec("dim", "int", 1, "dimension", minimum=1),
+    ParameterSpec("rate", "float", 1.0, "mean-reversion rate", minimum=0, exclusive=True),
+    ParameterSpec("sigma", "float", 1.0, "noise amplitude", minimum=0, exclusive=True),
+    ParameterSpec("growth", "float", 0.05, "growth rate"),
+    ParameterSpec("potential", "potential", None, "potential U(x)"),
+)}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A named model preset with its coefficients.
@@ -208,65 +224,44 @@ class ModelSpec:
     ``dX = -rate X dt + sigma dW``; ``gbm`` is ``dX = growth X dt +
     sigma X dW``; ``gradient`` is ``dX = -U'(X) dt + sqrt(2) dW`` for a
     potential given as an expression in ``x`` (the sqrt(2) normalisation
-    makes ``exp(-U)/Z`` the stationary density).
+    makes ``exp(-U)/Z`` the stationary density).  Building one converts
+    and checks its preset's coefficients by ``_MODEL_FIELDS``, so
+    ``ModelSpec("ou", rate=2)`` equals a config file's ``rate = 2``.
     """
 
     preset: str
-    dim: int = 1
-    rate: float = 1.0
-    sigma: float = 1.0
-    growth: float = 0.05
+    dim: int = _MODEL_FIELDS["dim"].default
+    rate: float = _MODEL_FIELDS["rate"].default
+    sigma: float = _MODEL_FIELDS["sigma"].default
+    growth: float = _MODEL_FIELDS["growth"].default
     potential: Expression | None = None
 
     def __post_init__(self) -> None:
-        if self.preset not in _PRESET_FIELDS:
-            raise ConfigError(
-                f"unknown model preset {self.preset!r}; choose from "
-                f"{sorted(_PRESET_FIELDS)}")
+        keys = _preset_fields(self.preset)
         if self.preset == "gradient" and self.potential is None:
             raise ConfigError("model preset 'gradient' needs a potential")
-        if self.dim < 1:
-            raise ConfigError("model dim must be at least 1")
-        if self.preset == "ou" and self.rate <= 0:
-            raise ConfigError("model rate must be positive")
-        if self.preset in ("ou", "gbm") and self.sigma <= 0:
-            raise ConfigError("model sigma must be positive")
+        for key in keys:
+            object.__setattr__(self, key,
+                               _MODEL_FIELDS[key].convert(getattr(self, key)))
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, object],
                      source: str | None = None) -> "ModelSpec":
         entries = dict(data)
         preset = str(entries.pop("preset", "")).strip()
-        if not preset:
-            raise ConfigError("model section needs a 'preset' key",
-                              source=source)
-        if preset not in _PRESET_FIELDS:
-            raise ConfigError(
-                f"unknown model preset {preset!r}; choose from "
-                f"{sorted(_PRESET_FIELDS)}", source=source)
-        allowed = _PRESET_FIELDS[preset]
-        kwargs: dict[str, object] = {"preset": preset}
-        for key, raw in entries.items():
-            if key not in allowed:
-                raise ConfigError(
-                    f"unknown model key {key!r} for preset {preset!r}; "
-                    f"allowed: {', '.join(allowed)}", source=source)
-            if key == "potential":
-                try:
-                    kwargs[key] = (raw if isinstance(raw, Expression)
-                                   else parse_expression(str(raw)))
-                except ExpressionError as err:
-                    raise ConfigError(f"model potential: {err.message}",
-                                      source=source, line=err.line,
-                                      column=err.column) from None
-            else:
-                kind = "int" if key == "dim" else "float"
-                kwargs[key] = ParameterSpec(key, kind, None, "").convert(
-                    raw, source=source)
         try:
-            return cls(**kwargs)
+            if not preset:
+                raise ConfigError("model section needs a 'preset' key")
+            allowed = _preset_fields(preset)
+            for key in entries:
+                if key not in allowed:
+                    raise ConfigError(
+                        f"unknown model key {key!r} for preset {preset!r}; "
+                        f"allowed: {', '.join(allowed)}")
+            return cls(preset, **entries)
         except ConfigError as err:
-            raise ConfigError(err.message, source=source) from None
+            raise ConfigError(err.message, source=source, line=err.line,
+                              column=err.column) from None
 
     def describe(self) -> dict[str, object]:
         out: dict[str, object] = {"preset": self.preset}
@@ -310,13 +305,10 @@ class ExperimentOutcome:
 class _Run:
     """Everything a runner needs: validated inputs plus noise and threads."""
 
-    params: dict[str, object]
-    model_spec: ModelSpec | None
+    params: Mapping[str, object]
+    model: ModelSpec | None
     stream: GaussianStream
     threads: int
-
-    def model(self) -> SdeModel:
-        return self.model_spec.build()
 
 
 @dataclass(frozen=True)
@@ -330,12 +322,6 @@ class Experiment:
     model: ModelSpec | None = None
     model_presets: tuple[str, ...] = ()
     default_seed: int = 1
-
-    def parameter(self, name: str) -> ParameterSpec:
-        for spec in self.parameters:
-            if spec.name == name:
-                return spec
-        raise KeyError(name)
 
 
 _REGISTRY: dict[str, Experiment] = {}
@@ -357,99 +343,70 @@ def get_experiment(name: str) -> Experiment:
             "the registry)") from None
 
 
-def _validate_parameters(experiment: Experiment,
-                         given: Mapping[str, object] | None,
-                         source: str | None = None) -> dict[str, object]:
-    params = {spec.name: spec.convert(spec.default) for spec in experiment.parameters}
-    for key, raw in (given or {}).items():
-        try:
-            spec = experiment.parameter(key)
-        except KeyError:
-            hint = difflib.get_close_matches(
-                key, [s.name for s in experiment.parameters], n=1)
-            extra = f"; did you mean {hint[0]!r}?" if hint else ""
-            raise ConfigError(
-                f"unknown parameter {key!r} for experiment "
-                f"{experiment.name!r}{extra}", source=source) from None
-        params[spec.name] = spec.convert(raw, source=source)
-    return params
-
-
-def _resolve_model(experiment: Experiment,
-                   model: "ModelSpec | Mapping[str, object] | None",
-                   source: str | None = None) -> ModelSpec | None:
-    if model is None:
-        return experiment.model
-    if experiment.model is None:
-        raise ConfigError(
-            f"experiment {experiment.name!r} does not take a model section",
-            source=source)
-    spec = model if isinstance(model, ModelSpec) else ModelSpec.from_mapping(
-        model, source=source)
-    if spec.preset not in experiment.model_presets:
-        raise ConfigError(
-            f"experiment {experiment.name!r} supports model presets "
-            f"{', '.join(experiment.model_presets)}; got {spec.preset!r}",
-            source=source)
-    return spec
-
-
-def _check_seed(seed: int | None, source: str | None = None) -> None:
-    """Reject a seed that numpy's generators cannot take."""
-    if seed is not None and seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}",
-                          source=source)
-
-
-def execute(name: str, *, parameters: Mapping[str, object] | None = None,
-            model: "ModelSpec | Mapping[str, object] | None" = None,
-            seed: int | None = None, threads: int = 1) -> ExperimentOutcome:
-    """Run a named experiment in-process and return its outcome.
-
-    ``parameters`` and ``model`` override the registry defaults after
-    schema validation; ``seed`` defaults to the experiment's registered
-    seed, so calling with no overrides reproduces the canonical run.
-    """
-    experiment = get_experiment(name)
-    params = _validate_parameters(experiment, parameters)
-    spec = _resolve_model(experiment, model)
-    if threads < 1:
-        raise ConfigError("threads must be at least 1")
-    _check_seed(seed)
-    stream = GaussianStream(experiment.default_seed if seed is None else seed)
-    return experiment.runner(_Run(params, spec, stream, threads))
-
-
 # ---------------------------------------------------------------------------
-# Configuration files
+# Configurations
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated configuration: experiment, seed, output root, overrides."""
+    """Checked configuration: experiment, seed, output root, overrides.
+
+    Building one checks it and folds in the registry defaults: the seed,
+    every schema parameter, and the model, given as a :class:`ModelSpec`
+    or a mapping of its keys.  Code that reads a config trusts it.
+    """
 
     experiment: str
     seed: int | None = None
     out_root: Path | None = None
     parameters: Mapping[str, object] = field(default_factory=dict)
-    model: ModelSpec | None = None
+    model: "ModelSpec | Mapping[str, object] | None" = None
+
+    def __post_init__(self) -> None:
+        experiment = get_experiment(self.experiment)
+        seed = experiment.default_seed if self.seed is None else self.seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+
+        specs = {spec.name: spec for spec in experiment.parameters}
+        params = {name: spec.convert(spec.default) for name, spec in specs.items()}
+        for key, raw in (self.parameters or {}).items():
+            if key not in specs:
+                hint = difflib.get_close_matches(key, specs, n=1)
+                extra = f"; did you mean {hint[0]!r}?" if hint else ""
+                raise ConfigError(f"unknown parameter {key!r} for experiment "
+                                  f"{experiment.name!r}{extra}")
+            params[key] = specs[key].convert(raw)
+
+        model = self.model
+        if model is None:
+            model = experiment.model
+        elif experiment.model is None:
+            raise ConfigError(
+                f"experiment {experiment.name!r} does not take a model section")
+        elif not isinstance(model, ModelSpec):
+            model = ModelSpec.from_mapping(model)
+        if model is not None and model.preset not in experiment.model_presets:
+            raise ConfigError(
+                f"experiment {experiment.name!r} supports model presets "
+                f"{', '.join(experiment.model_presets)}; got {model.preset!r}")
+
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "parameters", params)
+        object.__setattr__(self, "model", model)
 
     def canonical(self) -> dict[str, object]:
-        """Fully-resolved, JSON-able view of the run semantics.
+        """JSON-able view of the run semantics.
 
-        Registry defaults are folded in, so two configs that resolve to
-        the same run hash identically regardless of which keys they
-        spelled out.
+        The registry defaults are already folded in, so two configs that
+        resolve to the same run hash identically regardless of which keys
+        they spelled out.
         """
-        experiment = get_experiment(self.experiment)
-        params = _validate_parameters(experiment, self.parameters)
-        spec = _resolve_model(experiment, self.model)
-        seed = experiment.default_seed if self.seed is None else self.seed
         return {
             "experiment": self.experiment,
-            "seed": seed,
-            "parameters": {k: jsonable(v) for k, v in sorted(params.items())},
-            "model": None if spec is None else spec.describe(),
+            "seed": self.seed,
+            "parameters": {k: jsonable(v) for k, v in sorted(self.parameters.items())},
+            "model": None if self.model is None else self.model.describe(),
         }
 
     @property
@@ -457,6 +414,22 @@ class ExperimentConfig:
         payload = json.dumps(self.canonical(), sort_keys=True,
                              separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def execute(name: str, *, parameters: Mapping[str, object] | None = None,
+            model: "ModelSpec | Mapping[str, object] | None" = None,
+            seed: int | None = None, threads: int = 1) -> ExperimentOutcome:
+    """Run a named experiment in-process and return its outcome.
+
+    ``parameters``, ``model`` and ``seed`` are checked as one
+    :class:`ExperimentConfig`, so calling with no overrides reproduces
+    the canonical run at the registered seed.
+    """
+    config = ExperimentConfig(name, seed, None, parameters, model)
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+        raise ConfigError(f"threads must be a positive integer, got {threads}")
+    return get_experiment(name).runner(
+        _Run(config.parameters, config.model, GaussianStream(config.seed), threads))
 
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -504,23 +477,17 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         except ValueError:
             raise ConfigError(f"seed must be an integer, got {raw!r}",
                               source=source) from None
-        _check_seed(seed, source)
     out_root = Path(str(head.pop("out"))).expanduser() if "out" in head else None
     if head:
         raise ConfigError(
             f"unknown key(s) {sorted(head)} in [experiment]; allowed: "
             "name, seed, out", source=source)
-
-    experiment = get_experiment(name)
-    params = _validate_parameters(experiment, sections.get("parameters"),
-                                  source=source)
-    model = None
-    if "model" in sections:
-        model = _resolve_model(experiment,
-                               ModelSpec.from_mapping(sections["model"],
-                                                      source=source),
-                               source=source)
-    return ExperimentConfig(name, seed, out_root, params, model)
+    try:
+        return ExperimentConfig(name, seed, out_root,
+                                sections.get("parameters", {}),
+                                sections.get("model"))
+    except ConfigError as err:  # a value's own line and column are not the file's
+        raise ConfigError(err.message, source=source) from None
 
 
 def load_config(path) -> ExperimentConfig:
@@ -529,6 +496,9 @@ def load_config(path) -> ExperimentConfig:
         text = path.read_text(encoding="utf-8")
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"cannot read config: {err}",
+                          source=str(path)) from None
     return parse_config(text, source=str(path))
 
 
@@ -611,26 +581,22 @@ def run(config, *, seed: int | None = None, out=None,
     """
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)
-    experiment = get_experiment(config.experiment)
-    use_seed = seed if seed is not None else config.seed
-    if use_seed is None:
-        use_seed = experiment.default_seed
+    if seed is not None:
+        config = replace(config, seed=seed)
     use_threads = threads if threads is not None else 1
     root = Path(out) if out is not None else config.out_root
     if root is None:
         root = Path(os.environ.get(DEFAULT_OUT_ENV, "runs"))
-    resolved = ExperimentConfig(config.experiment, use_seed, None,
-                                config.parameters, config.model)
 
     outcome = execute(config.experiment, parameters=config.parameters,
-                      model=config.model, seed=use_seed, threads=use_threads)
+                      model=config.model, seed=config.seed, threads=use_threads)
 
     run_dir = root / config.experiment
     run_dir.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, str] = {}
     write_json(run_dir / "result.json", {
         "experiment": outcome.experiment,
-        "seed": use_seed,
+        "seed": config.seed,
         "summary": outcome.summary,
         "flags": list(outcome.flags),
     })
@@ -642,10 +608,10 @@ def run(config, *, seed: int | None = None, out=None,
 
     manifest = RunManifest(
         experiment=config.experiment,
-        config_hash=resolved.config_hash,
+        config_hash=config.config_hash,
         artifact_version=__version__,
         created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        seed=use_seed,
+        seed=config.seed,
         threads=use_threads,
         outputs=outputs,
         flags=outcome.flags,
@@ -859,9 +825,9 @@ def _run_ito_isometry(run: _Run) -> ExperimentOutcome:
 
 def _run_fp_stationarity(run: _Run) -> ExperimentOutcome:
     p = run.params
-    spec = run.model_spec
+    spec = run.model
     grid = Grid1D(p["x_min"], p["x_max"], p["n_cells"])
-    model = run.model()
+    model = spec.build()
     pi = stationary_density_gradient(spec.potential, grid)
 
     evolved = solve_fokker_planck(model, pi, p["t_stationary"], p["dt"])
@@ -1141,8 +1107,8 @@ def _run_certificates(run: _Run) -> ExperimentOutcome:
 
 def _run_sample_paths(run: _Run) -> ExperimentOutcome:
     p = run.params
-    spec = run.model_spec
-    model = run.model()
+    spec = run.model
+    model = spec.build()
     grid = TimeGrid(0.0, p["t_end"], p["n_steps"])
     x0 = np.full(model.dim_state, p["x0"])
     ensemble = euler_maruyama_ensemble(model, x0, grid, p["n_paths"],

@@ -298,10 +298,6 @@ def _evolve(banded_a: np.ndarray, state: np.ndarray, n_steps: int,
     return u.reshape(state.shape)
 
 
-def _resolve_bc(bc) -> BoundaryCondition:
-    return BoundaryCondition(bc)
-
-
 def solve_backward_kolmogorov(model: SdeModel, phi, grid: Grid1D, t_end: float,
                               dt: float, bc="neumann_zero") -> np.ndarray:
     """Evolve ``du/dt = L u`` from ``u(0) = phi`` to time ``t_end``.
@@ -314,7 +310,7 @@ def solve_backward_kolmogorov(model: SdeModel, phi, grid: Grid1D, t_end: float,
     one-step resolvent instead of being stepped.  Backward Euler keeps
     non-negative data non-negative; that is checked on every run.
     """
-    bc = _resolve_bc(bc)
+    bc = BoundaryCondition(bc)
     if t_end <= 0 or dt <= 0:
         raise ValueError("t_end and dt must be positive")
     u0 = np.asarray(phi(grid.nodes) if callable(phi) else phi, dtype=float)
@@ -344,7 +340,7 @@ def solve_fokker_planck(model: SdeModel, rho0: DensityField, t_end: float,
     Uses the conservative flux discretisation, so with reflecting
     (``neumann_zero``) boundaries ``sum rho dx`` is conserved to rounding.
     """
-    bc = _resolve_bc(bc)
+    bc = BoundaryCondition(bc)
     if t_end <= 0 or dt <= 0:
         raise ValueError("t_end and dt must be positive")
     grid = rho0.grid

@@ -84,8 +84,9 @@ class TestRun:
     def test_out_of_range_model_value_exits_two_naming_the_file(self, tmp_path,
                                                                  capsys):
         config = tmp_path / "bad.ini"
-        for model, message in (("preset = bm\ndim = 0", "model dim must be at least 1"),
-                               ("preset = ou\nrate = -1", "model rate must be positive")):
+        for model, message in (("preset = bm\ndim = 0", "parameter 'dim' must be >= 1, got 0"),
+                               ("preset = ou\nrate = -1",
+                                "parameter 'rate' must be > 0, got -1.0")):
             config.write_text("[experiment]\nname = sample-paths\n"
                               f"[model]\n{model}\n", encoding="utf-8")
             assert main(["run", "--config", str(config),
@@ -136,6 +137,13 @@ class TestRun:
     def test_missing_config_file_exits_two(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "none.ini")]) == 2
         assert "cannot read config" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_exits_two_naming_the_file(self, tmp_path,
+                                                               capsys):
+        config = tmp_path / "bad.ini"
+        config.write_bytes(b"[experiment]\nname = arcsine-law\xff\n")
+        assert main(["run", "--config", str(config)]) == 2
+        assert f"{config}: cannot read config" in capsys.readouterr().err
 
     def test_flagged_run_exits_three(self, tmp_path, capsys):
         config = tmp_path / "stall.ini"

@@ -160,6 +160,21 @@ class TestModelSpec:
             ModelSpec("gbm", sigma=-1.0)
         with pytest.raises(ConfigError, match="dim"):
             ModelSpec("bm", dim=0)
+        with pytest.raises(ConfigError, match="'rate': expected a finite number"):
+            ModelSpec("ou", rate=float("nan"))
+        with pytest.raises(ConfigError, match="'sigma': expected a finite number"):
+            ModelSpec("gbm", sigma=float("inf"))
+        with pytest.raises(ConfigError, match="'dim': expected an integer"):
+            ModelSpec("bm", dim=2.5)
+        with pytest.raises(ConfigError, match="'potential'") as info:
+            ModelSpec("gradient", potential="x^2/2 +")
+        assert info.value.column == 8
+
+    def test_python_spec_hashes_like_its_config_file_spelling(self):
+        text = ("[experiment]\nname = sample-paths\n"
+                "[model]\npreset = ou\nrate = 2\n")
+        built = ExperimentConfig("sample-paths", model=ModelSpec("ou", rate=2))
+        assert built.config_hash == parse_config(text).config_hash
 
 
 class TestRegistry:
@@ -200,11 +215,16 @@ class TestRegistry:
     def test_threads_must_be_positive(self):
         with pytest.raises(ConfigError, match="threads"):
             execute("exit-ball-2d", threads=0)
+        with pytest.raises(ConfigError, match="threads"):
+            execute("exit-ball-2d", threads=1.5)
 
     def test_seed_must_be_non_negative(self):
         with pytest.raises(ConfigError,
                            match="^seed must be a non-negative integer, got -2$"):
             execute("exit-ball-2d", seed=-2)
+        with pytest.raises(ConfigError,
+                           match="^seed must be a non-negative integer, got 1.5$"):
+            ExperimentConfig("arcsine-law", seed=1.5)
 
 
 class TestConfigParsing:
