@@ -4,10 +4,12 @@ The Monte Carlo side simulates Euler-Maruyama paths until they leave a
 :class:`Domain`, with the exit time interpolated linearly inside the
 straddling step, a Brownian-bridge kill for crossings between two nodes
 inside, and paths that outlive ``t_max`` reported as censored.
-:func:`mc_exit` is the only exit routine.  Each path reads its noise from
-its own (path, step block) addresses, so runs over nested domains with the
-same stream see the same trajectories, the first n paths of a run are an
-n-path run, and ``threads`` shards the paths without changing a bit of the
+:func:`mc_exit` is the only exit routine, with one exit rule for every
+model: the bridge kill takes the dispersion, constant or state-dependent,
+at each step's start node.  Each path reads its noise from its own
+(path, step block) addresses, so runs over nested domains with the same
+stream see the same trajectories, the first n paths of a run are an n-path
+run, and ``threads`` shards the paths without changing a bit of the
 result.  It checks exits once per window of steps, each stepped by the one
 Euler-Maruyama loop ``sde._em_path``, so a path may take up to one window
 of steps past its exit; those steps are discarded.
@@ -15,11 +17,10 @@ of steps past its exit; those steps are discarded.
 The closed-form side collects the classical exit oracles for Brownian
 motion and geometric Brownian motion: mean exit times from balls, hitting
 probabilities for shells (recurrence/transience), Laplace transforms of
-interval exit times and their one-sided refinements, the arcsine law for
-occupation fractions, the Cauchy law of the crossing location of a line,
-and the three-set bound that patches exit expectations together.
-:func:`interval_exit_reference` adds, by quadrature, the exact mean exit
-time and exit side of any 1-D diffusion with a constant dispersion.
+interval exit times and their one-sided refinements, and the arcsine law
+for occupation fractions.  :func:`interval_exit_reference` adds, by
+quadrature, the exact mean exit time and exit side of any 1-D diffusion
+with a constant dispersion.
 """
 
 from __future__ import annotations
@@ -39,10 +40,8 @@ __all__ = [
     "Domain",
     "ExitStatistics",
     "GbmExit",
-    "LineHitting",
     "mc_exit",
     "mc_radial_hitting",
-    "line_hitting_2d",
     "ball_exit_expectation",
     "ball_hitting_probability",
     "shell_hitting_probability",
@@ -53,7 +52,6 @@ __all__ = [
     "fk_conditional_mean",
     "arcsine_occupation",
     "arcsine_cdf",
-    "three_set_bound",
 ]
 
 
@@ -174,8 +172,12 @@ class Domain:
 
     def boundary_parameter(self, points: np.ndarray) -> np.ndarray | None:
         """Map boundary points to [0, 1): angle for 2D balls, endpoint
-        indicator for intervals and 1D balls, ``None`` otherwise."""
+        indicator for intervals and 1D balls, ``0.5 + arctan(t) / pi`` of the
+        tangential coordinate ``t`` for 2D half-spaces (uniform for a
+        standard Cauchy ``t``), ``None`` otherwise."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        if self.kind == "half_space" and points.shape[1] == 2:
+            return 0.5 + np.arctan(points[:, 1 - self.axis]) / math.pi
         if self.kind == "interval":
             mid = 0.5 * (self.a + self.b)
             return (points[:, 0] > mid).astype(float)
@@ -299,16 +301,17 @@ def _check_sampling(n_paths: int, h: float | None = None,
 def _normal_variance(domain: Domain, diffusion: np.ndarray, x: np.ndarray):
     """``n^T D n`` for the unit normal ``n`` of the boundary nearest each point.
 
-    Constant for intervals and half-spaces; for a ball ``n`` is the radial
-    direction of the point, written as sums of products so that any batch
-    shape gives the same bits.
+    ``diffusion`` is one ``(n, n)`` matrix ``D`` or one for each point, of
+    shape ``x.shape + (n,)``.  The normal is constant for intervals and
+    half-spaces; for a ball ``n`` is the radial direction of the point,
+    written as sums of products so that any batch shape gives the same bits.
     """
     if domain.kind != "ball":
         axis = domain.axis if domain.kind == "half_space" else 0
-        return diffusion[axis, axis]
+        return diffusion[..., axis, axis]
     rel = x - domain.center
     dim = rel.shape[-1]
-    quad = sum(diffusion[i, j] * rel[..., i] * rel[..., j]
+    quad = sum(diffusion[..., i, j] * rel[..., i] * rel[..., j]
                for i in range(dim) for j in range(dim))
     return quad / np.sum(rel * rel, axis=-1)
 
@@ -325,16 +328,18 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
     probability ``exp(-2 d0 d1 / (s2 h))`` (Mannella, Phys. Lett. A 254
     (1999); Gobet, Stoch. Proc. Appl. 87 (2000)): ``d0`` and ``d1`` are
     the nodes' :meth:`Domain.distance`, ``s2 = n^T g g^T n`` the variance
-    along the normal ``n`` of the boundary nearest the step's end node.
-    Freezing the model on that boundary's tangent half-space is exact for
-    the continuous Euler path at a half-space; it removes the O(sqrt(h))
-    late-exit bias of node-only detection and leaves O(h).  The test kills
-    when ``d0 d1 < min(E, 40) s2 h / 2`` for a standard exponential ``E``
-    per path and step: that probability, with any below ``e^-40`` taken as
+    along the normal ``n`` of the boundary nearest the step's end node, with
+    ``g`` the dispersion at the step's start node, as the Euler step takes
+    it.  Across the step the continuous Euler path is a Brownian motion
+    with a constant drift and that covariance, so given both nodes the kill
+    is exact for it at a half-space; elsewhere it removes the O(sqrt(h))
+    late-exit bias of node-only detection and leaves O(h).  Every model
+    takes this one rule.  The test kills when
+    ``d0 d1 < min(E, 40) s2 h / 2`` for a standard exponential ``E`` per
+    path and step: that probability, with any below ``e^-40`` taken as
     zero, and no ``exp`` of a mostly underflowing exponent.  A killed path
     exits at ``(k + 1/2) h`` in its step ``k``, at the boundary point
-    nearest the step's end node.  Models without ``constant_dispersion``
-    keep node-only detection.
+    nearest the step's end node.
 
     Only paths inside at a window's start are stepped.  Paths still inside
     at ``t_max`` are censored.  A run where nothing exits is flagged
@@ -379,8 +384,7 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
     n_steps = max(1, math.ceil(t_max / h))
     noise = stream.child(0)
     g = model.constant_dispersion
-    bridge = g is not None
-    diffusion = g @ g.T if bridge else None
+    diffusion = None if g is None else g @ g.T
     sqrt_h = math.sqrt(h)
     exit_time = np.full(n_paths, np.nan)
     exit_points = np.zeros((n_paths, model.dim_state))
@@ -406,23 +410,21 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
                     # path[k] holds the states after step + j + k steps
                     path = _em_path(model, x, h, np.ascontiguousarray(
                         dw[rows, j:j + w].swapaxes(0, 1)))
-                    if bridge:
-                        dist = domain.distance(path)
-                        inside = alive = dist[1:] > 0.0
-                        scale = _normal_variance(domain, diffusion, path[1:]) * (0.5 * h)
-                        gap = dist[:-1] * dist[1:]
-                        if (gap < _KILL_CAP * scale).any():
-                            # drawn for the paths active at the first window of
-                            # the step block with a step this close to the boundary
-                            if e is None:
-                                e = np.empty((dw.shape[0], nb))
-                                e[rows] = _addressed_draws(noise, ids, block, 1, (nb,))
-                            slack = e[rows, j:j + w].T  # a gathered copy
-                            np.minimum(slack, _KILL_CAP, out=slack)
-                            slack *= scale
-                            alive = inside & ~(gap < slack)
-                    else:
-                        inside = alive = domain.contains(path[1:])
+                    dist = domain.distance(path)
+                    inside = alive = dist[1:] > 0.0
+                    d = model.diffusion_matrix(path[:-1]) if g is None else diffusion
+                    scale = _normal_variance(domain, d, path[1:]) * (0.5 * h)
+                    gap = dist[:-1] * dist[1:]
+                    if (gap < _KILL_CAP * scale).any():
+                        # drawn for the paths active at the first window of
+                        # the step block with a step this close to the boundary
+                        if e is None:
+                            e = np.empty((dw.shape[0], nb))
+                            e[rows] = _addressed_draws(noise, ids, block, 1, (nb,))
+                        slack = e[rows, j:j + w].T  # a gathered copy
+                        np.minimum(slack, _KILL_CAP, out=slack)
+                        slack *= scale
+                        alive = inside & ~(gap < slack)
                     x = path[w]
                     if not alive.all():
                         stay = alive.all(axis=0)
@@ -523,70 +525,6 @@ def mc_radial_hitting(r_start: float, r_inner: float, r_outer: float, dim: int,
     p = float(hit_inner.mean())
     se = float(hit_inner.std(ddof=1) / math.sqrt(n_paths))
     return p, se
-
-
-@dataclass(frozen=True)
-class LineHitting:
-    """Crossing samples of planar Brownian motion against the line x = 1.
-
-    ``tau_samples`` are the (uncensored) crossing times and ``w2_samples``
-    the second coordinate at the crossing, which follows a standard Cauchy
-    law.  The crossing time has infinite mean, so a finite horizon always
-    censors a few paths; ``fraction_censored`` reports how many.
-    """
-
-    tau_samples: np.ndarray
-    w2_samples: np.ndarray
-    fraction_censored: float
-    t_max: float
-
-
-def line_hitting_2d(n_paths: int, h: float, stream: GaussianStream, *,
-                    t_max: float = 20_000.0) -> LineHitting:
-    """Sample crossing times/locations of the line x = 1 from the origin.
-
-    Fixed-step increments processed in blocks: within a block the first
-    node at which the first coordinate reaches 1 is located, the crossing
-    is interpolated linearly in time, and the second coordinate is read at
-    the interpolated point.
-    """
-    _check_sampling(n_paths, h, t_max)
-    sqrt_h = math.sqrt(h)
-    w1 = np.zeros(n_paths)
-    w2 = np.zeros(n_paths)
-    taus = []
-    crossings = []
-    t_base = 0.0
-    chunk = 0
-    n_alive = n_paths
-    while n_alive and t_base < t_max:
-        nb = min(max(64, 2_000_000 // n_alive), math.ceil((t_max - t_base) / h))
-        dw = stream.child(chunk).generator().normal(0.0, sqrt_h, (n_alive, nb, 2))
-        path1 = w1[:, np.newaxis] + np.cumsum(dw[:, :, 0], axis=1)
-        reached = path1 >= 1.0
-        hit = reached.any(axis=1)
-        if hit.any():
-            rows = np.flatnonzero(hit)
-            first = np.argmax(reached[rows], axis=1)
-            d1 = dw[rows, first, 0]
-            prev1 = path1[rows, first] - d1
-            lam = (1.0 - prev1) / d1
-            cum2 = np.cumsum(dw[rows, :, 1], axis=1)
-            at_first = cum2[np.arange(rows.size), first]
-            d2 = dw[rows, first, 1]
-            taus.append(t_base + (first + lam) * h)
-            crossings.append(w2[rows] + at_first - d2 + lam * d2)
-        alive = ~hit
-        w1 = path1[alive, -1]
-        w2 = w2[alive] + np.sum(dw[alive, :, 1], axis=1)
-        n_alive = int(alive.sum())
-        t_base += nb * h
-        chunk += 1
-
-    tau_samples = np.concatenate(taus) if taus else np.empty(0)
-    w2_samples = np.concatenate(crossings) if crossings else np.empty(0)
-    return LineHitting(tau_samples, w2_samples, 1.0 - tau_samples.size / n_paths,
-                       t_max)
 
 
 # ---------------------------------------------------------------------------
@@ -792,18 +730,3 @@ def arcsine_cdf(u) -> float | np.ndarray:
         raise ValueError("occupation fractions live in [0, 1]")
     out = (2.0 / math.pi) * np.arcsin(np.sqrt(u))
     return float(out) if out.ndim == 0 else out
-
-
-def three_set_bound(e_start_to_bc: float, p_detour: float, e_detour_back: float) -> float:
-    """Upper bound on a mean passage time assembled from three estimates.
-
-    With ``e_start_to_bc`` the mean time to reach either the target or a
-    detour set, ``p_detour`` the probability of reaching the detour first,
-    and ``e_detour_back`` the mean time from the detour boundary back to
-    the union, the bound is ``(e_start_to_bc + p e_detour_back)/(1 - p)``.
-    """
-    if e_start_to_bc < 0 or e_detour_back < 0:
-        raise ValueError("mean times must be non-negative")
-    if not 0.0 <= p_detour < 1.0:
-        raise ValueError(f"need 0 <= p < 1, got {p_detour}")
-    return (e_start_to_bc + p_detour * e_detour_back) / (1.0 - p_detour)

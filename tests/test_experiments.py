@@ -169,6 +169,12 @@ class TestModelSpec:
         with pytest.raises(ConfigError, match="'potential'") as info:
             ModelSpec("gradient", potential="x^2/2 +")
         assert info.value.column == 8
+        # a coefficient its preset does not read may only keep its default
+        with pytest.raises(ConfigError,
+                           match="^unknown model key 'dim' for preset 'ou'; "
+                                 "allowed: rate, sigma$"):
+            ModelSpec("ou", dim=0)
+        assert ModelSpec("ou", dim=1) == ModelSpec("ou")
 
     def test_python_spec_hashes_like_its_config_file_spelling(self):
         text = ("[experiment]\nname = sample-paths\n"
@@ -388,6 +394,24 @@ class TestRunArtifacts:
         assert older.environment == {}
         assert older.outputs == result.manifest.outputs
 
+    def test_run_builds_its_config_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "quick.ini"
+        path.write_text("[experiment]\nname = sample-paths\n[parameters]\n" + "".join(
+            f"{key} = {value}\n" for key, value in QUICK.items()))
+        built = []
+        post_init = ExperimentConfig.__post_init__
+
+        def counting(config):
+            built.append(config.seed)
+            post_init(config)
+
+        monkeypatch.setattr(ExperimentConfig, "__post_init__", counting)
+        run(path, out=tmp_path / "a")
+        assert built == [None]  # read from the file
+        built.clear()
+        run(path, seed=3, out=tmp_path / "b")
+        assert built == [None, 3]  # read from the file, then reseeded
+
     def test_seed_override_changes_the_data(self, tmp_path):
         base = run(self.config(), out=tmp_path / "a")
         other = run(self.config(), seed=6, out=tmp_path / "b")
@@ -491,6 +515,15 @@ class TestPlotData:
 
 
 class TestExecuteOutcomes:
+    def test_shell_hitting_is_gated_against_its_start_radius(self):
+        # from radius 4 Brownian motion in 3D hits the unit ball with
+        # probability 1/4, not the 1/2 of the default start
+        out = execute("shell-hitting-3d", parameters={"r_start": 4.0})
+        s = out.summary
+        assert s["hit_probability_target"] == 0.25
+        assert s["abs_error"] == abs(s["hit_probability"] - 0.25)
+        assert s["within_tolerance"] is True
+
     def test_certificates_are_sound_on_a_small_grid(self):
         out = execute("certificate-soundness", parameters={"n_cells": 60})
         assert out.summary["sound"] is True

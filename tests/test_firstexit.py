@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 import sympy
+from scipy import special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,11 +24,9 @@ from sdelab.firstexit import (
     fk_laplace_one_sided,
     gbm_exit,
     interval_exit_reference,
-    line_hitting_2d,
     mc_exit,
     mc_radial_hitting,
     shell_hitting_probability,
-    three_set_bound,
 )
 from sdelab import firstexit
 from sdelab.firstexit import _STEP_BLOCK, _WINDOW_ROW_STEPS, _normal_variance
@@ -132,6 +131,12 @@ class TestDomain:
             diffusion[1, 1]
         assert _normal_variance(Domain.interval(-1.0, 1.0), np.array([[0.7]]),
                                 pts[:, :1]) == 0.7
+        # one matrix per point, as a state-dependent dispersion gives
+        stacked = np.broadcast_to(diffusion, (3, 2, 2))
+        for domain in (Domain.ball(1.0, dim=2), Domain.half_space(0.0, axis=1)):
+            np.testing.assert_array_equal(
+                _normal_variance(domain, stacked, pts),
+                np.broadcast_to(_normal_variance(domain, diffusion, pts), (3,)))
 
     def test_ball_exit_fraction_lands_on_sphere(self):
         ball = Domain.ball(1.5, center=(0.5, -0.25))
@@ -161,6 +166,13 @@ class TestDomain:
         np.testing.assert_allclose(params, [0.0, 0.25, 0.5])
         assert Domain.ball(1.0, dim=3).boundary_parameter(np.zeros((1, 3))) is None
         assert Domain.half_space(0.0).boundary_parameter(np.zeros((1, 1))) is None
+        # a 2D half-space maps its tangential coordinate t to 1/2 + arctan(t)/pi
+        line = Domain.half_space(1.0)
+        np.testing.assert_allclose(line.boundary_parameter(
+            np.array([[1.0, -1.0], [1.0, 0.0], [1.0, 1.0]])), [0.25, 0.5, 0.75])
+        above = Domain.half_space(0.0, axis=1, side="above")
+        np.testing.assert_allclose(above.boundary_parameter(np.array([[1.0, 0.0]])),
+                                   [0.75])
 
 
 class TestExitStatistics:
@@ -435,14 +447,14 @@ def per_step_exit(model, x0, domain, *, h, n_paths, stream, t_max):
     from a Philox it builds for each address: in step block ``c`` path
     ``p`` takes its Gaussians from counter ``(0, p, c, 0)`` under the key of
     ``stream.child(0)``, and the bridge's exponentials from counter
-    ``(0, p, c, 1)``.  It keeps stepping paths after they exit.  Where the
-    model has a constant dispersion, a path with both nodes of a step
-    inside is killed in that step when
+    ``(0, p, c, 1)``.  It keeps stepping paths after they exit.  A path with
+    both nodes of a step inside is killed in that step when
     ``d0 d1 < min(E, cap) s2 h / 2``, for its standard exponential ``E``
     and ``cap = _KILL_CAP``: probability ``exp(-2 d0 d1 / (s2 h))``, or 0
-    below ``exp(-cap)``.  Returns exit times, exit points, per path whether
-    it was killed, and whether it was back inside the domain at a later
-    step of the same step block.
+    below ``exp(-cap)``.  ``s2`` takes the dispersion at the step's start
+    node and the normal at its end node.  Returns exit times, exit points,
+    per path whether it was killed, and whether it was back inside the
+    domain at a later step of the same step block.
     """
     n_steps = math.ceil(t_max / h)
     key = stream.child(0).generator().bit_generator.state["state"]["key"]
@@ -451,7 +463,6 @@ def per_step_exit(model, x0, domain, *, h, n_paths, stream, t_max):
         return np.random.Generator(np.random.Philox(key=key, counter=(0, path, block, kind)))
 
     g = model.constant_dispersion
-    bridge = g is not None
     rows = np.arange(n_paths)
     x = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
     times = np.full(n_paths, np.nan)
@@ -470,11 +481,9 @@ def per_step_exit(model, x0, domain, *, h, n_paths, stream, t_max):
         gx = g if g is not None else model.dispersion(x)
         x_new = x + model.drift(x) * h + np.einsum("...ik,...k->...i", gx, dw[rows, at])
         inside = domain.contains(x_new)
-        kill = np.zeros(n_paths, dtype=bool)
-        if bridge:
-            var = _normal_variance(domain, g @ g.T, x_new)
-            slack = np.minimum(e[:, at], firstexit._KILL_CAP) * (var * (0.5 * h))
-            kill = inside & (domain.distance(x) * domain.distance(x_new) < slack)
+        var = _normal_variance(domain, gx @ np.swapaxes(gx, -1, -2), x_new)
+        slack = np.minimum(e[:, at], firstexit._KILL_CAP) * (var * (0.5 * h))
+        kill = inside & (domain.distance(x) * domain.distance(x_new) < slack)
         first = (~inside | kill) & np.isnan(times)
         if first.any():
             p, q = x[first], x_new[first]
@@ -566,16 +575,26 @@ class TestWindowedExitMatchesPerStepLoop:
 
         model = SdeModel.scalar(lambda x: -x, sigma)
         assert model.constant_dispersion is None
-        killed, _ = self.assert_same_exits(
-            model, 0.3, Domain.interval(-0.8, 1.0), h=1e-3, n_paths=24,
-            stream=GaussianStream(8341), t_max=3.0)
-        # no constant dispersion, no bridge: exits are detected at nodes
-        assert not killed.any()
-        # one call per step on the active rows, never on a window of steps
-        assert {len(shape) for shape in shapes} == {2}
+        kwargs = dict(h=1e-3, n_paths=24, stream=GaussianStream(8341), t_max=3.0)
+        killed, _ = self.assert_same_exits(model, 0.3, Domain.interval(-0.8, 1.0),
+                                           **kwargs)
+        # the bridge kills with the dispersion at each step's start node
+        assert killed.any()
+        # the Euler steps call it once per step on the active rows; after a
+        # window's steps the kill calls it once on the window's start nodes
+        shapes.clear()
+        mc_exit(model, 0.3, Domain.interval(-0.8, 1.0), **kwargs)
+        steps = 0
+        for shape in shapes:
+            if len(shape) == 2:
+                steps += 1
+            else:
+                assert len(shape) == 3 and shape[0] == steps
+                steps = 0
+        assert steps == 0 and len(shapes) > 2
 
     def test_first_exit_is_kept_when_a_path_comes_back_inside(self):
-        # a callable dispersion keeps node-only detection: no path is killed
+        # a callable dispersion: the kill takes it at each step's start node
         brownian = SdeModel.scalar(lambda x: 0.0 * x, lambda x: 1.0)
         n_paths, n_steps = 16, 1000
         # with this few paths each window is a whole step block
@@ -584,7 +603,7 @@ class TestWindowedExitMatchesPerStepLoop:
             brownian, 0.0, Domain.interval(-1.0, 1.0), h=1e-2, n_paths=n_paths,
             stream=GaussianStream(8342), t_max=n_steps * 1e-2)
         assert returned.any()
-        assert not killed.any()
+        assert killed.any()
 
 
 class TestRadialHitting:
@@ -632,38 +651,35 @@ class TestRadialHitting:
 
 @pytest.fixture(scope="module")
 def run():
-    return line_hitting_2d(3000, h=0.01, stream=GaussianStream(8350), t_max=2000.0)
+    # planar Brownian motion from the origin until it crosses the line x = 1
+    return mc_exit(SdeModel.brownian(2), [0.0, 0.0], Domain.half_space(1.0), h=0.01,
+                   n_paths=3000, stream=GaussianStream(8350), t_max=2000.0)
 
 
 class TestLineHitting:
     def test_censoring_is_small_but_present(self, run):
+        # P(tau > t) = 2 Phi(1/sqrt(t)) - 1 is 0.018 at t = 2000
         assert 0.0 < run.fraction_censored < 0.05
-        assert run.tau_samples.size == run.w2_samples.size
+
+    def test_crossing_time_follows_the_exact_law(self, run):
+        # P(tau <= t) = erfc(1/sqrt(2t)), conditioned on tau <= t_max; the
+        # 5% critical value of the KS distance at this sample size is 0.025
+        def cdf(t):
+            return special.erfc(1.0 / np.sqrt(2.0 * t)) / special.erfc(
+                1.0 / math.sqrt(2.0 * run.t_max))
+
+        assert ks_statistic(run.exit_times, cdf) < 0.025
 
     def test_median_crossing_time(self, run):
         # median of tau solves 2(1 - Phi(1/sqrt(t))) = 1/2
-        assert np.median(run.tau_samples) == pytest.approx(2.1981093383177326, abs=0.3)
+        assert np.median(run.exit_times) == pytest.approx(2.1981093383177326, abs=0.3)
 
     def test_crossing_location_is_cauchy(self, run):
-        ks = ks_statistic(run.w2_samples, lambda x: 0.5 + np.arctan(x) / math.pi)
-        assert ks < 0.035
+        # the boundary parameter 1/2 + arctan(y)/pi of a Cauchy y is uniform
+        assert ks_statistic(run.boundary_params, lambda u: u) < 0.035
 
     def test_crossing_location_is_symmetric(self, run):
-        assert abs(np.median(run.w2_samples)) < 0.12
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            line_hitting_2d(0, h=0.01, stream=GaussianStream(0))
-        with pytest.raises(ValueError):
-            line_hitting_2d(10, h=0.0, stream=GaussianStream(0))
-
-    def test_rejects_a_step_that_is_not_a_positive_number(self):
-        with pytest.raises(ValueError, match="step size h must be positive and finite"):
-            line_hitting_2d(10, h=math.nan, stream=GaussianStream(0))
-
-    def test_rejects_a_negative_horizon(self):
-        with pytest.raises(ValueError, match="t_max must be positive and finite"):
-            line_hitting_2d(10, h=0.01, stream=GaussianStream(0), t_max=-1.0)
+        assert abs(np.median(run.boundary_params) - 0.5) < math.atan(0.12) / math.pi
 
 
 class TestBallClosedForms:
@@ -750,6 +766,20 @@ class TestGbmExit:
                         n_paths=1500, stream=GaussianStream(8360), t_max=60.0)
         frac_upper = float(np.mean(stats.boundary_params))
         assert abs(frac_upper - 1.0 / 3.0) < 0.045
+
+    def test_bridge_kill_removes_the_late_exit_bias_at_a_coarse_step(self):
+        # dX = X dt + X dW: node-only detection reads z from +4.3 to +6.1 at
+        # this step over seeds 8360-8367, the bridge kill with the dispersion
+        # at each step's start node from -2.3 to 0
+        model = SdeModel.scalar(lambda x: x, lambda x: x)
+        stats = mc_exit(model, 1.0, Domain.interval(0.5, 2.0), h=1.6e-2,
+                        n_paths=20_000, stream=GaussianStream(8360), t_max=50.0)
+        assert stats.fraction_censored == 0.0
+        exact = gbm_exit(1.0, 0.5, 2.0, 1.0).p_hit_b_first
+        assert exact == pytest.approx(2.0 / 3.0)
+        frac_upper = float(np.mean(stats.boundary_params))
+        se = math.sqrt(exact * (1.0 - exact) / stats.n_paths)
+        assert abs(frac_upper - exact) < 3 * se
 
 
 class TestFeynmanKacFormulas:
@@ -860,21 +890,3 @@ class TestArcsine:
         # the arcsine density piles up near 0 and 1
         edge_mass = np.mean((frac < 0.1) | (frac > 0.9))
         assert edge_mass > 0.3
-
-
-class TestThreeSetBound:
-    def test_worked_example(self):
-        assert three_set_bound(1.0, 0.5, 2.0) == pytest.approx(4.0)
-
-    def test_zero_detour_probability(self):
-        assert three_set_bound(1.7, 0.0, 99.0) == pytest.approx(1.7)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            three_set_bound(1.0, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            three_set_bound(-1.0, 0.5, 2.0)
-
-    @given(st.floats(0.0, 10.0), st.floats(0.0, 0.95), st.floats(0.0, 10.0))
-    def test_bound_dominates_direct_leg(self, e1, p, e2):
-        assert three_set_bound(e1, p, e2) >= e1 - 1e-12
