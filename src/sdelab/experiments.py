@@ -807,12 +807,16 @@ def _run_ito_isometry(run: _Run) -> ExperimentOutcome:
     w = sample_wiener(TimeGrid(0.0, T, n_fine), run.stream, dim=n_paths).values
     exact = 0.5 * w[-1] ** 2 - 0.5 * T
 
+    # every sum over steps adds one row at a time, in the order np.sum(axis=0)
+    # adds them, so no temporary is the size of the path
     rows = []
     rms = []
     for level in range(doublings, -1, -1):
         stride = 2 ** level
         coarse = w[::stride]
-        ito = np.sum(coarse[:-1] * np.diff(coarse, axis=0), axis=0)
+        ito = np.zeros(n_paths)
+        for k in range(len(coarse) - 1):
+            ito += coarse[k] * (coarse[k + 1] - coarse[k])
         err = float(np.sqrt(np.mean((ito - exact) ** 2)))
         rms.append(err)
         rows.append((n_fine // stride, err))
@@ -820,7 +824,10 @@ def _run_ito_isometry(run: _Run) -> ExperimentOutcome:
 
     # discrete isometry: E[(sum W dW)^2] = E[sum W^2 h], checked pairwise on
     # the fine sum, which is the last level's
-    paired = ito**2 - np.sum(w[:-1] ** 2 * h_fine, axis=0)
+    quadratic = np.zeros(n_paths)
+    for row in w[:-1]:
+        quadratic += row**2 * h_fine
+    paired = ito**2 - quadratic
     iso_diff = float(paired.mean())
     iso_se = float(paired.std(ddof=1) / math.sqrt(n_paths))
 
@@ -1121,6 +1128,10 @@ def _run_certificates(run: _Run) -> ExperimentOutcome:
     return ExperimentOutcome("certificate-soundness", summary, flags=flags)
 
 
+# node columns per block of sample-paths' per-node moments
+_MOMENT_COLUMNS = 64
+
+
 def _run_sample_paths(run: _Run) -> ExperimentOutcome:
     p = run.params
     spec = run.model
@@ -1130,8 +1141,14 @@ def _run_sample_paths(run: _Run) -> ExperimentOutcome:
     ensemble = euler_maruyama_ensemble(model, x0, grid, p["n_paths"],
                                        run.stream)
     first = ensemble[:, :, 0]
-    mean = first.mean(axis=0)
-    std = first.std(axis=0, ddof=1)
+    # per-node moments over blocks of node columns, so that std's temporary is
+    # a block, not the ensemble; numpy sums a lone column pairwise, so the
+    # last block takes two columns or more and every node keeps its bits
+    mean, std = np.empty(grid.n_nodes), np.empty(grid.n_nodes)
+    starts = range(0, grid.n_nodes - 1, _MOMENT_COLUMNS)
+    for j, k in zip(starts, [*starts[1:], grid.n_nodes]):
+        mean[j:k] = first[:, j:k].mean(axis=0)
+        std[j:k] = first[:, j:k].std(axis=0, ddof=1)
 
     t = grid.nodes
     if spec.preset == "ou":

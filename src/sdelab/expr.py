@@ -93,13 +93,18 @@ _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
                "/": operator.truediv}
 
 
+# scalar exponents that numpy sends to square, sqrt and reciprocal, which
+# round differently from pow; tests/test_expr.py derives this set from numpy
+_POW_FAST_PATHS = frozenset({2.0, 0.5, -1.0})
+
+
 def _compile(node: _Node) -> float | Callable[[np.ndarray], np.ndarray]:
     """Compile ``node`` into a float (constant subtree) or a closure ``x -> array``.
 
     Constants enter ``+ - * /`` as Python floats, which rounds exactly as
-    the elementwise array operation.  A power takes full arrays for its
-    constant operands: numpy's scalar-exponent fast paths (square,
-    square root, reciprocal) round differently from ``pow``.
+    the elementwise array operation, and so does a constant exponent of a
+    power unless it is in :data:`_POW_FAST_PATHS`.  Such an exponent, and
+    a constant base, enter ``np.power`` as full arrays.
     """
     if node.op == "const":
         return node.value
@@ -110,7 +115,10 @@ def _compile(node: _Node) -> float | Callable[[np.ndarray], np.ndarray]:
         return -a if isinstance(a, float) else (lambda x: -a(x))
     a, b = _compile(node.left), _compile(node.right)
     if node.op == "^":
-        base, exponent = (_full(c) if isinstance(c, float) else c for c in (a, b))
+        base = _full(a) if isinstance(a, float) else a
+        if isinstance(b, float) and b not in _POW_FAST_PATHS:
+            return lambda x: np.power(base(x), b)
+        exponent = _full(b) if isinstance(b, float) else b
         return lambda x: np.power(base(x), exponent(x))
     op = _ARITHMETIC[node.op]
     if isinstance(a, float) and isinstance(b, float):

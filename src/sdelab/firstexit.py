@@ -34,7 +34,7 @@ import numpy as np
 
 from ._io import write_csv, write_json
 from .sde import (_WINDOW_ROW_STEPS, BlowUpError, GaussianStream, SdeModel,
-                  TimeGrid, _addressed_draws, _em_path, sample_wiener)
+                  TimeGrid, _addressed_draws, _em_path, _wiener_windows)
 
 __all__ = [
     "Domain",
@@ -716,11 +716,17 @@ def arcsine_occupation(n_paths: int, grid: TimeGrid, stream: GaussianStream) -> 
 
     The occupation integral uses left endpoints on the simulation grid, so
     each sample lies on ``{0, 1/n, ..., 1}``; the discretisation bias of
-    the resulting CDF is O(n_steps^{-1/2}).
+    the resulting CDF is O(n_steps^{-1/2}).  Each window of Brownian nodes
+    is reduced to integer counts of positive nodes as it is drawn, so only
+    one window is held, not the whole path; the samples have the bits of
+    the mean over the whole path.
     """
-    path = sample_wiener(grid, stream, dim=n_paths)
-    frac = np.mean(path.values[:-1] > 0.0, axis=0)
-    return np.sort(frac)
+    positive = np.zeros(n_paths, dtype=np.int64)
+    for j, nodes in _wiener_windows(grid, stream, n_paths):
+        if j + len(nodes) == grid.n_steps:
+            nodes = nodes[:-1]  # the last node starts no step
+        positive += np.count_nonzero(nodes > 0.0, axis=0)
+    return np.sort(positive / grid.n_steps)
 
 
 def arcsine_cdf(u) -> float | np.ndarray:

@@ -27,7 +27,7 @@ from numpy.linalg import LinAlgError
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from ._io import read_csv, write_csv
-from .sde import GaussianStream, SdeModel, TimeGrid, euler_maruyama_ensemble
+from .sde import GaussianStream, SdeModel, TimeGrid, _em_windows
 
 __all__ = [
     "Grid1D",
@@ -436,11 +436,13 @@ def mc_semigroup(model: SdeModel, x0, t: float, phi, n_paths: int, dt: float,
                  stream: GaussianStream) -> tuple[float, float]:
     """Estimate ``(P_t phi)(x0) = E[phi(X_t) | X_0 = x0]`` by Euler-Maruyama.
 
+    The ensemble is stepped a window at a time and only the last window's
+    last row is kept, with the bits of ``euler_maruyama_ensemble(...)[:, -1]``.
     Returns ``(estimate, standard_error)``.
     """
     grid = TimeGrid(0.0, t, max(1, round(t / dt)))
-    paths = euler_maruyama_ensemble(model, x0, grid, n_paths, stream)
-    terminal = paths[:, -1, :]
+    for _, path in _em_windows(model, x0, grid, n_paths, stream):
+        terminal = path[-1]
     vals = np.asarray(phi(terminal[:, 0] if model.dim_state == 1 else terminal),
                       dtype=float)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths))
@@ -451,12 +453,15 @@ def mc_feynman_kac(model: SdeModel, x0, t: float, phi, potential_q, n_paths: int
     """Estimate ``E[exp(-int_0^t q(X_s) ds) phi(X_t)]`` by Euler-Maruyama.
 
     The killing integral uses left-endpoint quadrature on the simulation
-    grid.  Returns ``(estimate, standard_error)``.
+    grid, summed per path as the windows of the ensemble arrive: ``q``
+    sees states of shape ``(w, n_paths)`` in 1-D and ``(w, n_paths, n)``
+    otherwise.  Returns ``(estimate, standard_error)``.
     """
     grid = TimeGrid(0.0, t, max(1, round(t / dt)))
-    paths = euler_maruyama_ensemble(model, x0, grid, n_paths, stream)
-    states = paths[:, :, 0] if model.dim_state == 1 else paths
-    q_vals = np.asarray(potential_q(states[:, :-1]), dtype=float)
-    weights = np.exp(-q_vals.sum(axis=1) * grid.dt)
-    vals = weights * np.asarray(phi(states[:, -1]), dtype=float)
+    killing = np.zeros(n_paths)
+    for _, path in _em_windows(model, x0, grid, n_paths, stream):
+        states = path[..., 0] if model.dim_state == 1 else path
+        killing += np.asarray(potential_q(states[:-1]), dtype=float).sum(axis=0)
+    weights = np.exp(-killing * grid.dt)
+    vals = weights * np.asarray(phi(states[-1]), dtype=float)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths))

@@ -10,7 +10,12 @@ the Euler-Maruyama scheme, and exact solutions of linear equations
 
 which serve as strong-error references for the discrete schemes.  Every
 Euler-Maruyama step in the package is taken in ``_em_path``, a window of
-steps at a time, with the bits of one step at a time.
+steps at a time, with the bits of one step at a time.  Brownian paths and
+Euler-Maruyama ensembles are generated by one window loop each
+(``_wiener_windows`` and ``_em_windows``): ``sample_wiener`` and
+``euler_maruyama_ensemble`` collect the windows into one array, and an
+estimator that needs a few numbers per path reduces each window as it
+arrives, in memory O(paths x window).
 
 All randomness is drawn from a :class:`GaussianStream`, a thin wrapper
 around numpy's counter-based Philox generator.  Operations are pure
@@ -319,20 +324,58 @@ class SdeModel:
         return cls(dim, dim, _zero_drift, np.eye(dim))
 
 
+# row-steps per window of Euler-Maruyama or Brownian steps: on the perfbench probes
+# 1024 (one-step windows at 1000 rows) was slower than per-step checks, and the gain
+# levels off at 32768, whose 256 KB buffers per state dimension stay in cache
+_WINDOW_ROW_STEPS = 32768
+
+
 # ---------------------------------------------------------------------------
 # Wiener path construction
 # ---------------------------------------------------------------------------
 
 def sample_wiener(grid: TimeGrid, stream: GaussianStream, dim: int = 1) -> WienerPath:
-    """Sample a Brownian path on ``grid`` by accumulating N(0, dt) increments."""
+    """Sample a Brownian path on ``grid`` by accumulating N(0, dt) increments.
+
+    The path is collected from :func:`_wiener_windows`; a caller that
+    reduces the path node by node can iterate the windows instead and hold
+    one window, not the whole ``(n_nodes, dim)`` array.
+    """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     values = np.zeros((grid.n_nodes, dim))
-    steps = values[1:]  # increments drawn, scaled and summed in place
-    stream.generator().standard_normal(out=steps)
-    steps *= math.sqrt(grid.dt)
-    np.cumsum(steps, axis=0, out=steps)
+    for j, nodes in _wiener_windows(grid, stream, dim):
+        values[j + 1:j + 1 + len(nodes)] = nodes
     return WienerPath(grid, values)
+
+
+def _wiener_windows(grid: TimeGrid, stream: GaussianStream, dim: int):
+    """The one Brownian loop: yields ``(j, nodes)``, the values at nodes
+    ``j + 1 .. j + w`` of a ``dim``-column path that starts at zero.
+
+    Each window draws ``_WINDOW_ROW_STEPS // dim`` steps (at least one) with
+    ``standard_normal(out=...)``, scales them by ``sqrt(dt)``, adds the
+    carried last node to its first row and sums it in place.  Windowed
+    draws from one generator are one draw, and the running sum adds each
+    row to the one before it, so the nodes have the bits of one draw and
+    one ``cumsum``.  The window is a buffer that the next window overwrites.
+    """
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    rng = stream.generator()
+    sqrt_dt = math.sqrt(grid.dt)
+    window = max(1, _WINDOW_ROW_STEPS // dim)
+    buffer = np.empty((min(window, grid.n_steps), dim))
+    last = np.zeros(dim)
+    for j in range(0, grid.n_steps, window):
+        nodes = buffer[:min(window, grid.n_steps - j)]
+        rng.standard_normal(out=nodes)
+        nodes *= sqrt_dt
+        if j:
+            nodes[0] += last
+        np.cumsum(nodes, axis=0, out=nodes)
+        last[:] = nodes[-1]
+        yield j, nodes
 
 
 def refine_wiener_midpoint(path: WienerPath, levels: int,
@@ -420,12 +463,6 @@ def stratonovich_integral(integrand, wiener: WienerPath) -> float | np.ndarray:
 # Integrators
 # ---------------------------------------------------------------------------
 
-# row-steps per window of Euler-Maruyama steps: on the perfbench probes 1024
-# (one-step windows at 1000 rows) was slower than per-step checks, and the gain levels
-# off at 32768, whose 256 KB buffers per state dimension stay in cache
-_WINDOW_ROW_STEPS = 32768
-
-
 def _disperse(g: np.ndarray, dw: np.ndarray) -> np.ndarray:
     """The noise term ``g dW`` over leading batch axes; an ``(n, k)`` ``g`` broadcasts."""
     return np.einsum("...ik,...k->...i", g, dw)
@@ -497,10 +534,31 @@ def euler_maruyama_ensemble(model: SdeModel, x0, grid: TimeGrid, n_paths: int,
     """Euler-Maruyama over an ensemble of paths, stepped in lockstep.
 
     Returns an array of shape ``(n_paths, n_nodes, dim_state)``.  All paths
-    advance simultaneously on vectorised drift/dispersion evaluations, which
-    is the workhorse for the Monte Carlo estimators elsewhere in the
-    package.  The noise is one ``(n_paths, dim_noise)`` draw per step, taken
-    a window of ``_WINDOW_ROW_STEPS // n_paths`` steps at a time.
+    advance simultaneously on vectorised drift/dispersion evaluations.  The
+    array is collected from :func:`_em_windows`; an estimator that needs a
+    few numbers per path (a terminal state, a running integral) iterates
+    the windows instead and holds one window, not every step of every path.
+    """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    out = np.empty((n_paths, grid.n_nodes, model.dim_state))
+    out[:, 0] = x0
+    for j, path in _em_windows(model, x0, grid, n_paths, stream):
+        # step by step: one transposed copy of the window would run its few
+        # steps in the inner loop, which is slower
+        for k in range(1, path.shape[0]):
+            out[:, j + k] = path[k]
+    return out
+
+
+def _em_windows(model: SdeModel, x0, grid: TimeGrid, n_paths: int,
+                stream: GaussianStream):
+    """The one ensemble loop: yields ``(j, path)``, the :func:`_em_path` window
+    of shape ``(w + 1, n_paths, dim_state)`` at nodes ``j .. j + w``.
+
+    The noise is one ``(n_paths, dim_noise)`` draw per step, taken a window
+    of ``_WINDOW_ROW_STEPS // n_paths`` steps (at least one) at a time.  A
+    window with a non-finite state raises :class:`BlowUpError` at its step.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -509,19 +567,13 @@ def euler_maruyama_ensemble(model: SdeModel, x0, grid: TimeGrid, n_paths: int,
     sqrt_dt = math.sqrt(dt)
     window = max(1, _WINDOW_ROW_STEPS // n_paths)
     x = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, model.dim_state))
-    out = np.empty((n_paths, grid.n_nodes, model.dim_state))
-    out[:, 0] = x
     for j in range(0, grid.n_steps, window):
         dw = rng.normal(0.0, sqrt_dt,
                         size=(min(window, grid.n_steps - j), n_paths, model.dim_noise))
         path = _em_path(model, x, dt, dw)
         _raise_blow_up(path, grid, j)
         x = path[-1]
-        # step by step: one transposed copy of the window would run its few
-        # steps in the inner loop, which is slower
-        for k in range(1, path.shape[0]):
-            out[:, j + k] = path[k]
-    return out
+        yield j, path
 
 
 # ---------------------------------------------------------------------------

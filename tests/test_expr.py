@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sdelab.expr import Expression, ExpressionError, parse_expression
+from sdelab.expr import _POW_FAST_PATHS, Expression, ExpressionError, parse_expression
 
 
 def value(source: str, x: float = 0.0) -> float:
@@ -111,6 +111,26 @@ class TestCompiledGoldens:
         assert out.shape == xs.shape and out.dtype == np.float64
         assert hashlib.sha256(out.tobytes()).hexdigest() == digest
         assert parse_expression(source)(1.7) == at_1_7
+
+    def test_scalar_exponents_keep_pow_except_the_fast_paths(self):
+        # A constant exponent enters np.power as a Python float unless numpy
+        # sends that scalar to a fast path (square, sqrt, reciprocal) that
+        # rounds differently from pow; those keep a full array.  The fast
+        # paths are derived here, so a numpy that adds or drops one fails.
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, -1.5, -2.0, 1.0]
+        rng = np.random.Generator(np.random.Philox(11))
+        points = np.concatenate([special, rng.uniform(-10.0, 10.0, 2000),
+                                 rng.lognormal(0.0, 3.0, 2000)])
+        layouts = (points, points[:8], points[::3], points[:, np.newaxis])
+        differ = set()
+        with np.errstate(all="ignore"):
+            for c in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0):
+                for x in layouts:
+                    scalar = np.power(x, c)
+                    full = np.power(x, np.full_like(x, c))
+                    if not np.array_equal(scalar.view(np.int64), full.view(np.int64)):
+                        differ.add(c)
+        assert differ == _POW_FAST_PATHS
 
     @pytest.mark.parametrize("source", sorted(GOLDENS))
     def test_zero_dimensional_input_returns_a_float(self, source):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,9 +29,9 @@ from sdelab.firstexit import (
     mc_radial_hitting,
     shell_hitting_probability,
 )
-from sdelab import firstexit
+from sdelab import firstexit, sde
 from sdelab.firstexit import _STEP_BLOCK, _WINDOW_ROW_STEPS, _normal_variance
-from sdelab.sde import BlowUpError, GaussianStream, SdeModel, TimeGrid
+from sdelab.sde import BlowUpError, GaussianStream, SdeModel, TimeGrid, sample_wiener
 
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:
@@ -883,6 +884,29 @@ class TestArcsine:
         assert np.all((frac >= 0) & (frac <= 1))
         assert np.all(np.diff(frac) >= 0)  # sorted
         assert ks_statistic(frac, arcsine_cdf) < 0.06
+
+    @pytest.mark.parametrize("row_steps, n_steps", [
+        (2000, 29),      # one-step windows
+        (7 * 2000, 29),  # windows of 7 steps; the last holds only the final node
+        (7 * 2000, 30),  # windows of 7 steps and a ragged one of 2
+    ])
+    def test_windowed_counts_equal_the_mean_over_the_whole_path(
+            self, monkeypatch, row_steps, n_steps):
+        monkeypatch.setattr(sde, "_WINDOW_ROW_STEPS", row_steps)
+        grid = TimeGrid(0.0, 1.0, n_steps)
+        frac = arcsine_occupation(2000, grid, GaussianStream(8372))
+        path = sample_wiener(grid, GaussianStream(8372), dim=2000)
+        assert np.array_equal(frac, np.sort(np.mean(path.values[:-1] > 0.0, axis=0)))
+
+    def test_occupation_holds_a_window_not_the_path(self):
+        # the whole 4000 x 1001 path is 32 MB
+        tracemalloc.start()
+        try:
+            arcsine_occupation(4000, TimeGrid(0.0, 1.0, 1000), GaussianStream(8373))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_occupation_extremes_are_rare_but_possible(self):
         grid = TimeGrid(0.0, 1.0, 100)

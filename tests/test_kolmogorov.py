@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import sympy
 from scipy.linalg import solve_banded
 
 import sdelab
-from sdelab import kolmogorov
+from sdelab import kolmogorov, sde
 from sdelab.ergodicity import discretize_kernel
 from sdelab.kolmogorov import (
     BoundaryCondition,
@@ -30,7 +31,7 @@ from sdelab.kolmogorov import (
     solve_fokker_planck,
     stationary_density_gradient,
 )
-from sdelab.sde import GaussianStream, SdeModel
+from sdelab.sde import GaussianStream, SdeModel, TimeGrid, euler_maruyama_ensemble
 
 
 def ou_model(rate: float = 1.0, noise: float = 1.0) -> SdeModel:
@@ -427,6 +428,48 @@ class TestMonteCarloRoutes:
         )
         assert se < 0.05
         assert abs(est - expected) < 3 * se + 0.01  # 3 sigma plus Euler bias head-room
+
+    @pytest.mark.parametrize("model, x0", [
+        (ou_model(), 1.0),
+        (SdeModel.brownian(2), [0.5, -0.5]),
+    ], ids=["ou", "brownian-2d"])
+    def test_mc_semigroup_reads_the_ensemble_terminal_row(self, monkeypatch, model, x0):
+        # windows of 7 steps: 30 steps are four full windows and a ragged one of 2
+        monkeypatch.setattr(sde, "_WINDOW_ROW_STEPS", 7 * 50)
+
+        def phi(x):
+            return np.sum(np.reshape(x, (50, -1)) ** 2, axis=1)
+
+        est, se = mc_semigroup(model, x0, 0.3, phi, n_paths=50, dt=0.01,
+                               stream=GaussianStream(7104))
+        terminal = euler_maruyama_ensemble(model, x0, TimeGrid(0.0, 0.3, 30), 50,
+                                           GaussianStream(7104))[:, -1]
+        vals = phi(terminal[:, 0] if model.dim_state == 1 else terminal)
+        assert (est, se) == (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(50)))
+
+    def test_mc_semigroup_holds_a_window_not_the_ensemble(self):
+        # the whole 4000 x 1001 ensemble is 32 MB
+        tracemalloc.start()
+        try:
+            mc_semigroup(SdeModel.brownian(), 0.0, 1.0, lambda x: x, n_paths=4000,
+                         dt=1e-3, stream=GaussianStream(7105))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_feynman_kac_running_sum_matches_the_whole_path_sum(self, monkeypatch):
+        # windows of 7 steps; the running sum differs from a row sum by rounding only
+        monkeypatch.setattr(sde, "_WINDOW_ROW_STEPS", 7 * 50)
+        est, se = mc_feynman_kac(
+            SdeModel.brownian(), 0.0, 0.3, lambda x: np.cos(x),
+            lambda x: 0.5 * x**2, n_paths=50, dt=0.01, stream=GaussianStream(7106),
+        )
+        states = euler_maruyama_ensemble(SdeModel.brownian(), 0.0, TimeGrid(0.0, 0.3, 30),
+                                         50, GaussianStream(7106))[:, :, 0]
+        vals = np.exp(-np.sum(0.5 * states[:, :-1] ** 2, axis=1) * 0.01) * np.cos(states[:, -1])
+        assert est == pytest.approx(vals.mean(), rel=1e-14)
+        assert se == pytest.approx(vals.std(ddof=1) / math.sqrt(50), rel=1e-12)
 
     def test_feynman_kac_constant_killing_is_exact_discount(self):
         # With q = c the weight is deterministic: E equals e^{-ct}.

@@ -28,6 +28,7 @@ from sdelab.sde import (
     sine_fixture,
     stratonovich_integral,
 )
+from sdelab import sde
 from sdelab.sde import _WINDOW_ROW_STEPS
 
 
@@ -133,6 +134,24 @@ def test_wiener_path_matches_cumulated_normal_increments():
         expected = np.vstack([np.zeros((1, dim)), np.cumsum(incr, axis=0)])
         path = sample_wiener(grid, GaussianStream(11), dim=dim)
         assert np.array_equal(path.values, expected)
+
+
+@pytest.mark.parametrize("row_steps, dim, n_steps", [
+    (7, 1, 30),   # four windows of 7 steps and a ragged one of 2
+    (12, 3, 23),  # five windows of 4 steps and a ragged one of 3
+    (8, 5, 9),    # fewer row-steps than columns: one step per window
+    (64, 2, 5),   # one window, shorter than the window size
+])
+def test_windowed_wiener_equals_one_draw(monkeypatch, row_steps, dim, n_steps):
+    monkeypatch.setattr(sde, "_WINDOW_ROW_STEPS", row_steps)
+    grid = TimeGrid(0.0, 1.3, n_steps)
+    window = max(1, row_steps // dim)
+    starts = [j for j, _ in sde._wiener_windows(grid, GaussianStream(33), dim)]
+    assert starts == list(range(0, n_steps, window))
+    steps = GaussianStream(33).generator().standard_normal((n_steps, dim))
+    expected = np.vstack([np.zeros((1, dim)), np.cumsum(steps * math.sqrt(grid.dt), axis=0)])
+    path = sample_wiener(grid, GaussianStream(33), dim=dim)
+    assert np.array_equal(path.values, expected)
 
 
 def test_wiener_increments_have_mean_zero_and_variance_dt():
