@@ -1,4 +1,4 @@
-"""The one on-disk format for run artifacts and library ``save``/``load``.
+"""The one on-disk format for run artifacts.
 
 CSV cells holding a float (Python or numpy) are written as
 ``repr(float(v))``, the shortest string that reads back to the same
@@ -50,23 +50,14 @@ def read_json(path):
         return json.load(fh)
 
 
-def write_csv(path, header: Sequence[str] | None, rows: Iterable) -> None:
-    """Write ``rows`` under ``header``; ``None`` writes no header row."""
+def write_csv(path, header: Sequence[str], rows: Iterable) -> None:
+    """Write ``rows`` under ``header``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if header is not None:
-            writer.writerow(header)
+        writer.writerow(header)
         for row in rows:
             writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
                              else v for v in row])
-
-
-def read_csv(path, header: bool = True) -> tuple[list[str] | None, np.ndarray]:
-    """Header row (``None`` when ``header`` is false) and the cells as floats."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    head = rows.pop(0) if header else None
-    return head, np.array([[float(v) for v in row] for row in rows])
 
 
 def sha256(path) -> str:

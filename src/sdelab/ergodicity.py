@@ -13,9 +13,7 @@ spatial grid by :func:`discretize_kernel`.  On such kernels the module
   computes the Hilbert projective metric and projective diameter, and runs
   power iteration with the resulting ``tanh``/spectral-gap rate guarantees
   (including the substochastic branch, whose left Perron vector is the
-  quasistationary distribution),
-* produces a Lyapunov-condition report for a model generator, fitting the
-  best constants for the standard criteria from stability theory.
+  quasistationary distribution).
 
 Every certificate returned by this module is rechecked entrywise, with
 conservative rounding nudges so the inequalities hold exactly in floating
@@ -25,14 +23,12 @@ point, not just in exact arithmetic.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ._io import read_csv, read_json, write_csv, write_json
-from .kolmogorov import Grid1D, apply_generator, solve_backward_kolmogorov
+from .kolmogorov import Grid1D, solve_backward_kolmogorov
 from .sde import GaussianStream, SdeModel
 
 __all__ = [
@@ -42,7 +38,6 @@ __all__ = [
     "ConeBounds",
     "HmContractionReport",
     "JentzschResult",
-    "LyapunovReport",
     "discretize_kernel",
     "verify_geometric_drift",
     "drift_violations",
@@ -54,7 +49,6 @@ __all__ = [
     "hilbert_metric",
     "projective_diameter",
     "power_iteration_jentzsch",
-    "mt_lyapunov_report",
 ]
 
 _GUARD = 1e-12  # multiplicative nudge making certificate inequalities exact in fp
@@ -72,7 +66,6 @@ class DiscreteKernel:
     matrix: np.ndarray
     grid: Grid1D | None = None
     substochastic: bool = False
-    t_step: float | None = None
     row_leakage: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -100,32 +93,6 @@ class DiscreteKernel:
     def apply_adjoint(self, mu: np.ndarray) -> np.ndarray:
         """Left action on measures: ``(mu P)(y) = sum_x mu(x) p(x, y)``."""
         return np.asarray(mu, dtype=float) @ self.matrix
-
-    def save(self, path) -> None:
-        """Matrix as headerless CSV plus a ``<path>.json`` sidecar with grid,
-        flags and row leakage."""
-        write_csv(path, None, self.matrix)
-        write_json(f"{path}.json", {
-            "grid": None if self.grid is None else {
-                "x_min": self.grid.x_min, "x_max": self.grid.x_max,
-                "n_cells": self.grid.n_cells,
-            },
-            "t_step": self.t_step,
-            "substochastic": self.substochastic,
-            "row_leakage": self.row_leakage,
-        })
-
-    @classmethod
-    def load(cls, path) -> "DiscreteKernel":
-        _, matrix = read_csv(path, header=False)
-        sidecar = read_json(f"{path}.json")
-        grid = None
-        if sidecar["grid"] is not None:
-            g = sidecar["grid"]
-            grid = Grid1D(g["x_min"], g["x_max"], g["n_cells"])
-        leakage = sidecar.get("row_leakage")
-        return cls(matrix, grid, sidecar["substochastic"], sidecar["t_step"],
-                   None if leakage is None else np.array(leakage, dtype=float))
 
 
 def _kernel_matrix(kernel) -> np.ndarray:
@@ -179,10 +146,10 @@ def discretize_kernel(model: SdeModel, grid: Grid1D, t_step: float, *,
         raise ValueError("a kernel row received no mass; refine the discretization")
     if absorbing:
         k = np.where(sums[:, None] > 1.0, k / sums[:, None], k)
-        return DiscreteKernel(k, grid, substochastic=True, t_step=t_step,
+        return DiscreteKernel(k, grid, substochastic=True,
                               row_leakage=1.0 - k.sum(axis=1))
     return DiscreteKernel(k / sums[:, None], grid, substochastic=False,
-                          t_step=t_step, row_leakage=1.0 - sums)
+                          row_leakage=1.0 - sums)
 
 
 # ---------------------------------------------------------------------------
@@ -521,129 +488,3 @@ def power_iteration_jentzsch(kernel, tol: float = 1e-10,
     if not rate <= gap_bound + max(tol, 1e-9):
         raise RuntimeError("observed rate exceeded the spectral-gap bound")
     return JentzschResult(lam, h, pi, rate, iteration, res_right, res_left)
-
-
-# ---------------------------------------------------------------------------
-# Lyapunov criteria report
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LyapunovReport:
-    """Best-constant fits of the standard Lyapunov drift criteria.
-
-    Each entry reports feasibility and the fitted constants for one
-    criterion applied to ``L V`` on the interior grid nodes:
-
-    ``bounded_growth``      L V <= c V + d       (global solutions)
-    ``non_evanescence``     L V <= d 1_C         (no escape to infinity)
-    ``harris_recurrence``   L V <= -c + d 1_C    (positive recurrence)
-    ``exponential``         L V <= -c V + d      (geometric ergodicity)
-
-    The topological side conditions (compactness/petiteness of the small
-    sets) are not checkable on a grid and are reported as assumed.
-    """
-
-    v_values: np.ndarray
-    generator_values: np.ndarray
-    bounded_growth: dict
-    non_evanescence: dict
-    harris_recurrence: dict
-    exponential: dict
-    assumed: tuple[str, ...] = (
-        "sublevel sets compact/petite",
-        "continuity and irreducibility of the dynamics",
-    )
-
-    def to_json(self, path) -> None:
-        write_json(path, {
-            "bounded_growth": self.bounded_growth,
-            "non_evanescence": self.non_evanescence,
-            "harris_recurrence": self.harris_recurrence,
-            "exponential": self.exponential,
-            "assumed": self.assumed,
-        })
-
-
-def _affine_elbow(lhs: np.ndarray, weight: np.ndarray, c_grid: np.ndarray,
-                  pick_largest: bool) -> tuple[float, float]:
-    """Best (c, d) with ``lhs <= c * weight + d`` over a grid of slopes.
-
-    The offset curve ``d(c) = max(lhs - c weight, 0)`` is scanned and the
-    fit keeps the smallest slope whose offset is within two percent of
-    the best one — or the largest such slope when ``pick_largest`` (used
-    for the damping criterion, where stronger damping is the useful
-    constant and the offset curve is flat up to the true rate).
-    """
-    offsets = np.maximum(lhs[None, :] - c_grid[:, None] * weight[None, :], 0.0).max(axis=1)
-    best = float(offsets.min())
-    ok = offsets <= best * 1.02 + 1e-12
-    idx = len(ok) - 1 - int(np.argmax(ok[::-1])) if pick_largest else int(np.argmax(ok))
-    c = float(c_grid[idx])
-    d = float(np.max(np.maximum(lhs - c * weight, 0.0)))
-    return c, d
-
-
-def mt_lyapunov_report(model: SdeModel, V, grid: Grid1D) -> LyapunovReport:
-    """Fit the four Lyapunov drift criteria for ``model`` with candidate ``V``.
-
-    ``L V`` is evaluated by central differences on the interior nodes.
-    ``V`` must be non-negative and grow toward both grid ends, since the
-    criteria concern behaviour near infinity and a decaying candidate
-    would make the truncated fits meaningless.  Binding nodes of the
-    damping fit are checked to lie away from the grid edge; a fit that
-    only works on the outermost nodes is reported infeasible because it
-    reflects truncation rather than actual damping.
-    """
-    v = np.asarray(V(grid.nodes) if callable(V) else V, dtype=float)
-    if v.shape != (grid.n_nodes,):
-        raise ValueError(f"V must be sampled on all {grid.n_nodes} nodes")
-    if np.any(v < 0):
-        raise ValueError("V must be non-negative")
-    mid = grid.n_nodes // 2
-    if v[0] < np.max(v[:mid]) or v[-1] < np.max(v[mid:]):
-        raise ValueError("V must increase toward the grid boundary")
-
-    lv = apply_generator(model, v, grid)
-    vi = v[1:-1]
-    n = vi.size
-
-    # L V <= c V + d: smallest growth rate c
-    c_grid = np.linspace(0.0, 10.0, 2001)
-    c0, d0 = _affine_elbow(lv, vi, c_grid, pick_largest=False)
-    bounded_growth = {"feasible": bool(np.all(lv - c0 * vi <= d0)),
-                      "c": c0, "d": d0}
-
-    # L V <= d 1_C with C the smallest sublevel set hiding all positivity
-    levels = np.unique(vi)
-    non_evanescence = {"feasible": False, "d": None, "level": None}
-    for level in levels:
-        outside = vi >= level
-        if np.all(lv[outside] <= 0.0):
-            inside = ~outside
-            d1 = float(np.max(lv[inside], initial=0.0))
-            non_evanescence = {"feasible": True, "d": d1, "level": float(level)}
-            break
-
-    # L V <= -c + d 1_C with C the median sublevel set
-    level2 = float(np.median(vi))
-    outside = vi >= level2
-    c2 = float(-np.max(lv[outside]))
-    if c2 > 0.0:
-        d2 = float(np.max(lv[~outside] + c2, initial=0.0))
-        harris_recurrence = {"feasible": True, "c": c2, "d": d2, "level": level2}
-    else:
-        harris_recurrence = {"feasible": False, "c": None, "d": None, "level": level2}
-
-    # L V <= -c V + d: strongest damping rate c, elbow from above.  A fit
-    # whose inequality only binds on the outermost nodes reflects grid
-    # truncation rather than genuine damping and is rejected.
-    c_grid = np.linspace(0.0, 20.0, 4001)
-    c3, d3 = _affine_elbow(lv, -vi, c_grid, pick_largest=True)
-    binding = np.flatnonzero(lv + c3 * vi >= d3 * (1.0 - 1e-9) - 1e-12)
-    edge_only = binding.size > 0 and bool(np.all((binding <= 1) | (binding >= n - 2)))
-    exponential = {"feasible": bool(c3 > 0.0 and not edge_only
-                                    and np.all(lv - c3 * (-vi) <= d3)),
-                   "c": c3, "d": d3}
-
-    return LyapunovReport(v, lv, bounded_growth, non_evanescence,
-                          harris_recurrence, exponential)

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import write_csv, write_json
 from .sde import (_WINDOW_ROW_STEPS, BlowUpError, GaussianStream, SdeModel,
                   TimeGrid, _addressed_draws, _em_path, _wiener_windows)
 
@@ -252,30 +251,6 @@ class ExitStatistics:
         std_error = (float(vals.std(ddof=1) / math.sqrt(self.n_paths))
                      if self.n_paths > 1 else 0.0)
         return float(vals.mean()), std_error
-
-    def exit_location_histogram(self, n_bins: int = 64) -> tuple[np.ndarray, np.ndarray]:
-        """Histogram of boundary parameters over [0, 1] in ``n_bins`` bins."""
-        if self.boundary_params is None:
-            raise ValueError("no boundary parametrisation for this domain")
-        return np.histogram(self.boundary_params, bins=n_bins, range=(0.0, 1.0))
-
-    def to_json(self, path) -> None:
-        write_json(path, {
-            "n_paths": self.n_paths,
-            "n_exited": self.n_exited,
-            "fraction_censored": self.fraction_censored,
-            "mean_time": self.mean_time,
-            "time_std_error": self.time_std_error,
-            "t_max": self.t_max,
-            "valid": self.valid,
-        })
-
-    def save_samples(self, path) -> None:
-        """Raw uncensored samples as CSV ``path_id,exit_time,boundary_parameter``."""
-        locations = (self.boundary_params if self.boundary_params is not None
-                     else [""] * self.n_exited)
-        write_csv(path, ("path_id", "exit_time", "boundary_parameter"),
-                  zip(self.path_ids, self.exit_times, locations))
 
 
 _STEP_BLOCK = 256  # steps per noise address of mc_exit

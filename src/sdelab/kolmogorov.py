@@ -26,15 +26,12 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from ._io import read_csv, write_csv
 from .sde import GaussianStream, SdeModel, TimeGrid, _em_windows
 
 __all__ = [
     "Grid1D",
     "DensityField",
     "BoundaryCondition",
-    "apply_generator",
-    "apply_adjoint_generator",
     "solve_backward_kolmogorov",
     "solve_fokker_planck",
     "delta_field",
@@ -120,19 +117,6 @@ class DensityField:
             raise ValueError("densities live on different grids")
         return float(np.trapezoid(np.abs(self.values - other.values), self.grid.nodes))
 
-    def save(self, path) -> None:
-        """Write the field as a two-column CSV ``x,value`` with header."""
-        write_csv(path, ("x", "value"), zip(self.grid.nodes, self.values))
-
-    @classmethod
-    def load(cls, path, time: float = 0.0) -> "DensityField":
-        header, data = read_csv(path)
-        if header != ["x", "value"]:
-            raise ValueError(f"expected header ['x', 'value'], got {header!r}")
-        xs = data[:, 0]
-        grid = Grid1D(xs[0], xs[-1], len(xs) - 1)
-        return cls(grid, data[:, 1], time)
-
 
 # ---------------------------------------------------------------------------
 # Generator and adjoint on a grid
@@ -146,40 +130,6 @@ def _scalar_coefficients(model: SdeModel, nodes: np.ndarray) -> tuple[np.ndarray
     d = np.asarray(model.diffusion_matrix(x), dtype=float).reshape(-1)
     return f, d
 
-
-def apply_generator(model: SdeModel, values, grid: Grid1D) -> np.ndarray:
-    """``L u = f u' + D u''/2`` by central differences on interior nodes.
-
-    Returns an array of length ``grid.n_nodes - 2``; the one-sided
-    information needed at the two edge nodes is deliberately not invented.
-    """
-    u = np.asarray(values, dtype=float)
-    if u.shape != (grid.n_nodes,):
-        raise ValueError(f"values must be sampled on all {grid.n_nodes} grid nodes")
-    f, d = _scalar_coefficients(model, grid.nodes)
-    dx = grid.dx
-    du = (u[2:] - u[:-2]) / (2.0 * dx)
-    d2u = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
-    return f[1:-1] * du + 0.5 * d[1:-1] * d2u
-
-
-def apply_adjoint_generator(model: SdeModel, values, grid: Grid1D) -> np.ndarray:
-    """``L* rho = (D rho)''/2 - (f rho)'`` on interior nodes."""
-    rho = np.asarray(values, dtype=float)
-    if rho.shape != (grid.n_nodes,):
-        raise ValueError(f"values must be sampled on all {grid.n_nodes} grid nodes")
-    f, d = _scalar_coefficients(model, grid.nodes)
-    dx = grid.dx
-    drho = d * rho
-    frho = f * rho
-    diff2 = (drho[2:] - 2.0 * drho[1:-1] + drho[:-2]) / dx**2
-    diff1 = (frho[2:] - frho[:-2]) / (2.0 * dx)
-    return 0.5 * diff2 - diff1
-
-
-# ---------------------------------------------------------------------------
-# Time stepping
-# ---------------------------------------------------------------------------
 
 def _backward_operator(model: SdeModel, grid: Grid1D,
                        bc: BoundaryCondition) -> np.ndarray:
@@ -241,6 +191,10 @@ def _adjoint_operator(model: SdeModel, grid: Grid1D,
     return np.vstack([upper, diag, lower])
 
 
+# ---------------------------------------------------------------------------
+# Time stepping
+# ---------------------------------------------------------------------------
+
 def _factorize(banded: np.ndarray) -> tuple:
     """LU factors (``dgttrf``) of a tridiagonal matrix in banded storage ``(3, n)``."""
     banded = np.asarray_chkfinite(banded)
@@ -298,6 +252,27 @@ def _evolve(banded_a: np.ndarray, state: np.ndarray, n_steps: int,
     return u.reshape(state.shape)
 
 
+def _positivity_error(model: SdeModel, grid: Grid1D) -> RuntimeError:
+    """The error for a backward solve that turned non-negative data negative.
+
+    The central stencil of ``L`` gives a neighbour the weight
+    ``D/(2 dx^2) - |f|/(2 dx)``, negative where the cell Peclet number
+    ``|f| dx / D`` exceeds one, and then ``I - dt L`` need not keep data
+    non-negative.  The message names the grid, the largest Peclet number
+    and its node, and the remedy.
+    """
+    f, d = _scalar_coefficients(model, grid.nodes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        peclet = np.abs(f) * grid.dx / d
+    peclet[np.isnan(peclet)] = 0.0  # no drift and no diffusion
+    i = int(np.argmax(peclet))
+    return RuntimeError(
+        f"implicit backward step lost positivity on {grid}: the largest cell "
+        f"Peclet number max |f| dx / D is {peclet[i]:.3g}, at node x = "
+        f"{grid.nodes[i]:.6g}, and above 1 the central stencil has negative "
+        f"weights; use more cells, since the Peclet number falls with dx")
+
+
 def solve_backward_kolmogorov(model: SdeModel, phi, grid: Grid1D, t_end: float,
                               dt: float, bc="neumann_zero") -> np.ndarray:
     """Evolve ``du/dt = L u`` from ``u(0) = phi`` to time ``t_end``.
@@ -308,7 +283,9 @@ def solve_backward_kolmogorov(model: SdeModel, phi, grid: Grid1D, t_end: float,
     at least as many columns as nodes (the identity, which assembles a
     transition kernel) is mapped by the ``n_steps``-th power of the
     one-step resolvent instead of being stepped.  Backward Euler keeps
-    non-negative data non-negative; that is checked on every run.
+    non-negative data non-negative where no cell Peclet number
+    ``|f| dx / D`` exceeds one; that is checked on every run, and a run
+    that loses positivity raises with the largest one.
     """
     bc = BoundaryCondition(bc)
     if t_end <= 0 or dt <= 0:
@@ -328,7 +305,7 @@ def solve_backward_kolmogorov(model: SdeModel, phi, grid: Grid1D, t_end: float,
     if np.all(u0 >= 0.0):
         floor = 1e-9 * (1.0 + float(np.max(np.abs(u0))))
         if not float(np.min(u)) >= -floor:
-            raise RuntimeError("implicit backward step lost positivity")
+            raise _positivity_error(model, grid)
         u = np.clip(u, 0.0, None)
     return u
 

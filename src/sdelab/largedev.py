@@ -23,12 +23,11 @@ theorem is served by :func:`legendre_transform`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._io import read_csv, write_csv
 from .expr import Expression
 from .firstexit import Domain, interval_exit_reference, mc_exit
 from .kolmogorov import _factorize, _solve_factored
@@ -99,16 +98,6 @@ class ActionPath:
         y = np.atleast_1d(np.asarray(y, dtype=float))
         s = (grid.nodes - grid.t0) / (grid.t_end - grid.t0)
         return cls(grid, x0[None, :] + s[:, None] * (y - x0)[None, :])
-
-    def save_csv(self, path) -> None:
-        names = ["x"] if self.dim == 1 else [f"x{i}" for i in range(self.dim)]
-        write_csv(path, ("t", *names), np.column_stack([self.grid.nodes, self.values]))
-
-    @classmethod
-    def load_csv(cls, path) -> "ActionPath":
-        _, data = read_csv(path)
-        grid = TimeGrid(data[0, 0], data[-1, 0], data.shape[0] - 1)
-        return cls(grid, data[:, 1:])
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,5 @@
 """Tests for kernel discretization, ergodicity certificates and cone bounds."""
 
-import json
 import math
 import os
 import subprocess
@@ -22,7 +21,6 @@ from sdelab.ergodicity import (
     fit_cone_bounds,
     hilbert_metric,
     hm_constants,
-    mt_lyapunov_report,
     power_iteration_jentzsch,
     projective_diameter,
     rho_beta_distance,
@@ -86,28 +84,6 @@ class TestDiscreteKernel:
         k = DiscreteKernel(np.array([[0.6, 0.4], [0.2, 0.8]]))
         assert np.allclose(k.apply([1.0, 2.0]), [1.4, 1.8])
         assert np.allclose(k.apply_adjoint([0.5, 0.5]), [0.4, 0.6])
-
-    def test_save_load_round_trip(self, tmp_path):
-        kernel = discretize_kernel(ou_model(), Grid1D(-2.0, 2.0, 20), 0.5, dt=0.05)
-        path = tmp_path / "kernel.csv"
-        kernel.save(path)
-        loaded = DiscreteKernel.load(path)
-        assert np.array_equal(loaded.matrix, kernel.matrix)
-        assert loaded.grid == kernel.grid
-        assert loaded.t_step == 0.5
-        assert loaded.substochastic is False
-        np.testing.assert_array_equal(loaded.row_leakage, kernel.row_leakage)
-        sidecar = json.loads((tmp_path / "kernel.csv.json").read_text())
-        assert sidecar["grid"]["n_cells"] == 20
-
-        absorbing = discretize_kernel(bm_model(), Grid1D(-1.0, 1.0, 20),
-                                      0.1, bc="dirichlet_zero")
-        absorbing.save(path)
-        loaded = DiscreteKernel.load(path)
-        assert np.array_equal(loaded.matrix, absorbing.matrix)
-        assert loaded.substochastic is True
-        np.testing.assert_array_equal(loaded.row_leakage, absorbing.row_leakage)
-
 
 class TestDiscretizeKernel:
     def test_rows_are_probability_vectors(self, ou_kernel):
@@ -477,70 +453,3 @@ class TestPowerIteration:
     def test_zero_entry_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             power_iteration_jentzsch(np.array([[1.0, 0.0], [0.5, 0.5]]))
-
-
-class TestLyapunovReport:
-    def test_ou_quadratic_candidate(self):
-        grid = Grid1D(-3.0, 3.0, 240)
-        report = mt_lyapunov_report(ou_model(), lambda x: x**2, grid)
-        assert report.exponential["feasible"]
-        assert report.exponential["c"] == pytest.approx(2.0, abs=1e-9)
-        assert report.exponential["d"] == pytest.approx(1.0, abs=1e-6)
-        assert report.bounded_growth["feasible"]
-        assert report.bounded_growth["c"] == 0.0
-        assert report.bounded_growth["d"] == pytest.approx(1.0, abs=1e-6)
-        assert report.non_evanescence["feasible"]
-        assert report.harris_recurrence["feasible"]
-        assert report.harris_recurrence["c"] > 0.0
-        # fitted inequalities hold at every interior node
-        vi = grid.nodes[1:-1] ** 2
-        lv = report.generator_values
-        assert np.all(lv + report.exponential["c"] * vi <= report.exponential["d"])
-        assert np.all(lv - report.bounded_growth["c"] * vi <= report.bounded_growth["d"])
-
-    def test_brownian_motion_has_no_damping_certificate(self):
-        grid = Grid1D(-3.0, 3.0, 240)
-        report = mt_lyapunov_report(bm_model(), lambda x: x**2, grid)
-        assert report.bounded_growth["feasible"]
-        assert not report.exponential["feasible"]
-        assert not report.non_evanescence["feasible"]
-        assert not report.harris_recurrence["feasible"]
-
-    def test_double_well_generator_matches_symbolic_form(self):
-        import sympy
-
-        x = sympy.Symbol("x")
-        u = (x**2 - 1) ** 2 / 4
-        lv_exact = sympy.lambdify(
-            x, -sympy.diff(u, x) ** 2 + sympy.diff(u, x, 2), "numpy")
-        grid = Grid1D(-3.0, 3.0, 1200)
-        model = SdeModel.scalar(lambda y: -(y * (y**2 - 1)), math.sqrt(2.0))
-        report = mt_lyapunov_report(model, lambda y: 0.25 * (y**2 - 1) ** 2, grid)
-        assert np.allclose(report.generator_values, lv_exact(grid.nodes[1:-1]),
-                           rtol=1e-4, atol=1e-4)
-        assert report.non_evanescence["feasible"]
-
-    def test_array_and_callable_candidates_agree(self):
-        grid = Grid1D(-3.0, 3.0, 60)
-        from_callable = mt_lyapunov_report(ou_model(), lambda x: x**2, grid)
-        from_array = mt_lyapunov_report(ou_model(), grid.nodes**2, grid)
-        assert from_callable.exponential == from_array.exponential
-
-    def test_reports_serializable(self, tmp_path):
-        grid = Grid1D(-3.0, 3.0, 60)
-        report = mt_lyapunov_report(ou_model(), lambda x: x**2, grid)
-        out = tmp_path / "report.json"
-        report.to_json(out)
-        payload = json.loads(out.read_text())
-        assert payload["exponential"]["feasible"]
-        assert "assumed" in payload
-        assert any("petite" in note for note in payload["assumed"])
-
-    def test_candidate_validation(self):
-        grid = Grid1D(-3.0, 3.0, 60)
-        with pytest.raises(ValueError, match="non-negative"):
-            mt_lyapunov_report(ou_model(), lambda x: x, grid)
-        with pytest.raises(ValueError, match="increase toward"):
-            mt_lyapunov_report(ou_model(), lambda x: 10.0 - x**2, grid)
-        with pytest.raises(ValueError, match="nodes"):
-            mt_lyapunov_report(ou_model(), np.ones(3), grid)

@@ -529,6 +529,18 @@ class TestExecuteOutcomes:
         assert out.summary["sound"] is True
         assert out.flags == ()
 
+    def test_a_grid_too_coarse_for_the_drift_names_the_peclet_number(self):
+        # the unit OU on [-5, 5] has cell Peclet number 5 dx at the walls:
+        # 1.25 at 40 cells, where the backward step loses positivity, and
+        # 1.04 at 48 cells, where it does not
+        with pytest.raises(RuntimeError, match=(
+                r"lost positivity on Grid1D\(x_min=-5\.0, x_max=5\.0, n_cells=40\): "
+                r".*max \|f\| dx / D is 1\.25, at node x = -5,.*"
+                r"use more cells")):
+            execute("hm-ou-kernel", parameters={"n_cells": 40})
+        out = execute("hm-ou-kernel", parameters={"n_cells": 48})
+        assert out.summary["within_tolerance"] is True
+
     def test_sample_paths_tracks_the_exact_ou_moments(self):
         out = execute("sample-paths", parameters={"n_paths": 2000}, seed=8)
         s = out.summary

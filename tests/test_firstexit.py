@@ -1,7 +1,6 @@
 """Tests for exit-time Monte Carlo, domains and the closed-form oracles."""
 
 import hashlib
-import json
 import math
 import sys
 import tracemalloc
@@ -208,31 +207,6 @@ class TestExitStatistics:
         assert not stats.valid
         assert math.isnan(stats.mean_time)
         assert stats.fraction_censored == 1.0
-
-    def test_histogram_covers_unit_interval(self):
-        stats = self.make()
-        counts, edges = stats.exit_location_histogram(n_bins=8)
-        assert counts.sum() == 3
-        assert edges[0] == 0.0 and edges[-1] == 1.0
-        with pytest.raises(ValueError):
-            self.make(boundary_params=None).exit_location_histogram()
-
-    def test_json_and_csv_outputs(self, tmp_path):
-        stats = self.make()
-        jpath = tmp_path / "stats.json"
-        stats.to_json(jpath)
-        payload = json.loads(jpath.read_text())
-        assert payload["n_paths"] == 4
-        assert payload["mean_time"] == pytest.approx(2.0)
-        assert payload["time_std_error"] == pytest.approx(1.0 / math.sqrt(3))
-
-        cpath = tmp_path / "samples.csv"
-        stats.save_samples(cpath)
-        lines = cpath.read_text().splitlines()
-        assert lines[0] == "path_id,exit_time,boundary_parameter"
-        assert len(lines) == 4
-        assert lines[1].startswith("0,1.0,")
-
 
 class TestMcExit:
     def test_rejects_outside_start_and_bad_step(self):

@@ -1,32 +1,27 @@
-"""The on-disk format: golden text for every writer, and one module owning it.
+"""The on-disk format: golden text for each writer, and one module owning it.
 
-The expected strings were recorded from the writers before they were
-routed through ``sdelab._io``, except two lines that were deliberately
-changed: the kernel sidecar now carries ``row_leakage``, and
-``ExitStatistics.to_json`` no longer writes a ``laplace`` map.  No random
-numbers are involved, so any byte that changes here changes the SHA-256
-of a run artifact.  The same kind of ``ast`` guard keeps the thread pool
-in ``firstexit``, home of the only Monte Carlo exit routine, the
-tridiagonal factorisation in ``kolmogorov``, home of the only implicit
-time stepper, the pieces of the Euler-Maruyama update in ``sde``, home
-of the only Euler-Maruyama loop, and the pieces of the exit rule in
-``firstexit.mc_exit``.  Another keeps ``assert`` out of the package, since
-``python -O`` skips it.
+A run directory (``result.json``, the CSV tables and ``manifest.json``)
+is the package's one on-disk artifact: ``experiments`` writes it, through
+``sdelab._io``, and an ``ast`` guard keeps every other module from
+importing ``_io``.  No random numbers are involved in the golden text,
+so any byte that changes here changes the SHA-256 of a run artifact.
+The same kind of guard keeps the thread pool in ``firstexit``, home of
+the only Monte Carlo exit routine, the tridiagonal factorisation in
+``kolmogorov``, home of the only implicit time stepper, the pieces of the
+Euler-Maruyama update in ``sde``, home of the only Euler-Maruyama loop,
+and the pieces of the exit rule in ``firstexit.mc_exit``.  Another keeps
+``assert`` out of the package, since ``python -O`` skips it.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
 
 import sdelab
-from sdelab._io import write_csv
-from sdelab.ergodicity import DiscreteKernel, LyapunovReport
+from sdelab._io import write_csv, write_json
 from sdelab.experiments import RunManifest
-from sdelab.firstexit import ExitStatistics
-from sdelab.kolmogorov import DensityField, Grid1D
-from sdelab.largedev import ActionPath
-from sdelab.sde import TimeGrid
 
 
 def csv_text(*lines: str) -> str:
@@ -50,149 +45,24 @@ class TestGoldenCsv:
             "1e-300,2.5e+20,0,1000000000000,",
             "-0.0,1.0,-3,0,")
 
-    def test_density_field(self, tmp_path):
-        target = tmp_path / "density.csv"
-        DensityField(Grid1D(0.0, 1.0, 3),
-                     np.array([0.0, 0.25, 1.0 / 3.0, 2.0])).save(target)
-        assert text(target) == csv_text(
-            "x,value",
-            "0.0,0.0",
-            "0.3333333333333333,0.25",
-            "0.6666666666666666,0.3333333333333333",
-            "1.0,2.0")
-
-    def test_action_paths(self, tmp_path):
-        one = tmp_path / "path1.csv"
-        ActionPath(TimeGrid(0.0, 1.0, 4),
-                   np.array([0.0, 0.1, 0.2, 0.1 + 0.2, 1.0 / 3.0])).save_csv(one)
-        assert text(one) == csv_text(
-            "t,x",
-            "0.0,0.0",
-            "0.25,0.1",
-            "0.5,0.2",
-            "0.75,0.30000000000000004",
-            "1.0,0.3333333333333333")
-        two = tmp_path / "path2.csv"
-        ActionPath.line([0.0, 1.0], [1.0, -2.0], TimeGrid(0.0, 1.5, 3)).save_csv(two)
-        assert text(two) == csv_text(
-            "t,x0,x1",
-            "0.0,0.0,1.0",
-            "0.5,0.3333333333333333,0.0",
-            "1.0,0.6666666666666666,-1.0",
-            "1.5,1.0,-2.0")
-
-    def test_discrete_kernel_and_sidecar(self, tmp_path):
-        target = tmp_path / "kernel.csv"
-        DiscreteKernel(np.array([[0.5, 0.5, 0.0], [0.1, 0.8, 0.1],
-                                 [0.0, 0.25, 0.75]]),
-                       Grid1D(0.0, 1.0, 2), t_step=0.25).save(target)
-        assert text(target) == csv_text(
-            "0.5,0.5,0.0",
-            "0.1,0.8,0.1",
-            "0.0,0.25,0.75")
-        assert text(tmp_path / "kernel.csv.json") == (
-            '{\n'
-            '  "grid": {\n'
-            '    "n_cells": 2,\n'
-            '    "x_max": 1.0,\n'
-            '    "x_min": 0.0\n'
-            '  },\n'
-            '  "row_leakage": null,\n'
-            '  "substochastic": false,\n'
-            '  "t_step": 0.25\n'
-            '}\n')
-
-    def test_exit_samples(self, tmp_path):
-        target = tmp_path / "samples.csv"
-        ExitStatistics.from_samples(
-            np.array([0.5, 1.25, 1.0 / 3.0]), np.array([0, 2, 3]), 5, 2.0,
-            np.array([0.0, 1.0, 0.75])).save_samples(target)
-        assert text(target) == csv_text(
-            "path_id,exit_time,boundary_parameter",
-            "0,0.5,0.0",
-            "2,1.25,1.0",
-            "3,0.3333333333333333,0.75")
-        bare = tmp_path / "bare.csv"
-        ExitStatistics.from_samples(np.array([0.5]), np.array([4]), 2,
-                                    2.0).save_samples(bare)
-        assert text(bare) == csv_text(
-            "path_id,exit_time,boundary_parameter",
-            "4,0.5,")
-
 
 class TestGoldenJson:
-    def test_exit_statistics(self, tmp_path):
+    def test_write_json_writes_non_finite_floats_as_null(self, tmp_path):
         target = tmp_path / "stats.json"
-        ExitStatistics.from_samples(
-            np.array([0.5, 1.25, 1.0 / 3.0]), np.array([0, 2, 3]), 5, 2.0,
-            np.array([0.0, 1.0, 0.75])).to_json(target)
+        write_json(target, {"mean": np.float64(0.5), "std_error": math.nan,
+                            "bound": -math.inf, "n": np.int64(2),
+                            "rates": np.array([1.0 / 3.0, math.inf]), "valid": True})
         assert text(target) == (
             '{\n'
-            '  "fraction_censored": 0.4,\n'
-            '  "mean_time": 0.6944444444444445,\n'
-            '  "n_exited": 3,\n'
-            '  "n_paths": 5,\n'
-            '  "t_max": 2.0,\n'
-            '  "time_std_error": 0.281913654585895,\n'
-            '  "valid": true\n'
-            '}\n')
-
-    def test_undefined_exit_statistics_are_null(self, tmp_path):
-        target = tmp_path / "bare.json"
-        ExitStatistics.from_samples(np.array([0.5]), np.array([4]), 2,
-                                    2.0).to_json(target)
-        assert text(target) == (
-            '{\n'
-            '  "fraction_censored": 0.5,\n'
-            '  "mean_time": 0.5,\n'
-            '  "n_exited": 1,\n'
-            '  "n_paths": 2,\n'
-            '  "t_max": 2.0,\n'
-            '  "time_std_error": null,\n'
-            '  "valid": true\n'
-            '}\n')
-
-    def test_lyapunov_report(self, tmp_path):
-        target = tmp_path / "lyapunov.json"
-        LyapunovReport(
-            np.array([1.0, 0.0, 1.0]), np.array([-1.0, 1.0, -1.0]),
-            {"feasible": True, "c": 0.5, "d": np.float64(1.25)},
-            {"feasible": False, "d": None, "level": None},
-            {"feasible": True, "c": 0.1, "d": 2.0, "level": 3.0},
-            {"feasible": True, "c": 0.2, "d": 1.5,
-             "small_set": np.array([-1.0, 1.0])},
-        ).to_json(target)
-        assert text(target) == (
-            '{\n'
-            '  "assumed": [\n'
-            '    "sublevel sets compact/petite",\n'
-            '    "continuity and irreducibility of the dynamics"\n'
+            '  "bound": null,\n'
+            '  "mean": 0.5,\n'
+            '  "n": 2,\n'
+            '  "rates": [\n'
+            '    0.3333333333333333,\n'
+            '    null\n'
             '  ],\n'
-            '  "bounded_growth": {\n'
-            '    "c": 0.5,\n'
-            '    "d": 1.25,\n'
-            '    "feasible": true\n'
-            '  },\n'
-            '  "exponential": {\n'
-            '    "c": 0.2,\n'
-            '    "d": 1.5,\n'
-            '    "feasible": true,\n'
-            '    "small_set": [\n'
-            '      -1.0,\n'
-            '      1.0\n'
-            '    ]\n'
-            '  },\n'
-            '  "harris_recurrence": {\n'
-            '    "c": 0.1,\n'
-            '    "d": 2.0,\n'
-            '    "feasible": true,\n'
-            '    "level": 3.0\n'
-            '  },\n'
-            '  "non_evanescence": {\n'
-            '    "d": null,\n'
-            '    "feasible": false,\n'
-            '    "level": null\n'
-            '  }\n'
+            '  "std_error": null,\n'
+            '  "valid": true\n'
             '}\n')
 
     def test_run_manifest(self, tmp_path):
@@ -252,6 +122,32 @@ def _package_uses(finder) -> dict[str, list[str]]:
 def test_only_the_io_module_knows_the_file_format():
     uses = _package_uses(_format_uses)
     assert uses.pop("_io.py"), "the guard no longer sees the format module's own uses"
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def _io_imports(tree: ast.AST) -> list[str]:
+    """Every import of ``sdelab._io`` in a module, relative or absolute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name == "sdelab._io"]
+        elif isinstance(node, ast.ImportFrom):
+            package = "." * node.level + (node.module or "")
+            if package in ("._io", "sdelab._io"):
+                found.append(package)
+            elif package in (".", "sdelab"):
+                found += [f"{package}{a.name}" for a in node.names if a.name == "_io"]
+    return found
+
+
+def test_only_experiments_writes_files():
+    # the run directory is the one on-disk artifact; a library object with
+    # its own save or load would import the format module to get one
+    assert _io_imports(ast.parse("from . import _io\nimport sdelab._io\n")) == \
+        ["._io", "sdelab._io"], "the guard no longer sees an import"
+    uses = _package_uses(_io_imports)
+    assert uses.pop("experiments.py") == ["._io"], \
+        "the guard no longer sees experiments' own import"
     assert {name: found for name, found in uses.items() if found} == {}
 
 

@@ -1,4 +1,4 @@
-"""Tests for the generator stencils, PDE solvers and density formulas."""
+"""Tests for the solvers' generator stencils, PDE solvers and density formulas."""
 
 import math
 import os
@@ -19,8 +19,6 @@ from sdelab.kolmogorov import (
     BoundaryCondition,
     DensityField,
     Grid1D,
-    apply_adjoint_generator,
-    apply_generator,
     delta_field,
     free_bm_density,
     killed_bm_density,
@@ -86,16 +84,6 @@ class TestGridAndField:
         assert field.mass() == pytest.approx(6.0)
         assert field.normalized().mass() == pytest.approx(1.0)
 
-    def test_csv_round_trip(self, tmp_path):
-        grid = Grid1D(-1.0, 1.0, 50)
-        field = DensityField(grid, np.exp(-grid.nodes**2), time=0.25)
-        path = tmp_path / "density.csv"
-        field.save(path)
-        back = DensityField.load(path, time=0.25)
-        assert back.grid == field.grid
-        np.testing.assert_array_equal(back.values, field.values)
-        assert path.read_text().splitlines()[0] == "x,value"
-
     def test_l1_distance_requires_matching_grids(self):
         a = DensityField(Grid1D(0.0, 1.0, 10), np.ones(11))
         b = DensityField(Grid1D(0.0, 1.0, 20), np.ones(21))
@@ -111,7 +99,19 @@ class TestGridAndField:
             delta_field(grid, 17.0)
 
 
+def dense(banded: np.ndarray) -> np.ndarray:
+    """The tridiagonal matrix held in banded storage ``(3, n)``."""
+    upper, diag, lower = banded
+    return np.diag(upper[1:], 1) + np.diag(diag) + np.diag(lower[:-1], -1)
+
+
+REFLECTING = BoundaryCondition.NEUMANN_ZERO
+
+
 class TestGeneratorStencils:
+    """The solvers' own operators: ``L`` of the backward equation and ``L*``
+    of the Fokker-Planck equation, row by row on the interior nodes."""
+
     def test_generator_matches_symbolic_oracle(self):
         # L u for dX = -X dt + sqrt(2) dW applied to u = exp(-x^2/2),
         # differentiated symbolically rather than by hand.
@@ -121,10 +121,22 @@ class TestGeneratorStencils:
         lu_exact = sympy.lambdify(x, sympy.simplify(lu_sym), "numpy")
 
         grid = Grid1D(-3.0, 3.0, 600)
-        model = gradient_quadratic()
-        numeric = apply_generator(model, np.exp(-grid.nodes**2 / 2), grid)
-        assert numeric.shape == (grid.n_nodes - 2,)
+        banded = kolmogorov._backward_operator(gradient_quadratic(), grid, REFLECTING)
+        numeric = (dense(banded) @ np.exp(-grid.nodes**2 / 2))[1:-1]
         np.testing.assert_allclose(numeric, lu_exact(grid.nodes[1:-1]), atol=1e-4)
+
+    def test_double_well_generator_matches_symbolic_form(self):
+        # L V = -U'^2 + U'' for dX = -U'(X) dt + sqrt(2) dW and V = U
+        x = sympy.Symbol("x")
+        u = (x**2 - 1) ** 2 / 4
+        lv_exact = sympy.lambdify(
+            x, -sympy.diff(u, x) ** 2 + sympy.diff(u, x, 2), "numpy")
+        grid = Grid1D(-3.0, 3.0, 1200)
+        model = SdeModel.scalar(lambda y: -(y * (y**2 - 1)), math.sqrt(2.0))
+        banded = kolmogorov._backward_operator(model, grid, REFLECTING)
+        numeric = (dense(banded) @ (0.25 * (grid.nodes**2 - 1) ** 2))[1:-1]
+        np.testing.assert_allclose(numeric, lv_exact(grid.nodes[1:-1]),
+                                   rtol=1e-4, atol=1e-4)
 
     def test_generator_second_order_in_dx(self):
         model = gradient_quadratic()
@@ -132,38 +144,37 @@ class TestGeneratorStencils:
         for n in (150, 300):
             grid = Grid1D(-3.0, 3.0, n)
             xs = grid.nodes
-            numeric = apply_generator(model, np.exp(-xs**2 / 2), grid)
+            banded = kolmogorov._backward_operator(model, grid, REFLECTING)
+            numeric = (dense(banded) @ np.exp(-xs**2 / 2))[1:-1]
             exact = (2 * xs[1:-1] ** 2 - 1) * np.exp(-xs[1:-1] ** 2 / 2)
             errs.append(np.max(np.abs(numeric - exact)))
         assert errs[1] == pytest.approx(errs[0] / 4, rel=0.1)
 
-    def test_generator_rejects_wrong_length(self):
-        grid = Grid1D(0.0, 1.0, 10)
-        with pytest.raises(ValueError):
-            apply_generator(ou_model(), np.ones(5), grid)
-
     def test_generator_requires_scalar_model(self):
         grid = Grid1D(0.0, 1.0, 10)
-        with pytest.raises(ValueError):
-            apply_generator(SdeModel.brownian(dim=2), np.ones(11), grid)
+        plane = SdeModel.brownian(dim=2)
+        with pytest.raises(ValueError, match="scalar models only"):
+            solve_backward_kolmogorov(plane, np.ones(11), grid, 1.0, 0.1)
+        with pytest.raises(ValueError, match="scalar models only"):
+            solve_fokker_planck(plane, DensityField(grid, np.ones(11)), 1.0, 0.1)
 
-    def test_discrete_duality_of_generator_and_adjoint(self):
-        # <L u, rho> = <u, L* rho> for data that decays at the edges; the
-        # central stencils telescope, so agreement is near machine level.
-        grid = Grid1D(-6.0, 6.0, 800)
-        xs = grid.nodes
-        model = ou_model()
-        u = np.exp(-(xs**2)) * np.sin(2 * xs)
-        rho = np.exp(-2 * (xs - 0.3) ** 2)
-        lhs = np.sum(apply_generator(model, u, grid) * rho[1:-1]) * grid.dx
-        rhs = np.sum(u[1:-1] * apply_adjoint_generator(model, rho, grid)) * grid.dx
-        assert lhs == pytest.approx(rhs, abs=1e-10)
+    @pytest.mark.parametrize("bc", ["neumann_zero", "dirichlet_zero"])
+    def test_adjoint_interior_is_the_transpose_of_the_generator(self, bc):
+        # on the interior nodes the flux form of L* is the transpose of the
+        # central stencil of L, which is what makes the two solvers dual
+        grid = Grid1D(-2.0, 2.0, 60)
+        model = SdeModel.scalar(lambda x: x - x**3, lambda x: 1.0 + 0.5 * np.sin(x))
+        bc = BoundaryCondition(bc)
+        backward = dense(kolmogorov._backward_operator(model, grid, bc))[1:-1, 1:-1]
+        adjoint = dense(kolmogorov._adjoint_operator(model, grid, bc))[1:-1, 1:-1]
+        scale = np.max(np.abs(backward))
+        assert np.max(np.abs(adjoint - backward.T)) <= 1e-14 * scale
 
     def test_adjoint_annihilates_gaussian_for_ou(self):
         # L* of the N(0, 1/2) density vanishes for dX = -X dt + dW.
         grid = Grid1D(-6.0, 6.0, 1200)
-        rho = np.exp(-grid.nodes**2)
-        residual = apply_adjoint_generator(ou_model(), rho, grid)
+        banded = kolmogorov._adjoint_operator(ou_model(), grid, REFLECTING)
+        residual = (dense(banded) @ np.exp(-grid.nodes**2))[1:-1]
         assert np.max(np.abs(residual)) < 1e-3
 
 

@@ -69,23 +69,6 @@ class TestActionPath:
         assert path.values[-1] == pytest.approx([3.0, 0.0])
         assert path.values[5] == pytest.approx([2.0, -0.5])
 
-    def test_csv_round_trip(self, tmp_path):
-        grid = TimeGrid(0.0, 1.5, 6)
-        vals = np.column_stack([np.sin(grid.nodes), np.cos(grid.nodes)])
-        target = tmp_path / "path.csv"
-        ActionPath(grid, vals).save_csv(target)
-        back = ActionPath.load_csv(target)
-        assert back.grid.n_nodes == 7
-        assert back.grid.t_end == pytest.approx(1.5)
-        np.testing.assert_array_equal(back.values, vals)
-
-    def test_csv_header_names_components(self, tmp_path):
-        target = tmp_path / "path.csv"
-        ActionPath.line([0.0, 0.0], [1.0, 1.0], TimeGrid(0.0, 1.0, 2)).save_csv(target)
-        header = target.read_text(encoding="utf-8").splitlines()[0]
-        assert header == "t,x0,x1"
-
-
 class TestLegendreTransform:
     def test_gaussian_is_self_dual(self):
         pair = legendre_transform(lambda t: 0.5 * t * t, [0.0, 1.0, 2.0],
