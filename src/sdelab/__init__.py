@@ -17,7 +17,7 @@ The package is organised around six modules:
     certificates, weighted total-variation contraction, and
     Perron–Frobenius data via power iteration.
 ``largedev``
-    Sample-path large deviations: rate functions, Hamiltonian flows,
+    Sample-path large deviations: the Freidlin–Wentzell action,
     minimum-action paths, quasipotentials, and small-noise exit
     asymptotics with the Eyring–Kramers prefactor.
 ``experiments`` / ``cli``
@@ -72,10 +72,8 @@ from .largedev import (
     ActionPath,
     arrhenius_check,
     eyring_kramers_time,
-    legendre_transform,
     minimize_action,
     quasipotential,
-    schilder_rate,
 )
 from .expr import Expression, ExpressionError, parse_expression
 from .experiments import ExperimentConfig, execute, list_experiments, run
@@ -98,7 +96,7 @@ __all__ = [
     "verify_geometric_drift", "verify_hm_contraction", "verify_minorisation",
     # largedev
     "ActionPath", "arrhenius_check", "eyring_kramers_time",
-    "legendre_transform", "minimize_action", "quasipotential", "schilder_rate",
+    "minimize_action", "quasipotential",
     # expr
     "Expression", "ExpressionError", "parse_expression",
     # experiments

@@ -384,6 +384,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown parameter {key!r} for experiment "
                                   f"{experiment.name!r}{extra}")
             params[key] = specs[key].convert(raw)
+        if experiment.name == "ito-isometry":  # the one rule across parameters
+            _check_ito_levels(params)
 
         model = self.model
         if model is None:
@@ -744,39 +746,55 @@ def _run_feynman_kac(run: _Run) -> ExperimentOutcome:
     n = p["n_paths"]
     right = stats.boundary_params == 1.0
 
+    # a z-score over a zero standard error is undefined and written as null
+    flags = []
     rows = []
     z_scores = []
     for lam in lambdas:
         estimate, std_error = stats.laplace(lam)
         closed = fk_laplace_interval(lam, a, 0.0)
-        z = (estimate - closed) / std_error
-        rows.append((lam, estimate, std_error, float(closed), float(z)))
-        z_scores.append(abs(z))
+        z = float((estimate - closed) / std_error) if std_error > 0 else None
+        rows.append((lam, estimate, std_error, float(closed), z))
+        z_scores.append(None if z is None else abs(z))
 
         one_est, one_se = stats.laplace(lam, right)
         one_closed = fk_laplace_one_sided(lam, a, 0.0)
-        z_scores.append(abs(one_est - one_closed) / one_se)
+        z_scores.append(abs(one_est - one_closed) / one_se if one_se > 0 else None)
+    laplace_defined = None not in z_scores
+    if not laplace_defined:
+        flags.append("a Laplace estimate has zero standard error: its z-score is undefined")
 
     right_times = stats.exit_times[right]
-    cond_mean = float(right_times.mean())
-    cond_se = float(right_times.std(ddof=1) / math.sqrt(right_times.size))
     cond_closed = fk_conditional_mean(a, 0.0)
-    cond_z = (cond_mean - cond_closed) / cond_se
+    cond_mean = float(right_times.mean()) if right_times.size else None
+    cond_se = cond_z = None
+    if right_times.size < 2:
+        flags.append(f"{right_times.size} of {n} paths left through +a, too few for "
+                     "a standard error: the conditional mean's z-score is undefined")
+    else:
+        cond_se = float(right_times.std(ddof=1) / math.sqrt(right_times.size))
+        if cond_se > 0:
+            cond_z = float((cond_mean - cond_closed) / cond_se)
+        else:
+            flags.append("every path through +a left at the same time: "
+                         "the conditional mean's z-score is undefined")
 
+    defined = laplace_defined and cond_z is not None
     summary = {
         "n_paths": n,
-        "max_abs_z_laplace": float(max(z_scores)),
+        "max_abs_z_laplace": float(max(z_scores)) if laplace_defined else None,
         "conditional_mean_time": cond_mean,
         "conditional_mean_time_std_error": cond_se,
         "conditional_mean_time_target": float(cond_closed),
-        "conditional_mean_z": float(cond_z),
+        "conditional_mean_z": cond_z,
         "z_threshold": 3.0,
-        "within_tolerance": bool(max(max(z_scores), abs(cond_z)) <= 3.0),
+        "within_tolerance": defined and bool(max(max(z_scores), abs(cond_z)) <= 3.0),
         "fraction_censored": stats.fraction_censored,
     }
     tables = {"laplace": (("lam", "estimate", "std_error", "closed_form",
                            "z_score"), rows)}
-    return ExperimentOutcome("feynman-kac-interval", summary, tables)
+    return ExperimentOutcome("feynman-kac-interval", summary, tables,
+                             flags=tuple(flags))
 
 
 def _run_arcsine(run: _Run) -> ExperimentOutcome:
@@ -797,6 +815,16 @@ def _run_arcsine(run: _Run) -> ExperimentOutcome:
     tables = {"occupation_cdf": (("u", "empirical_cdf", "arcsine_cdf"),
                                  table_rows)}
     return ExperimentOutcome("arcsine-law", summary, tables)
+
+
+def _check_ito_levels(params: Mapping[str, object]) -> None:
+    """Each level of ``ito-isometry`` takes every ``2**k``-th node of the fine
+    grid, ``k <= doublings``, so it ends at ``t_end`` only if ``n_steps`` is a
+    multiple of ``2**doublings``."""
+    n, d = params["n_steps"], params["doublings"]
+    if n % 2 ** min(d, n.bit_length()):  # 2**bit_length(n) > n divides no n
+        raise ConfigError(f"parameter 'n_steps' ({n}) must be a multiple of "
+                          f"2**doublings = 2**{d}, so that every level ends at t_end")
 
 
 def _run_ito_isometry(run: _Run) -> ExperimentOutcome:

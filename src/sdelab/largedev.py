@@ -1,24 +1,20 @@
-"""Sample-path large deviations: rate functionals, action minimization,
-quasipotentials, and metastable exit-time laws.
+"""Sample-path large deviations: the action functional, action
+minimization, quasipotentials, and metastable exit-time laws.
 
 The central object is the path action
 
     S(phi) = 1/2 * integral of <phidot - f(phi), D(phi)^{-1} (phidot - f(phi))> dt,
 
 discretized on a uniform time grid with left-endpoint coefficients.  The
-module evaluates it (:func:`fw_rate`, with :func:`schilder_rate` as the
-driftless special case), minimizes it between fixed endpoints with a
+module evaluates it (:func:`fw_rate`; Schilder's functional is its value
+for ``SdeModel.brownian``), minimizes it between fixed endpoints with a
 Sobolev-preconditioned descent (:func:`minimize_action`), and takes the
-infimum over travel times to obtain the quasipotential.  The
-characteristics of the action live on the Hamiltonian side, integrated by
-:func:`hamilton_flow` with an energy-conservation audit.
+infimum over travel times to obtain the quasipotential.
 
 On top of the variational machinery sit the classical rare-event laws:
 the closed-form level-crossing rate of the Ornstein-Uhlenbeck process,
 an Arrhenius-law fitting harness driven by Monte Carlo exit times, and
-the Eyring-Kramers mean transition time with Hessian checks.  Cramer's
-theorem is served by :func:`legendre_transform`.
-"""
+the Eyring-Kramers mean transition time with Hessian checks."""
 
 from __future__ import annotations
 
@@ -35,21 +31,13 @@ from .sde import GaussianStream, SdeModel, TimeGrid
 
 __all__ = [
     "ActionPath",
-    "HamiltonianState",
-    "HamiltonFlow",
     "QuasipotentialResult",
-    "LegendrePair",
     "ArrheniusFit",
-    "legendre_transform",
-    "schilder_rate",
     "fw_rate",
     "action_gradient",
-    "hamiltonian",
-    "hamilton_flow",
     "minimize_action",
     "quasipotential",
     "ou_exit_rate",
-    "ou_exit_rate_limit",
     "arrhenius_check",
     "eyring_kramers_time",
 ]
@@ -100,49 +88,6 @@ class ActionPath:
         return cls(grid, x0[None, :] + s[:, None] * (y - x0)[None, :])
 
 
-@dataclass(frozen=True)
-class HamiltonianState:
-    """Phase-space point ``(phi, psi)`` of the action's characteristics."""
-
-    phi: np.ndarray
-    psi: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phi", np.atleast_1d(np.asarray(self.phi, dtype=float)))
-        object.__setattr__(self, "psi", np.atleast_1d(np.asarray(self.psi, dtype=float)))
-        if self.phi.shape != self.psi.shape:
-            raise ValueError("phi and psi must have matching shapes")
-        if not (np.all(np.isfinite(self.phi)) and np.all(np.isfinite(self.psi))):
-            raise ValueError("state must be finite")
-
-
-@dataclass
-class HamiltonFlow:
-    """Discrete Hamiltonian trajectory with an energy audit.
-
-    Behaves as a sequence of :class:`HamiltonianState`; ``h_values`` holds
-    the Hamiltonian at every node, ``h_drift`` its worst deviation from
-    the initial value, and ``flagged`` is set when that drift exceeds the
-    requested conservation tolerance.
-    """
-
-    grid: TimeGrid
-    phi: np.ndarray
-    psi: np.ndarray
-    h_values: np.ndarray
-    h_drift: float
-    flagged: bool
-
-    def __len__(self) -> int:
-        return self.phi.shape[0]
-
-    def __getitem__(self, k: int) -> HamiltonianState:
-        return HamiltonianState(self.phi[k], self.psi[k])
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
-
-
 @dataclass
 class QuasipotentialResult:
     """Infimum of the action over travel times from a grid of horizons."""
@@ -155,73 +100,9 @@ class QuasipotentialResult:
     action_values: tuple[float, ...] = ()
 
 
-@dataclass
-class LegendrePair:
-    """A log-moment-generating function with its numeric Legendre transform."""
-
-    Lambda: Callable[[float], float]
-    x_grid: np.ndarray
-    Lambda_star: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.x_grid = np.asarray(self.x_grid, dtype=float)
-        self.Lambda_star = np.asarray(self.Lambda_star, dtype=float)
-        if self.x_grid.shape != self.Lambda_star.shape:
-            raise ValueError("transform values must match the evaluation grid")
-        if np.any(np.diff(self.x_grid) <= 0):
-            raise ValueError("evaluation grid must be strictly increasing")
-        slopes = np.diff(self.Lambda_star) / np.diff(self.x_grid)
-        if np.any(np.diff(slopes) < -1e-9):
-            raise ValueError("Legendre transform failed discrete convexity")
-
-
 # ---------------------------------------------------------------------------
-# Cramer / Legendre
+# The action functional
 # ---------------------------------------------------------------------------
-
-def legendre_transform(Lambda: Callable, x_grid, t_grid) -> LegendrePair:
-    """Legendre transform ``Lambda*(x) = sup_t (t x - Lambda(t))`` on a grid.
-
-    The supremum over ``t_grid`` is sharpened by three rounds of local
-    refinement around the discrete argmax, which is adequate for smooth
-    convex ``Lambda``.
-    """
-    x_grid = np.asarray(x_grid, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
-    lam = np.array([Lambda(t) for t in t_grid], dtype=float)
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("Lambda must be finite on the search grid")
-
-    star = np.empty_like(x_grid)
-    for i, x in enumerate(x_grid):
-        ts = t_grid
-        vals = x * ts - lam
-        best = vals.max()
-        for _ in range(3):
-            k = int(np.argmax(vals))
-            lo = ts[max(k - 1, 0)]
-            hi = ts[min(k + 1, ts.size - 1)]
-            if lo == hi:
-                break
-            ts = np.linspace(lo, hi, 41)
-            vals = x * ts - np.array([Lambda(t) for t in ts])
-            # refinement only ever adds candidates to the supremum
-            best = max(best, vals.max())
-        star[i] = best
-    return LegendrePair(Lambda, x_grid, star)
-
-
-# ---------------------------------------------------------------------------
-# Rate functionals
-# ---------------------------------------------------------------------------
-
-def schilder_rate(path: ActionPath) -> float:
-    """Discrete H1 action ``1/2 sum ||dphi/h||^2 h`` of a path from zero."""
-    if np.max(np.abs(path.values[0])) > 1e-12:
-        raise ValueError("the driftless rate functional expects a path from 0")
-    incr = np.diff(path.values, axis=0)
-    return float(np.sum(incr * incr) / (2.0 * path.grid.dt))
-
 
 def _residuals(model: SdeModel, values: np.ndarray, dt: float):
     """Left-endpoint residuals ``dphi/h - f`` and solved ``D^{-1} r``."""
@@ -246,17 +127,15 @@ def fw_rate(model: SdeModel, path: ActionPath) -> float:
     return float(0.5 * path.grid.dt * np.sum(r * a))
 
 
-def _central_differences(f: Callable, x, dim: int,
-                         scale: float = 1.0) -> list[np.ndarray]:
+def _central_differences(f: Callable, x, dim: int) -> list[np.ndarray]:
     """The package's one rule for differentiating a callable: the list over
     ``l < dim`` of ``(f(x + h e_l) - f(x - h e_l)) / 2h``, with ``e_l`` the
-    l-th unit vector along the last axis of ``x`` and ``h = scale * _FD_STEP``."""
-    step = scale * _FD_STEP
+    l-th unit vector along the last axis of ``x`` and ``h = _FD_STEP``."""
     out = []
     for l in range(dim):
         e = np.zeros(dim)
-        e[l] = step
-        out.append((f(x + e) - f(x - e)) / (2 * step))
+        e[l] = _FD_STEP
+        out.append((f(x + e) - f(x - e)) / (2 * _FD_STEP))
     return out
 
 
@@ -282,11 +161,11 @@ def _hessian(U: Callable, x: np.ndarray) -> np.ndarray:
     return np.array(_central_differences(grad, x, x.size))
 
 
-def _model_jacobians(model: SdeModel, xs: np.ndarray, scale: float = 1.0):
+def _model_jacobians(model: SdeModel, xs: np.ndarray):
     """Jacobian ``[k, i, l] = d f_i / d x_l`` of the drift and derivative
     tensor ``[k, l, i, j] = d D_ij / d x_l`` of the diffusion matrix at the
-    rows of ``xs``, by central differences with step ``scale * _FD_STEP``."""
-    diffs = lambda f: _central_differences(f, xs, xs.shape[-1], scale)
+    rows of ``xs``, by central differences."""
+    diffs = lambda f: _central_differences(f, xs, xs.shape[-1])
     return np.stack(diffs(model.drift), axis=-1), np.stack(diffs(model.diffusion_matrix), axis=1)
 
 
@@ -312,74 +191,17 @@ def action_gradient(model: SdeModel, path: ActionPath) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian side
-# ---------------------------------------------------------------------------
-
-def _rk4(rhs: Callable, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Classical RK4 for ``ydot = rhs(y)`` from ``y0``: one state per node of ``grid``."""
-    y = np.empty((grid.n_nodes,) + y0.shape)
-    y[0] = y0
-    dt = grid.dt
-    for k in range(grid.n_steps):
-        p = y[k]
-        k1 = rhs(p)
-        k2 = rhs(p + 0.5 * dt * k1)
-        k3 = rhs(p + 0.5 * dt * k2)
-        k4 = rhs(p + dt * k3)
-        y[k + 1] = p + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
-
-
-def hamiltonian(model: SdeModel, state: HamiltonianState) -> float:
-    """Hamiltonian ``H = 1/2 <psi, D psi> + <psi, f>`` of the action."""
-    d = model.diffusion_matrix(state.phi)
-    return float(0.5 * state.psi @ d @ state.psi + state.psi @ model.drift(state.phi))
-
-
-def hamilton_flow(model: SdeModel, state0: HamiltonianState, T: float,
-                  n_steps: int, drift_tol: float = 1e-6) -> HamiltonFlow:
-    """Integrate the Hamilton equations of the action by classical RK4.
-
-    ``phidot = D psi + f`` is exact; ``psidot = -(J_f^T psi + psi^T (dD)
-    psi / 2)`` takes ``J_f`` and ``dD`` by central differences.  The
-    Hamiltonian is recorded at every node and the trajectory is flagged
-    when its drift exceeds ``drift_tol * (1 + |H(0)|)``.
-    """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    grid = TimeGrid(0.0, T, n_steps)
-
-    def rhs(state: np.ndarray) -> np.ndarray:
-        phi, psi = state
-        # step scaled to the state so rounding in phi +- step stays benign
-        # on trajectories that grow exponentially
-        jac_f, d_dd = _model_jacobians(model, phi[np.newaxis],
-                                       1.0 + float(np.max(np.abs(phi))))
-        return np.stack([model.diffusion_matrix(phi) @ psi + model.drift(phi),
-                         -psi @ jac_f[0] - 0.5 * np.einsum("i,lij,j->l", psi, d_dd[0], psi)])
-
-    states = _rk4(rhs, np.stack([state0.phi, state0.psi]), grid)
-    phi, psi = np.ascontiguousarray(states.swapaxes(0, 1))
-
-    h_values = np.array([
-        hamiltonian(model, HamiltonianState(phi[k], psi[k]))
-        for k in range(grid.n_nodes)
-    ])
-    drift = float(np.max(np.abs(h_values - h_values[0])))
-    flagged = drift > drift_tol * (1.0 + abs(h_values[0]))
-    return HamiltonFlow(grid, phi, psi, h_values, drift, flagged)
-
-
-# ---------------------------------------------------------------------------
 # Action minimization and the quasipotential
 # ---------------------------------------------------------------------------
 
-def _action_value(model: SdeModel, values: np.ndarray, dt: float) -> float:
+def _trial_action(model: SdeModel, grid: TimeGrid, values: np.ndarray) -> float:
+    """:func:`fw_rate` of a trial path, infinite where the path is rejected
+    (a singular diffusion matrix or a non-finite value along it), so that the
+    descent backs off."""
     try:
-        r, a = _residuals(model, values, dt)
-    except np.linalg.LinAlgError:
+        return fw_rate(model, ActionPath(grid, values))
+    except ValueError:
         return math.inf
-    return float(0.5 * dt * np.sum(r * a))
 
 
 def minimize_action(model: SdeModel, x0, y, T: float, n_steps: int,
@@ -426,7 +248,7 @@ def minimize_action(model: SdeModel, x0, y, T: float, n_steps: int,
     banded[2, :-1] = -1.0
     laplacian = _factorize(banded)
 
-    action = _action_value(model, values, dt)
+    action = _trial_action(model, grid, values)
     history = [action]
     converged = False
     for _ in range(max_iter):
@@ -442,7 +264,7 @@ def minimize_action(model: SdeModel, x0, y, T: float, n_steps: int,
         for _ in range(40):
             trial = values.copy()
             trial[1:-1] -= alpha * step
-            new_action = _action_value(model, trial, dt)
+            new_action = _trial_action(model, grid, trial)
             if new_action <= action - 1e-4 * alpha * slope:
                 values, action = trial, new_action
                 history.append(action)
@@ -501,21 +323,15 @@ def quasipotential(model: SdeModel, x_star, y, T_list: Sequence[float],
 def ou_exit_rate(x0: float, h: float, T: float) -> float:
     """Action cost for an Ornstein-Uhlenbeck path to reach level ``h`` by ``T``.
 
-    Evaluates ``(h e^{T/2} - x0 e^{-T/2})^2 / (2 sinh T)``, which decreases
-    monotonically toward :func:`ou_exit_rate_limit` as the deadline grows.
+    Evaluates ``(h e^{T/2} - x0 e^{-T/2})^2 / (2 sinh T)``, which tends to
+    ``h^2`` as the deadline grows: monotonically from ``x0 = 0``, and from
+    ``x0 > 0`` after bottoming out at ``h^2 - x0^2`` when ``T = log(h/x0)``.
     """
     if not 0.0 <= x0 < h:
         raise ValueError(f"need 0 <= x0 < h, got x0={x0}, h={h}")
     if T <= 0:
         raise ValueError("T must be positive")
     return (h * math.exp(T / 2.0) - x0 * math.exp(-T / 2.0)) ** 2 / (2.0 * math.sinh(T))
-
-
-def ou_exit_rate_limit(h: float) -> float:
-    """Long-deadline limit ``h^2`` of the level-crossing cost."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    return h * h
 
 
 @dataclass(frozen=True)

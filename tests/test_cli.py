@@ -118,6 +118,17 @@ class TestRun:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_ito_levels_off_the_fine_grid_exit_two_naming_the_file(
+            self, tmp_path, capsys):
+        config = tmp_path / "bad.ini"
+        config.write_text("[experiment]\nname = ito-isometry\n"
+                          "[parameters]\nn_steps = 100\n", encoding="utf-8")
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert (f"{config}: parameter 'n_steps' (100) must be a multiple of "
+                "2**doublings = 2**3" in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_negative_seed_exits_two_naming_the_file(self, tmp_path, capsys):
         config = tmp_path / "bad.ini"
         config.write_text("[experiment]\nname = arcsine-law\nseed = -2\n",

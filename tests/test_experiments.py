@@ -4,8 +4,10 @@ import json
 import hashlib
 import os
 import platform
+import re
 import subprocess
 import sys
+import warnings
 from datetime import datetime
 from pathlib import Path
 
@@ -546,6 +548,39 @@ class TestExecuteOutcomes:
         s = out.summary
         se = s["terminal_std"] / np.sqrt(2000)
         assert abs(s["terminal_mean"] - s["terminal_mean_target"]) < 4 * se + 0.01
+
+    def test_feynman_kac_without_right_exits_is_flagged_not_raised(self):
+        # at seed 1 both paths leave through -a: the one-sided Laplace
+        # estimates have zero standard error and no conditional mean exists
+        out = execute("feynman-kac-interval", parameters={"n_paths": 2}, seed=1)
+        s = out.summary
+        assert s["within_tolerance"] is False
+        assert s["max_abs_z_laplace"] is None
+        assert s["conditional_mean_time"] is None
+        assert s["conditional_mean_z"] is None
+        assert any("zero standard error" in flag for flag in out.flags)
+        assert any("0 of 2 paths left through +a" in flag for flag in out.flags)
+
+    def test_feynman_kac_with_one_right_exit_has_no_conditional_z(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "Degrees of freedom <= 0"
+            out = execute("feynman-kac-interval", parameters={"n_paths": 2}, seed=2)
+        s = out.summary
+        assert s["within_tolerance"] is False
+        assert s["conditional_mean_time"] > 0
+        assert s["conditional_mean_time_std_error"] is None
+        assert s["conditional_mean_z"] is None
+        assert s["max_abs_z_laplace"] > 0
+        assert out.flags == ("1 of 2 paths left through +a, too few for a standard "
+                             "error: the conditional mean's z-score is undefined",)
+
+    @pytest.mark.parametrize("n_steps, doublings", [(100, 3), (8, 5), (2048, 12)])
+    def test_ito_isometry_levels_must_divide_the_fine_grid(self, n_steps, doublings):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"parameter 'n_steps' ({n_steps}) must be a multiple of "
+                f"2**doublings = 2**{doublings}")):
+            execute("ito-isometry",
+                    parameters={"n_steps": n_steps, "doublings": doublings})
 
     def test_gradient_model_override_reaches_the_runner(self):
         out = execute("sample-paths", parameters=dict(QUICK),

@@ -9,7 +9,8 @@ The same kind of guard keeps the thread pool in ``firstexit``, home of
 the only Monte Carlo exit routine, the tridiagonal factorisation in
 ``kolmogorov``, home of the only implicit time stepper, the pieces of the
 Euler-Maruyama update in ``sde``, home of the only Euler-Maruyama loop,
-and the pieces of the exit rule in ``firstexit.mc_exit``.  Another keeps
+the pieces of the exit rule in ``firstexit.mc_exit``, and the action's
+residuals in ``largedev.fw_rate`` and ``action_gradient``.  Another keeps
 ``assert`` out of the package, since ``python -O`` skips it.
 """
 
@@ -273,32 +274,46 @@ def test_only_largedev_differentiates_potentials():
 _EXIT_RULE = ("exit_fraction", "_KILL_CAP", "_normal_variance")
 
 
-def _exit_rule_uses(tree: ast.AST) -> list[str]:
-    """Every read or import of a piece of the exit rule, as ``owner.piece``,
-    where ``owner`` is the top-level function or class that holds it."""
-    found = []
-    for top in tree.body:
-        owner = getattr(top, "name", "<module>")
-        for node in ast.walk(top):
-            if isinstance(node, ast.ImportFrom):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names = [node.id]
-            elif isinstance(node, ast.Attribute):
-                names = [node.attr]
-            else:
-                continue
-            found += [f"{owner}.{name}" for name in names if name in _EXIT_RULE]
-    return found
+def _owner_uses(pieces: tuple[str, ...]):
+    """A finder of every read or import of one of ``pieces``, as
+    ``owner.piece``, where ``owner`` is the top-level function or class
+    that holds it."""
+    def finder(tree: ast.AST) -> list[str]:
+        found = []
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                else:
+                    continue
+                found += [f"{owner}.{name}" for name in names if name in pieces]
+        return found
+    return finder
 
 
 def test_only_mc_exit_detects_exits():
     # ``mc_exit`` holds the one exit rule: the crossing inside a step and the
     # bridge kill, with its cap and its variance along the normal; a second
     # exit loop or a second kill rule would read these pieces elsewhere
-    uses = _package_uses(_exit_rule_uses)
+    uses = _package_uses(_owner_uses(_EXIT_RULE))
     assert set(uses.pop("firstexit.py")) == {f"mc_exit.{name}" for name in _EXIT_RULE}, \
         "the guard no longer sees mc_exit's own uses"
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_only_fw_rate_and_action_gradient_take_residuals():
+    # ``largedev._residuals`` gives the action's integrand r = dphi/h - f and
+    # D^{-1} r; ``fw_rate`` sums it and ``action_gradient`` differentiates it.
+    # Any other caller would be a second action rule with its own bits
+    uses = _package_uses(_owner_uses(("_residuals",)))
+    assert set(uses.pop("largedev.py")) == {"fw_rate._residuals",
+                                            "action_gradient._residuals"}, \
+        "the guard no longer sees largedev's own uses"
     assert {name: found for name, found in uses.items() if found} == {}
 
 

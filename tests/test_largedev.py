@@ -13,19 +13,13 @@ from sdelab.firstexit import Domain, mc_exit
 from sdelab.largedev import (
     ActionPath,
     _drift,
-    HamiltonianState,
     action_gradient,
     arrhenius_check,
     eyring_kramers_time,
     fw_rate,
-    hamilton_flow,
-    hamiltonian,
-    legendre_transform,
     minimize_action,
     ou_exit_rate,
-    ou_exit_rate_limit,
     quasipotential,
-    schilder_rate,
 )
 from sdelab.sde import GaussianStream, SdeModel, TimeGrid
 
@@ -69,72 +63,6 @@ class TestActionPath:
         assert path.values[-1] == pytest.approx([3.0, 0.0])
         assert path.values[5] == pytest.approx([2.0, -0.5])
 
-class TestLegendreTransform:
-    def test_gaussian_is_self_dual(self):
-        pair = legendre_transform(lambda t: 0.5 * t * t, [0.0, 1.0, 2.0],
-                                  np.linspace(-4.0, 4.0, 201))
-        np.testing.assert_allclose(pair.Lambda_star, [0.0, 0.5, 2.0], atol=1e-6)
-
-    def test_centered_coin(self):
-        # closed form (1/2+d)log(1+2d) + (1/2-d)log(1-2d) at d = 0.1
-        coin = 0.6 * math.log(1.2) + 0.4 * math.log(0.8)
-        assert coin == pytest.approx(0.020135513550688863, abs=1e-15)
-        pair = legendre_transform(lambda t: math.log(math.cosh(0.5 * t)),
-                                  [0.1], np.linspace(-3.0, 3.0, 301))
-        assert pair.Lambda_star[0] == pytest.approx(coin, abs=1e-8)
-
-    def test_zero_at_the_mean(self):
-        # sup_t (t*0 - Lambda(t)) with Lambda >= 0 = Lambda(0) when 0 is on the grid
-        pair = legendre_transform(lambda t: 0.5 * t * t, [0.0],
-                                  np.linspace(-2.0, 2.0, 41))
-        assert pair.Lambda_star[0] == 0.0
-
-    def test_transform_is_convex_on_grid(self):
-        xg = np.linspace(-2.0, 2.0, 81)
-        pair = legendre_transform(lambda t: math.log(math.cosh(t)), xg,
-                                  np.linspace(-6.0, 6.0, 301))
-        slopes = np.diff(pair.Lambda_star) / np.diff(xg)
-        assert np.all(np.diff(slopes) >= -1e-9)
-
-    def test_non_finite_lambda_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            legendre_transform(lambda t: math.inf if t > 1 else t, [0.0],
-                               np.linspace(-2.0, 2.0, 11))
-
-
-class TestSchilderRate:
-    def test_zero_path_costs_nothing(self):
-        assert schilder_rate(ActionPath(TimeGrid(0.0, 1.0, 10), np.zeros(11))) == 0.0
-
-    def test_straight_line(self):
-        grid = TimeGrid(0.0, 2.0, 64)
-        path = ActionPath.line([0.0], [3.0], grid)
-        assert schilder_rate(path) == pytest.approx(9.0 / 4.0, rel=1e-12)
-
-    def test_plane_line_adds_components(self):
-        grid = TimeGrid(0.0, 1.0, 32)
-        path = ActionPath.line([0.0, 0.0], [1.0, 2.0], grid)
-        assert schilder_rate(path) == pytest.approx(5.0 / 2.0, rel=1e-12)
-
-    def test_level_crossing_line(self):
-        path = ActionPath.line([0.0], [1.0], TimeGrid(0.0, 2.0, 50))
-        assert schilder_rate(path) == pytest.approx(0.25, rel=1e-12)
-
-    def test_nonzero_start_rejected(self):
-        path = ActionPath.line([0.5], [1.0], TimeGrid(0.0, 1.0, 10))
-        with pytest.raises(ValueError, match="from 0"):
-            schilder_rate(path)
-
-    @given(st.floats(-4.0, 4.0), st.integers(1, 40))
-    @settings(max_examples=30, deadline=None)
-    def test_quadratic_scaling(self, c, seed):
-        grid = TimeGrid(0.0, 1.0, 20)
-        base = np.concatenate(
-            [[0.0], GaussianStream(seed).generator().normal(size=20)])
-        one = schilder_rate(ActionPath(grid, base))
-        scaled = schilder_rate(ActionPath(grid, c * base))
-        assert scaled == pytest.approx(c * c * one, rel=1e-9, abs=1e-12)
-
 
 def _ode_solution_path(model: SdeModel, x0: float, T: float, n: int) -> ActionPath:
     grid = TimeGrid(0.0, T, n)
@@ -171,8 +99,30 @@ class TestFwRate:
         grid = TimeGrid(0.0, 1.0, 40)
         vals = np.concatenate([[0.0], GaussianStream(5).generator().normal(size=40)])
         bm = SdeModel.scalar(lambda x: 0.0 * x, lambda x: 1.0)
-        path = ActionPath(grid, vals)
-        assert fw_rate(bm, path) == pytest.approx(schilder_rate(path), rel=1e-12)
+        schilder = np.sum(np.diff(vals) ** 2) / (2.0 * grid.dt)
+        assert fw_rate(bm, ActionPath(grid, vals)) == pytest.approx(schilder, rel=1e-12)
+
+    @pytest.mark.parametrize("path, expected", [
+        (ActionPath(TimeGrid(0.0, 1.0, 10), np.zeros(11)), 0.0),
+        (ActionPath.line([0.0], [3.0], TimeGrid(0.0, 2.0, 64)), 9.0 / 4.0),
+        (ActionPath.line([0.0, 0.0], [1.0, 2.0], TimeGrid(0.0, 1.0, 32)), 5.0 / 2.0),
+        (ActionPath.line([0.0], [1.0], TimeGrid(0.0, 2.0, 50)), 0.25),
+    ], ids=["zero-path", "line", "plane-line", "level-crossing-line"])
+    def test_brownian_action_is_schilders(self, path, expected):
+        # Schilder's functional |y|^2 / 2T of a line from 0 to y over [0, T]
+        rate = fw_rate(SdeModel.brownian(path.dim), path)
+        assert rate == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @given(st.floats(-4.0, 4.0), st.integers(1, 40))
+    @settings(max_examples=30, deadline=None)
+    def test_brownian_action_scales_quadratically(self, c, seed):
+        grid = TimeGrid(0.0, 1.0, 20)
+        base = np.concatenate(
+            [[0.0], GaussianStream(seed).generator().normal(size=20)])
+        bm = SdeModel.brownian(1)
+        one = fw_rate(bm, ActionPath(grid, base))
+        scaled = fw_rate(bm, ActionPath(grid, c * base))
+        assert scaled == pytest.approx(c * c * one, rel=1e-9, abs=1e-12)
 
     def test_additive_over_time_splits(self):
         gen = GaussianStream(11).generator()
@@ -200,65 +150,6 @@ class TestFwRate:
         path = ActionPath.line([-1.0], [1.0], TimeGrid(0.0, 1.0, 10))
         with pytest.raises(ValueError, match="singular"):
             fw_rate(pinched, path)
-
-
-class TestHamiltonian:
-    def test_zero_momentum_gives_zero_energy(self):
-        assert hamiltonian(ou_model(), HamiltonianState(2.0, 0.0)) == 0.0
-
-    def test_zero_momentum_flow_follows_the_drift(self):
-        flow = hamilton_flow(ou_model(), HamiltonianState(1.0, 0.0), 2.0, 500)
-        np.testing.assert_allclose(flow.phi[:, 0], np.exp(-flow.grid.nodes),
-                                   atol=1e-8)
-        np.testing.assert_array_equal(flow.h_values, np.zeros(501))
-
-    def test_ou_energy_formula(self):
-        for phi, psi in [(0.3, 0.7), (-1.2, 0.4), (2.0, -1.5)]:
-            expected = 0.5 * psi * psi - psi * phi
-            assert hamiltonian(ou_model(), HamiltonianState(phi, psi)) == \
-                pytest.approx(expected, rel=1e-12)
-
-    def test_ou_flow_conserves_energy(self):
-        flow = hamilton_flow(ou_model(), HamiltonianState(1.0, 0.7), 5.0, 2000)
-        h0 = flow.h_values[0]
-        assert flow.h_drift <= 1e-8 * (1.0 + abs(h0))
-        assert not flow.flagged
-
-    def test_conservation_invariant_over_long_horizon(self):
-        cubic = SdeModel.scalar(lambda x: x - x**3, lambda x: 1.0)
-        flow = hamilton_flow(cubic, HamiltonianState(-0.5, 0.3), 10.0, 4000)
-        assert flow.h_drift <= 1e-6 * (1.0 + abs(flow.h_values[0]))
-
-    def test_reversed_gradient_flow_rides_the_zero_level(self):
-        model = double_well_model()
-        grad_u = lambda x: x**3 - x
-        flow = hamilton_flow(
-            model, HamiltonianState(-0.9, 2.0 * grad_u(-0.9)), 1.0, 400)
-        # psi = 2 U'(phi) is invariant and keeps H at zero
-        np.testing.assert_allclose(flow.psi[:, 0], 2.0 * grad_u(flow.phi[:, 0]),
-                                   atol=1e-7)
-        assert np.max(np.abs(flow.h_values)) < 1e-8
-
-    def test_tight_tolerance_flags_the_trajectory(self):
-        flow = hamilton_flow(ou_model(), HamiltonianState(1.0, 0.7), 5.0, 50,
-                             drift_tol=1e-14)
-        assert flow.flagged
-
-    def test_behaves_as_a_sequence(self):
-        flow = hamilton_flow(ou_model(), HamiltonianState(1.0, 0.5), 1.0, 10)
-        assert len(flow) == 11
-        first = flow[0]
-        assert isinstance(first, HamiltonianState)
-        assert first.phi[0] == 1.0 and first.psi[0] == 0.5
-        states = list(flow)
-        assert len(states) == 11
-        assert states[-1].phi[0] == flow.phi[-1, 0]
-
-    def test_state_validation(self):
-        with pytest.raises(ValueError, match="matching"):
-            HamiltonianState([1.0, 2.0], [0.5])
-        with pytest.raises(ValueError, match="finite"):
-            HamiltonianState(np.inf, 0.0)
 
 
 class TestMinimizeAction:
@@ -368,8 +259,6 @@ class TestOuExitRate:
 
     def test_long_deadline_reaches_the_limit(self):
         assert ou_exit_rate(0.0, 1.0, 50.0) == pytest.approx(1.0, abs=1e-12)
-        assert ou_exit_rate_limit(1.0) == 1.0
-        assert ou_exit_rate_limit(0.5) == 0.25
 
     def test_decreasing_in_the_deadline(self):
         costs = [ou_exit_rate(0.0, 1.0, t) for t in np.linspace(0.1, 10.0, 40)]
@@ -390,8 +279,6 @@ class TestOuExitRate:
             ou_exit_rate(-0.1, 1.0, 1.0)
         with pytest.raises(ValueError, match="positive"):
             ou_exit_rate(0.0, 1.0, 0.0)
-        with pytest.raises(ValueError, match="positive"):
-            ou_exit_rate_limit(-1.0)
 
 
 @pytest.fixture(scope="module")
