@@ -14,6 +14,12 @@ unary minus binds looser, so ``-x^2`` means ``-(x^2)``.  Parsed
 expressions evaluate through numpy and broadcast over arrays, which the
 Monte Carlo drivers rely on.  Errors carry the line and column where
 parsing stopped.
+
+A constant integer exponent ``n`` with ``3 <= n <= 8`` evaluates as a
+chain of products by repeated squaring, within ``n - 1`` ulp of the exact
+power (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+§3.1), for a few multiplications per element where ``np.power`` pays a
+libm ``pow``.  Every other exponent goes through ``np.power``.
 """
 
 from __future__ import annotations
@@ -94,17 +100,36 @@ _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 
 
 # scalar exponents that numpy sends to square, sqrt and reciprocal, which
-# round differently from pow; tests/test_expr.py derives this set from numpy
+# round differently from pow; tests/test_expr.py derives this set from numpy.
+# They enter np.power as full arrays, so they keep pow's rounding; the
+# integers 3..8 of _POW_CHAINS never reach np.power at all
 _POW_FAST_PATHS = frozenset({2.0, 0.5, -1.0})
+
+# v^n for a constant exponent n as products by right-to-left binary
+# exponentiation, x^6 = x^2 x^4 and x^7 = (x x^2) x^4: unfolded, each is a
+# product of n factors x, so it is within n - 1 roundings (n - 1 ulp) of the
+# exact power.  x^2 stays on pow, so no x^2 result changes.
+_POW_CHAINS = {
+    3.0: lambda v: v * v * v,
+    4.0: lambda v: (s := v * v) * s,
+    5.0: lambda v: (s := v * v) * s * v,
+    6.0: lambda v: (s := v * v) * (s * s),
+    7.0: lambda v: (s := v * v) * v * (s * s),
+    8.0: lambda v: (q := (s := v * v) * s) * q,
+}
 
 
 def _compile(node: _Node) -> float | Callable[[np.ndarray], np.ndarray]:
     """Compile ``node`` into a float (constant subtree) or a closure ``x -> array``.
 
     Constants enter ``+ - * /`` as Python floats, which rounds exactly as
-    the elementwise array operation, and so does a constant exponent of a
-    power unless it is in :data:`_POW_FAST_PATHS`.  Such an exponent, and
-    a constant base, enter ``np.power`` as full arrays.
+    the elementwise array operation.  A constant exponent ``n`` in
+    ``3..8`` becomes the product chain of :data:`_POW_CHAINS`, within
+    ``n - 1`` ulp of the exact power.  Every other power goes through
+    ``np.power``: a constant exponent as a Python float, which rounds as
+    ``pow`` does, unless it is in :data:`_POW_FAST_PATHS`.  Such an
+    exponent, an exponent with ``x`` in it, and a constant base enter
+    ``np.power`` as full arrays.
     """
     if node.op == "const":
         return node.value
@@ -116,6 +141,9 @@ def _compile(node: _Node) -> float | Callable[[np.ndarray], np.ndarray]:
     a, b = _compile(node.left), _compile(node.right)
     if node.op == "^":
         base = _full(a) if isinstance(a, float) else a
+        if isinstance(b, float) and b in _POW_CHAINS:
+            chain = _POW_CHAINS[b]
+            return lambda x: chain(base(x))
         if isinstance(b, float) and b not in _POW_FAST_PATHS:
             return lambda x: np.power(base(x), b)
         exponent = _full(b) if isinstance(b, float) else b
@@ -337,11 +365,16 @@ class _Parser:
         return node
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 @dataclass(frozen=True)
 class Expression:
     """A parsed one-variable expression, callable on scalars and arrays.
 
-    The tree is compiled once, at construction, into nested closures.
+    The tree is compiled once, at construction, into nested closures.  A
+    float64 ``ndarray`` of one or more dimensions goes to them as it is;
+    other input goes through ``np.asarray``, and 0-d input returns a float.
     """
 
     source: str
@@ -356,6 +389,8 @@ class Expression:
         object.__setattr__(self, "_evaluate", compiled)
 
     def __call__(self, x) -> float | np.ndarray:
+        if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim:
+            return self._evaluate(x)  # what asarray would pass through
         arr = np.asarray(x, dtype=float)
         out = self._evaluate(arr)
         return float(out) if arr.ndim == 0 else out

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sde import (_WINDOW_ROW_STEPS, BlowUpError, GaussianStream, SdeModel,
-                  TimeGrid, _addressed_draws, _em_path, _wiener_windows)
+                  TimeGrid, _AddressedDraws, _em_path, _wiener_windows)
 
 __all__ = [
     "Domain",
@@ -370,13 +370,14 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
         # noise in the current step block is row ``rows[r]`` of ``dw`` and ``e``
         ids = np.arange(start, stop)
         x = np.tile(x0, (ids.size, 1))
+        draws = _AddressedDraws(noise)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for block, step in enumerate(range(0, n_steps, _STEP_BLOCK)):
                 if not ids.size:
                     break
                 nb = min(_STEP_BLOCK, n_steps - step)
                 dw = e = None  # release the last block's noise before drawing
-                dw = _addressed_draws(noise, ids, block, 0, (nb, model.dim_noise))
+                dw = draws(ids, block, 0, (nb, model.dim_noise))
                 dw *= sqrt_h
                 rows = np.arange(ids.size)
                 j = 0
@@ -395,7 +396,7 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
                         # the step block with a step this close to the boundary
                         if e is None:
                             e = np.empty((dw.shape[0], nb))
-                            e[rows] = _addressed_draws(noise, ids, block, 1, (nb,))
+                            e[rows] = draws(ids, block, 1, (nb,))
                         slack = e[rows, j:j + w].T  # a gathered copy
                         np.minimum(slack, _KILL_CAP, out=slack)
                         slack *= scale

@@ -152,28 +152,37 @@ class GaussianStream:
         return replace(self, branch=(*self.branch, index))
 
 
-def _addressed_draws(stream: GaussianStream, ids: np.ndarray, step_block: int,
-                     kind: int, shape: tuple[int, ...]) -> np.ndarray:
-    """One row of ``shape`` per path in ``ids``, read from its own address.
+class _AddressedDraws:
+    """Rows of noise read by address from one keyed Philox, built once.
 
-    Address ``(path, step_block, kind)`` is the counter ``(0, path,
-    step_block, kind)`` of the stream's Philox, under its key (Salmon et
-    al., SC'11).  Word 0 counts the draws inside an address, so no two
-    overlap.  Kind 0 holds standard Gaussians, kind 1 standard exponentials.
+    ``draws(ids, step_block, kind, shape)`` returns one row of ``shape`` per
+    path in ``ids``, read from address ``(path, step_block, kind)``: the
+    counter ``(0, path, step_block, kind)`` of the stream's Philox, under
+    its key (Salmon et al., SC'11).  Word 0 counts the draws inside an
+    address, so no two overlap.  Kind 0 holds standard Gaussians, kind 1
+    standard exponentials.  Every row starts from the generator's fresh
+    state with only the counter moved, so a row does not depend on what
+    was read before it.  Moving the generator costs a fraction of building
+    one, so a caller that reads many addresses holds one reader per thread.
     """
-    gen = stream.generator()
-    bits = gen.bit_generator
-    # moving one generator costs a fraction of building one per address
-    state = bits.state
-    counter = state["state"]["counter"]
-    counter[2:] = step_block, kind
-    draw = (gen.standard_normal, gen.standard_exponential)[kind]
-    out = np.empty((len(ids),) + tuple(shape))
-    for row, path in zip(out, ids.tolist()):
-        counter[1] = path
-        bits.state = state
-        draw(out=row)
-    return out
+
+    def __init__(self, stream: GaussianStream) -> None:
+        self._gen = stream.generator()
+        self._bits = self._gen.bit_generator
+        self._fresh = self._bits.state  # counter zero, no buffered words
+
+    def __call__(self, ids: np.ndarray, step_block: int, kind: int,
+                 shape: tuple[int, ...]) -> np.ndarray:
+        state, bits = self._fresh, self._bits
+        counter = state["state"]["counter"]
+        counter[2:] = step_block, kind
+        draw = (self._gen.standard_normal, self._gen.standard_exponential)[kind]
+        out = np.empty((len(ids),) + tuple(shape))
+        for row, path in zip(out, ids.tolist()):
+            counter[1] = path
+            bits.state = state
+            draw(out=row)
+        return out
 
 
 def _as_node_columns(values) -> np.ndarray:

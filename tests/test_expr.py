@@ -3,6 +3,7 @@
 import hashlib
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -83,7 +84,8 @@ class TestCompiledGoldens:
     # Golden values recorded from the tree-walking evaluator that the
     # compiled closures replaced; compared with ``==``.  The power cases
     # pin that constant exponents take numpy's ``pow`` route, not its
-    # square / square-root / reciprocal fast paths, which round differently.
+    # square / square-root / reciprocal fast paths, which round differently;
+    # ``x^3`` and ``-x^3 + x`` are recorded from the product chain (x*x)*x.
     GOLDENS = {
         "x^2": ("69489476c056ee658f0c21cbd6801a238fd7752e9d1432d0ed5288342dc8c689",
                 2.8899999999999997),
@@ -91,13 +93,13 @@ class TestCompiledGoldens:
                   1.3038404810405297),
         "x^-1": ("01e8b6baaa61fc8a7aa1bd40be686841cbcb568dc1794b9b2762a1a0f0e2d1be",
                  0.5882352941176471),
-        "x^3": ("efbaaf0bd747054472b35a6f5b5fe15ebce60032bb221e9eceb21ebc79368e81",
+        "x^3": ("533896fcf5ec00fbc22fadcbee325892578956a44442e3dcdfbfd25629f91b49",
                 4.912999999999999),
         "2^x": ("c2ab57c19314c2f688e7cba84e535fea1c19055cde85df4b5fb9a8bed8240f1e",
                 3.249009585424942),
         "3": ("a93cff244bb396ae23a0be2149db33131ed4f7a9bad35aad30ce387acbe50d1a",
               3.0),
-        "-x^3 + x": ("4055b167f3972c8904272ed2a3fa063476db5239b3726fd9853128a56c647a1b",
+        "-x^3 + x": ("65ca14918e9e8dd95017aed5480601c73dfc889e02b3e9235e7e18e754451649",
                      -3.212999999999999),
         "x/(1 + x^2)": ("a24d566971ed30ae2695b8dc0e23a608692770af7993c6a4217d89033a146db4",
                         0.43701799485861187),
@@ -147,6 +149,64 @@ class TestCompiledGoldens:
         assert np.array_equal((-e)(xs), -(e(xs)))
         assert (-e)(1.7) == -self.GOLDENS[source][1]
         assert (-(-e)).root == e.root
+
+
+def _ulp(q: Fraction) -> Fraction:
+    """The spacing of doubles at the exact nonzero value ``q``."""
+    q = abs(q)
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    if Fraction(2) ** e > q:
+        e -= 1
+    return Fraction(2) ** (e - 52)
+
+
+class TestIntegerPowers:
+    # x^n by right-to-left binary exponentiation, each product written out
+    CHAINS = {
+        3: lambda x: (x * x) * x,
+        4: lambda x: (x * x) * (x * x),
+        5: lambda x: ((x * x) * (x * x)) * x,
+        6: lambda x: (x * x) * ((x * x) * (x * x)),
+        7: lambda x: ((x * x) * x) * ((x * x) * (x * x)),
+        8: lambda x: ((x * x) * (x * x)) * ((x * x) * (x * x)),
+    }
+    POINTS = np.concatenate([
+        [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e-200, -1e200],
+        np.random.Generator(np.random.Philox(13)).uniform(-3.0, 3.0, 400)])
+
+    @pytest.mark.parametrize("n", sorted(CHAINS))
+    def test_small_integer_powers_are_the_product_chain_bit_for_bit(self, n):
+        chain = self.CHAINS[n]
+        with np.errstate(all="ignore"):
+            for source, base in ((f"x^{n}", self.POINTS),
+                                 (f"(x + 1)^{n}", self.POINTS + 1.0)):
+                f = parse_expression(source)
+                for x, b in ((self.POINTS, base),
+                             (self.POINTS[::3, np.newaxis], base[::3, np.newaxis])):
+                    assert np.array_equal(f(x).view(np.int64), chain(b).view(np.int64))
+        f = parse_expression(f"x^{n}")
+        for x in (-1.7, 0.3, 2.9):
+            for arg in (x, np.float64(x), np.array(x)):
+                out = f(arg)
+                assert type(out) is float and out == chain(x)
+
+    @pytest.mark.parametrize("n", sorted(CHAINS))
+    def test_small_integer_powers_are_within_n_minus_1_ulp(self, n):
+        # a product of n factors carries at most n - 1 roundings (Higham,
+        # Accuracy and Stability of Numerical Algorithms, 2002, section 3.1)
+        xs = self.POINTS[9:]
+        out = parse_expression(f"x^{n}")(xs)
+        for x, y in zip(xs.tolist(), out.tolist()):
+            exact = Fraction(x) ** n
+            assert abs(Fraction(y) - exact) <= (n - 1) * _ulp(exact), (x, n)
+
+    @pytest.mark.parametrize("c", [2.0, 2.5, 9.0, -3.0])
+    def test_other_constant_exponents_keep_pow_bit_for_bit(self, c):
+        with np.errstate(all="ignore"):
+            out = parse_expression(f"x^{c:g}")(self.POINTS)
+            # a full exponent array keeps pow's rounding for every exponent
+            expected = np.power(self.POINTS, np.full_like(self.POINTS, c))
+        assert np.array_equal(out.view(np.int64), expected.view(np.int64))
 
 
 class TestErrors:

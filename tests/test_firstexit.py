@@ -351,6 +351,27 @@ class TestMcExit:
             0.0, 1.0,
         ]
 
+    def test_a_reused_reader_gives_the_rows_of_fresh_ones(self):
+        # a shard reads every address from one reader; each row must start
+        # from the generator's fresh state, since a row of 5 draws leaves
+        # Philox words buffered that must not leak into the next address
+        noise = GaussianStream(2024).child(0)
+        key = noise.generator().bit_generator.state["state"]["key"]
+        ids = np.array([3, 0, 7])
+        calls = [(ids, 0, 0, (5, 2)), (ids[:2], 4, 1, (5,)),
+                 (ids, 1, 0, (256, 1)), (ids[::-1], 0, 1, (3,))]
+        fresh = [sde._AddressedDraws(noise)(*call) for call in calls]
+        for order in (range(len(calls)), reversed(range(len(calls)))):
+            reader = sde._AddressedDraws(noise)
+            for i in order:
+                assert np.array_equal(reader(*calls[i]), fresh[i])
+        for (paths, block, kind, shape), rows in zip(calls, fresh):
+            for path, row in zip(paths.tolist(), rows):
+                gen = np.random.Generator(
+                    np.random.Philox(key=key, counter=(0, path, block, kind)))
+                draw = (gen.standard_normal, gen.standard_exponential)[kind]
+                assert np.array_equal(row, draw(shape))
+
     def test_thread_count_does_not_change_results(self):
         # threads 2 and 3 shard the 2500 paths into contiguous ranges; a
         # short switch interval makes the shards interleave often

@@ -360,10 +360,11 @@ class TestEyringKramers:
 
     # -U' on 4096 Philox(7) draws from [-2, 2] as one column, recorded from
     # the negated symbolic or central-difference derivative that ``_drift``
-    # replaced: (SHA-256 of the values, value at 1.7), compared with ``==``
+    # replaced: (SHA-256 of the values, value at 1.7), compared with ``==``;
+    # the double well's ``-(x^3-x)`` is recorded with x^3 as (x*x)*x
     DRIFTS = {
         "x^4/4 - x^2/2": (
-            "0d154f66a470368e351a864defa0fc6da6857db1fd11cc94f789927b283c3937",
+            "ffa665c10f01bb2fea08ed0fb4254a521ccea1da755acfb1ef64af5e67b7d7f3",
             -3.212999999999999, Expression),
         "x^2/2 + 2^x/1000": (
             "b03be88cd1f27b1c553a60f4e03a2b5db775e421071f826cb877ce9be7fcaa4b",
