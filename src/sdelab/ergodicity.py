@@ -119,17 +119,17 @@ def discretize_kernel(model: SdeModel, grid: Grid1D, t_step: float, *,
     Pushes the identity matrix through the backward solver (every column
     is an indicator function), which returns the ``t_step / dt``-th power
     of the backward-Euler resolvent, formed by repeated squaring; ``dt``
-    defaults to ``t_step / 500``, and a finer one costs a few more
+    defaults to ``t_step / 1000``, and a finer one costs a few more
     products, not more solves.  With
     reflecting boundaries the rows are renormalized to probability vectors
     and the leaked mass recorded; with absorbing (``dirichlet_zero``)
     boundaries the rows are left substochastic, which is the
     quasistationary setting.
     """
-    if t_step <= 0:
-        raise ValueError("t_step must be positive")
-    dt = t_step / 500 if dt is None else dt
-    # non-negative: the backward solver clips data that starts non-negative
+    if not 0.0 < t_step < math.inf:
+        raise ValueError(f"t_step must be finite and positive, got {t_step}")
+    dt = t_step / 1000 if dt is None else dt
+    # non-negative on every grid: the backward solver steps with an M-matrix
     k = solve_backward_kolmogorov(model, np.eye(grid.n_nodes), grid,
                                   t_end=t_step, dt=dt, bc=bc)
     absorbing = bc == "dirichlet_zero"

@@ -5,7 +5,15 @@ For ``dX = f(X) dt + g(X) dW`` the generator and its formal adjoint are
     L u   = f u' + (1/2) D u''              with D = g^2,
     L* rho = (1/2) (D rho)'' - (f rho)',
 
-acting on functions sampled on a uniform spatial grid.  The module solves
+acting on functions sampled on a uniform spatial grid.  ``L*`` is
+assembled once, in flux form with the exponentially fitted face current
+of Scharfetter and Gummel (*IEEE Trans. Electron Devices* 16, 1969) and
+Chang and Cooper (*J. Comput. Phys.* 6, 1970), and ``L`` is its
+transpose.  The fitted weights are positive at every cell Peclet number,
+so ``I - dt L*`` is an M-matrix on every grid and both solves keep
+non-negative data non-negative; with a constant dispersion, the sampled
+Gibbs density of a potential of degree at most four is an exact discrete
+null vector of ``L*``.  The module solves
 the backward equation ``du/dt = L u`` and the Fokker-Planck equation
 ``drho/dt = L* rho`` by backward Euler in time, provides the
 closed-form heat kernels for free, reflected and killed Brownian motion,
@@ -131,64 +139,61 @@ def _scalar_coefficients(model: SdeModel, nodes: np.ndarray) -> tuple[np.ndarray
     return f, d
 
 
-def _backward_operator(model: SdeModel, grid: Grid1D,
-                       bc: BoundaryCondition) -> np.ndarray:
-    """Tridiagonal matrix of ``L`` in banded storage ``(3, n_nodes)``."""
-    f, d = _scalar_coefficients(model, grid.nodes)
-    dx = grid.dx
-    n = grid.n_nodes
-    lower = np.zeros(n)
-    diag = np.zeros(n)
-    upper = np.zeros(n)
-    # interior: f * central first difference + d/2 * central second difference
-    lower[:-1] = -f[1:] / (2 * dx) + d[1:] / (2 * dx**2)   # coefficient of u[i-1]
-    diag[1:-1] = -d[1:-1] / dx**2
-    upper[1:] = f[:-1] / (2 * dx) + d[:-1] / (2 * dx**2)   # coefficient of u[i+1]
+def _bernoulli(z: np.ndarray) -> np.ndarray:
+    """``B(z) = z / (e^z - 1)``, with ``B(0) = 1``, for every finite ``z``.
 
-    if bc is BoundaryCondition.DIRICHLET_ZERO:
-        diag[0] = diag[-1] = 0.0
-        upper[1] = 0.0   # row 0 entry
-        lower[-2] = 0.0  # row n-1 entry
-    else:
-        # ghost reflection u[-1] = u[1]: u' = 0, u'' = 2(u1 - u0)/dx^2
-        diag[0] = -d[0] / dx**2
-        upper[1] = d[0] / dx**2
-        diag[-1] = -d[-1] / dx**2
-        lower[-2] = d[-1] / dx**2
-    return np.vstack([upper, diag, lower])
-
-
-def _adjoint_operator(model: SdeModel, grid: Grid1D,
-                      bc: BoundaryCondition) -> np.ndarray:
-    """Tridiagonal matrix of ``L*`` in flux (divergence) form, banded storage.
-
-    The discrete update is ``drho_i/dt = -(J_{i+1/2} - J_{i-1/2})/dx``
-    with face current ``J = (f rho)_avg - ((D rho)_right - (D rho)_left)/(2 dx)``,
-    which conserves ``sum rho dx`` exactly when the edge currents vanish.
+    Only ``e^{-|z|}`` is taken, so nothing overflows: ``B(z) = B(-|z|)``
+    for ``z < 0`` and ``B(-|z|) e^{-|z|}`` for ``z > 0``.  Where
+    ``|z| > 700`` the second is below ``1e-300`` of its partner
+    ``B(-z) = B(z) + z`` and is flushed to zero, not underflowed.
     """
-    f, d = _scalar_coefficients(model, grid.nodes)
-    dx = grid.dx
-    n = grid.n_nodes
-    # contribution of node j to face current J_{i+1/2} for j = i, i+1
-    # J_{i+1/2} = (f_i rho_i + f_{i+1} rho_{i+1})/2 - (d_{i+1} rho_{i+1} - d_i rho_i)/(2 dx)
-    lower = np.zeros(n)
-    diag = np.zeros(n)
-    upper = np.zeros(n)
-    # interior node i: drho_i = -(J_{i+1/2} - J_{i-1/2})/dx
-    diag[1:-1] = (-(f[1:-1] / 2 + d[1:-1] / (2 * dx)) + (f[1:-1] / 2 - d[1:-1] / (2 * dx))) / dx
-    upper[2:] = -(f[2:] / 2 - d[2:] / (2 * dx)) / dx        # rho[i+1] in J_{i+1/2}
-    lower[:-2] = (f[:-2] / 2 + d[:-2] / (2 * dx)) / dx      # rho[i-1] in J_{i-1/2}
+    t = -np.abs(z)
+    b = np.divide(t, np.expm1(t), out=np.ones_like(t), where=t != 0.0)
+    decay = np.exp(t, out=np.zeros_like(t), where=t > -700.0)
+    return np.where(z > 0.0, b * decay, b)
 
-    if bc is BoundaryCondition.DIRICHLET_ZERO:
-        diag[0] = diag[-1] = 0.0
-        upper[1] = lower[-2] = 0.0
-    else:
-        # no flux through the outer faces
-        diag[0] = -(f[0] / 2 + d[0] / (2 * dx)) / dx
-        upper[1] = -(f[1] / 2 - d[1] / (2 * dx)) / dx
-        diag[-1] = (f[-1] / 2 - d[-1] / (2 * dx)) / dx
-        lower[-2] = (f[-2] / 2 + d[-2] / (2 * dx)) / dx
-    return np.vstack([upper, diag, lower])
+
+def _generator(model: SdeModel, grid: Grid1D, bc: BoundaryCondition,
+               adjoint: bool) -> np.ndarray:
+    """``L*`` (``adjoint``) or ``L`` as a tridiagonal matrix in banded storage ``(3, n)``.
+
+    ``L*`` is assembled in flux form, ``drho_i/dt = -(J_{i+1/2} - J_{i-1/2})/dx``,
+    with no current through the outer faces, and ``L`` is its transpose.
+    With ``a = D/2`` the face current is the exponentially fitted one,
+    ``J_{i+1/2} = (B(-z) a_i rho_i - B(z) a_{i+1} rho_{i+1}) / dx``, where
+    ``z`` is Simpson's rule for the integral of ``f/a`` over the cell.
+    A node where ``D = 0`` and ``f = 0`` sends nothing; one where
+    ``D = 0`` and ``f != 0`` is rejected.  An edge node's cell is
+    ``dx/2`` wide, so under ``neumann_zero`` its row is doubled: ``L*``
+    then conserves the trapezoid mass and ``L`` is its transpose in the
+    trapezoid inner product, with the ghost-node value at the walls.
+    Under ``dirichlet_zero`` the edge rows are zeroed, which pins the
+    edge values.
+    """
+    n, dx = grid.n_nodes, grid.dx
+    xs = np.concatenate([grid.nodes, grid.nodes[:-1] + 0.5 * dx])  # nodes, then midpoints
+    f, d = _scalar_coefficients(model, xs)
+    a = 0.5 * d
+    stuck = (a == 0.0) & (f != 0.0)
+    if np.any(stuck):
+        raise ValueError(f"the diffusion vanishes at x = {xs[np.argmax(stuck)]:.6g}, "
+                         f"where the drift does not; the fitted flux has no limit there")
+    v = np.divide(f, a, out=np.zeros_like(f), where=a != 0.0)
+    z = dx / 6.0 * (v[:n - 1] + 4.0 * v[n:] + v[1:n])
+    # face k carries right[k] rho_k to node k+1 and left[k] rho_{k+1} to node k
+    right = _bernoulli(-z) * a[:n - 1] / dx**2
+    left = _bernoulli(z) * a[1:n] / dx**2
+    banded = np.zeros((3, n))
+    banded[0, 1:], banded[2, :-1] = (left, right) if adjoint else (right, left)
+    banded[1, :-1] -= right
+    banded[1, 1:] -= left
+    # an edge node holds half a cell, so its row is the current over dx/2;
+    # dirichlet_zero zeroes the row instead, which pins the edge value
+    edge = 0.0 if bc is BoundaryCondition.DIRICHLET_ZERO else 2.0
+    banded[1, [0, -1]] *= edge
+    banded[0, 1] *= edge
+    banded[2, -2] *= edge
+    return banded
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +234,13 @@ def _evolve(banded_a: np.ndarray, state: np.ndarray, n_steps: int,
     assembles a transition kernel, is mapped by the ``n_steps``-th power
     of the resolvent ``R = (I - dt A)^{-1}``: about ``2 log2(n_steps)``
     dense products instead of ``n_steps`` solves of every column.  The
-    identity itself is not multiplied: the power is returned.  ``R``
-    is entrywise non-negative here, and a product of non-negative
-    matrices has a componentwise relative error of at most about ``n``
-    units in the last place (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2002, sec. 3.5), so the power is as accurate as stepping.
+    identity itself is not multiplied: the power is returned.
+    ``R >= 0`` holds by construction: the fitted ``A`` has non-negative
+    off-diagonals on every grid, so ``I - dt A`` is an M-matrix.  A
+    product of non-negative matrices has a componentwise relative error
+    of at most about ``n`` units in the last place (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, sec. 3.5), so the power is
+    as accurate as stepping.
     """
     lhs = -dt * banded_a
     lhs[1] += 1.0
@@ -252,25 +259,36 @@ def _evolve(banded_a: np.ndarray, state: np.ndarray, n_steps: int,
     return u.reshape(state.shape)
 
 
-def _positivity_error(model: SdeModel, grid: Grid1D) -> RuntimeError:
-    """The error for a backward solve that turned non-negative data negative.
+def _solve(model: SdeModel, grid: Grid1D, state: np.ndarray, t_end: float,
+           dt: float, bc, adjoint: bool) -> np.ndarray:
+    """Step ``state`` by backward Euler under ``L*`` (``adjoint``) or ``L``.
 
-    The central stencil of ``L`` gives a neighbour the weight
-    ``D/(2 dx^2) - |f|/(2 dx)``, negative where the cell Peclet number
-    ``|f| dx / D`` exceeds one, and then ``I - dt L`` need not keep data
-    non-negative.  The message names the grid, the largest Peclet number
-    and its node, and the remedy.
+    ``n_steps = round(t_end / dt)`` steps of ``t_end / n_steps``, with the
+    edge values pinned to zero for ``dirichlet_zero``.  Non-negative data
+    stays non-negative by construction; that is checked on every run, and
+    rounding-level negatives are then floored to zero.
     """
-    f, d = _scalar_coefficients(model, grid.nodes)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        peclet = np.abs(f) * grid.dx / d
-    peclet[np.isnan(peclet)] = 0.0  # no drift and no diffusion
-    i = int(np.argmax(peclet))
-    return RuntimeError(
-        f"implicit backward step lost positivity on {grid}: the largest cell "
-        f"Peclet number max |f| dx / D is {peclet[i]:.3g}, at node x = "
-        f"{grid.nodes[i]:.6g}, and above 1 the central stencil has negative "
-        f"weights; use more cells, since the Peclet number falls with dx")
+    bc = BoundaryCondition(bc)
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    n_steps = max(1, round(t_end / dt))
+    banded_a = _generator(model, grid, bc, adjoint)
+    if bc is BoundaryCondition.DIRICHLET_ZERO:
+        state = state.copy()
+        state[0] = state[-1] = 0.0
+    u = _evolve(banded_a, state, n_steps, t_end / n_steps)
+    if bc is BoundaryCondition.DIRICHLET_ZERO:
+        u[0] = u[-1] = 0.0
+    if np.all(state >= 0.0):
+        floor = 1e-9 * (1.0 + float(np.max(state)))
+        lowest = float(np.min(u))
+        if not lowest >= -floor:
+            raise RuntimeError(
+                f"implicit step lost positivity on {grid}: the lowest value is "
+                f"{lowest:.3g}, below -{floor:.3g}, although I - dt A is an M-matrix")
+        u = np.maximum(u, 0.0)
+    return u
 
 
 def solve_backward_kolmogorov(model: SdeModel, phi, grid: Grid1D, t_end: float,
@@ -282,56 +300,27 @@ def solve_backward_kolmogorov(model: SdeModel, phi, grid: Grid1D, t_end: float,
     backward Euler with one factorisation of ``I - dt L``; a matrix with
     at least as many columns as nodes (the identity, which assembles a
     transition kernel) is mapped by the ``n_steps``-th power of the
-    one-step resolvent instead of being stepped.  Backward Euler keeps
-    non-negative data non-negative where no cell Peclet number
-    ``|f| dx / D`` exceeds one; that is checked on every run, and a run
-    that loses positivity raises with the largest one.
+    one-step resolvent instead of being stepped.  ``L`` is the transpose
+    of the fitted flux form of ``L*``, so constants are preserved under
+    ``neumann_zero`` and non-negative data stays non-negative on every grid.
     """
-    bc = BoundaryCondition(bc)
-    if t_end <= 0 or dt <= 0:
-        raise ValueError("t_end and dt must be positive")
     u0 = np.asarray(phi(grid.nodes) if callable(phi) else phi, dtype=float)
     if u0.shape[0] != grid.n_nodes:
         raise ValueError(f"phi must be sampled on all {grid.n_nodes} nodes")
-    n_steps = max(1, round(t_end / dt))
-    dt_eff = t_end / n_steps
-    banded_a = _backward_operator(model, grid, bc)
-    if bc is BoundaryCondition.DIRICHLET_ZERO:
-        u0 = u0.copy()
-        u0[0] = u0[-1] = 0.0
-    u = _evolve(banded_a, u0, n_steps, dt_eff)
-    if bc is BoundaryCondition.DIRICHLET_ZERO:
-        u[0] = u[-1] = 0.0
-    if np.all(u0 >= 0.0):
-        floor = 1e-9 * (1.0 + float(np.max(np.abs(u0))))
-        if not float(np.min(u)) >= -floor:
-            raise _positivity_error(model, grid)
-        u = np.clip(u, 0.0, None)
-    return u
+    return _solve(model, grid, u0, t_end, dt, bc, adjoint=False)
 
 
 def solve_fokker_planck(model: SdeModel, rho0: DensityField, t_end: float,
                         dt: float, bc="neumann_zero") -> DensityField:
     """Evolve the Fokker-Planck equation ``drho/dt = L* rho`` to ``t_end``.
 
-    Uses the conservative flux discretisation, so with reflecting
-    (``neumann_zero``) boundaries ``sum rho dx`` is conserved to rounding.
+    Uses the fitted flux discretisation, so with reflecting
+    (``neumann_zero``) boundaries the trapezoid mass
+    :meth:`DensityField.mass` is conserved to rounding, and the density
+    stays non-negative on every grid.
     """
-    bc = BoundaryCondition(bc)
-    if t_end <= 0 or dt <= 0:
-        raise ValueError("t_end and dt must be positive")
-    grid = rho0.grid
-    rho = rho0.values.copy()
-    if bc is BoundaryCondition.DIRICHLET_ZERO:
-        rho[0] = rho[-1] = 0.0
-    n_steps = max(1, round(t_end / dt))
-    dt_eff = t_end / n_steps
-    banded_a = _adjoint_operator(model, grid, bc)
-    rho = _evolve(banded_a, rho, n_steps, dt_eff)
-    if bc is BoundaryCondition.DIRICHLET_ZERO:
-        rho[0] = rho[-1] = 0.0
-    rho = np.clip(rho, 0.0, None)
-    return DensityField(grid, rho, rho0.time + t_end)
+    rho = _solve(model, rho0.grid, rho0.values, t_end, dt, bc, adjoint=True)
+    return DensityField(rho0.grid, rho, rho0.time + t_end)
 
 
 def delta_field(grid: Grid1D, center: float, width: float | None = None) -> DensityField:

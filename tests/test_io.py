@@ -9,9 +9,11 @@ The same kind of guard keeps the thread pool in ``firstexit``, home of
 the only Monte Carlo exit routine, the tridiagonal factorisation in
 ``kolmogorov``, home of the only implicit time stepper, the pieces of the
 Euler-Maruyama update in ``sde``, home of the only Euler-Maruyama loop,
-the pieces of the exit rule in ``firstexit.mc_exit``, and the action's
-residuals in ``largedev.fw_rate`` and ``action_gradient``.  Another keeps
-``assert`` out of the package, since ``python -O`` skips it.
+the pieces of the exit rule in ``firstexit.mc_exit``, the action's
+residuals in ``largedev.fw_rate`` and ``action_gradient``, and the
+Kolmogorov operator's coefficients in ``kolmogorov._generator``, with no
+clip in ``kolmogorov``.  Another keeps ``assert`` out of the package,
+since ``python -O`` skips it.
 """
 
 import ast
@@ -315,6 +317,20 @@ def test_only_fw_rate_and_action_gradient_take_residuals():
                                             "action_gradient._residuals"}, \
         "the guard no longer sees largedev's own uses"
     assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_only_generator_assembles_a_kolmogorov_operator():
+    # ``kolmogorov._generator`` assembles L* once and takes L as its
+    # transpose; a second stencil would read the coefficients elsewhere,
+    # and a clip would hide a step that lost positivity instead of raising
+    clips = _owner_uses(("clip",))
+    assert clips(ast.parse("def f(x):\n    return np.clip(x, 0, None)\n")) == \
+        ["f.clip"], "the guard no longer sees a clip"
+    uses = _package_uses(_owner_uses(("_scalar_coefficients",)))
+    assert uses.pop("kolmogorov.py") == ["_generator._scalar_coefficients"], \
+        "the guard no longer sees the assembly's own call"
+    assert {name: found for name, found in uses.items() if found} == {}
+    assert _package_uses(clips)["kolmogorov.py"] == []
 
 
 def _assert_lines(tree: ast.AST) -> list[int]:

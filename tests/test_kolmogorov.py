@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -121,22 +122,63 @@ class TestGeneratorStencils:
         lu_exact = sympy.lambdify(x, sympy.simplify(lu_sym), "numpy")
 
         grid = Grid1D(-3.0, 3.0, 600)
-        banded = kolmogorov._backward_operator(gradient_quadratic(), grid, REFLECTING)
+        banded = kolmogorov._generator(gradient_quadratic(), grid, REFLECTING, adjoint=False)
         numeric = (dense(banded) @ np.exp(-grid.nodes**2 / 2))[1:-1]
         np.testing.assert_allclose(numeric, lu_exact(grid.nodes[1:-1]), atol=1e-4)
 
-    def test_double_well_generator_matches_symbolic_form(self):
+    def test_fitted_stencil_matches_the_bernoulli_formula(self):
+        # entry by entry against the face current written out per face:
+        # J = (B(-z) a_i rho_i - B(z) a_{i+1} rho_{i+1}) / dx with a = D/2,
+        # B(z) = z / (e^z - 1) and z Simpson's rule for the integral of f/a
+        def drift(x):
+            return x - x**3
+
+        def dispersion(x):
+            return 1.0 + 0.5 * np.sin(x)
+
+        grid = Grid1D(-2.0, 2.0, 40)
+        model = SdeModel.scalar(drift, dispersion)
+        xs, dx = grid.nodes, grid.dx
+        expected = np.zeros((grid.n_nodes, grid.n_nodes))
+        for k in range(grid.n_cells):
+            left, right = float(xs[k]), float(xs[k + 1])
+            ratio = [drift(x) / (0.5 * dispersion(x) ** 2)
+                     for x in (left, 0.5 * (left + right), right)]
+            z = dx / 6.0 * (ratio[0] + 4.0 * ratio[1] + ratio[2])
+            out_right = -z / math.expm1(-z) * 0.5 * dispersion(left) ** 2 / dx**2
+            out_left = z / math.expm1(z) * 0.5 * dispersion(right) ** 2 / dx**2
+            # rho_k leaves node k for node k + 1, and rho_{k+1} the other way
+            expected[k + 1, k] += out_right
+            expected[k, k] -= out_right
+            expected[k, k + 1] += out_left
+            expected[k + 1, k + 1] -= out_left
+        # an edge node's cell is dx/2 wide: its row is the current over dx/2
+        weights = np.ones(grid.n_nodes)
+        weights[[0, -1]] = 0.5
+        expected /= weights[:, None]
+        adjoint = dense(kolmogorov._generator(model, grid, REFLECTING, adjoint=True))
+        backward = dense(kolmogorov._generator(model, grid, REFLECTING, adjoint=False))
+        np.testing.assert_allclose(adjoint, expected, rtol=1e-13, atol=0.0)
+        # L is the transpose of L* in the trapezoid inner product
+        np.testing.assert_array_equal(backward, (weights[:, None] * adjoint).T / weights[:, None])
+
+    def test_double_well_generator_converges_at_second_order(self):
         # L V = -U'^2 + U'' for dX = -U'(X) dt + sqrt(2) dW and V = U
         x = sympy.Symbol("x")
         u = (x**2 - 1) ** 2 / 4
         lv_exact = sympy.lambdify(
             x, -sympy.diff(u, x) ** 2 + sympy.diff(u, x, 2), "numpy")
-        grid = Grid1D(-3.0, 3.0, 1200)
         model = SdeModel.scalar(lambda y: -(y * (y**2 - 1)), math.sqrt(2.0))
-        banded = kolmogorov._backward_operator(model, grid, REFLECTING)
-        numeric = (dense(banded) @ (0.25 * (grid.nodes**2 - 1) ** 2))[1:-1]
-        np.testing.assert_allclose(numeric, lv_exact(grid.nodes[1:-1]),
-                                   rtol=1e-4, atol=1e-4)
+        errs = []
+        for n in (300, 600, 1200):
+            grid = Grid1D(-3.0, 3.0, n)
+            banded = kolmogorov._generator(model, grid, REFLECTING, adjoint=False)
+            numeric = (dense(banded) @ (0.25 * (grid.nodes**2 - 1) ** 2))[1:-1]
+            errs.append(np.max(np.abs(numeric - lv_exact(grid.nodes[1:-1]))))
+        # the ratios read 3.86 and 3.94: at x = 3 the cell Peclet number is
+        # 0.48 at 300 cells, and the fourth-order term has not died out yet
+        assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
+        assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.05)
 
     def test_generator_second_order_in_dx(self):
         model = gradient_quadratic()
@@ -144,7 +186,7 @@ class TestGeneratorStencils:
         for n in (150, 300):
             grid = Grid1D(-3.0, 3.0, n)
             xs = grid.nodes
-            banded = kolmogorov._backward_operator(model, grid, REFLECTING)
+            banded = kolmogorov._generator(model, grid, REFLECTING, adjoint=False)
             numeric = (dense(banded) @ np.exp(-xs**2 / 2))[1:-1]
             exact = (2 * xs[1:-1] ** 2 - 1) * np.exp(-xs[1:-1] ** 2 / 2)
             errs.append(np.max(np.abs(numeric - exact)))
@@ -160,22 +202,55 @@ class TestGeneratorStencils:
 
     @pytest.mark.parametrize("bc", ["neumann_zero", "dirichlet_zero"])
     def test_adjoint_interior_is_the_transpose_of_the_generator(self, bc):
-        # on the interior nodes the flux form of L* is the transpose of the
-        # central stencil of L, which is what makes the two solvers dual
+        # on the interior nodes L is the transpose of the flux form of L*,
+        # which is what makes the two solvers dual; the edge rows carry the
+        # half-cell weight or the Dirichlet pin
         grid = Grid1D(-2.0, 2.0, 60)
         model = SdeModel.scalar(lambda x: x - x**3, lambda x: 1.0 + 0.5 * np.sin(x))
         bc = BoundaryCondition(bc)
-        backward = dense(kolmogorov._backward_operator(model, grid, bc))[1:-1, 1:-1]
-        adjoint = dense(kolmogorov._adjoint_operator(model, grid, bc))[1:-1, 1:-1]
+        backward = dense(kolmogorov._generator(model, grid, bc, adjoint=False))[1:-1, 1:-1]
+        adjoint = dense(kolmogorov._generator(model, grid, bc, adjoint=True))[1:-1, 1:-1]
         scale = np.max(np.abs(backward))
         assert np.max(np.abs(adjoint - backward.T)) <= 1e-14 * scale
 
     def test_adjoint_annihilates_gaussian_for_ou(self):
         # L* of the N(0, 1/2) density vanishes for dX = -X dt + dW.
         grid = Grid1D(-6.0, 6.0, 1200)
-        banded = kolmogorov._adjoint_operator(ou_model(), grid, REFLECTING)
+        banded = kolmogorov._generator(ou_model(), grid, REFLECTING, adjoint=True)
         residual = (dense(banded) @ np.exp(-grid.nodes**2))[1:-1]
         assert np.max(np.abs(residual)) < 1e-3
+
+    @pytest.mark.parametrize("noise", [math.sqrt(2.0), 0.8])
+    @pytest.mark.parametrize("potential, slope", [
+        (lambda x: x**2 / 2, lambda x: x),
+        (lambda x: x**4 / 4 - x**2 / 2, lambda x: x**3 - x),
+    ], ids=["quadratic", "double-well"])
+    def test_gibbs_density_is_a_discrete_null_vector(self, potential, slope, noise):
+        # Simpson's rule is exact for the cubic f/a, so z_k = -2 (U_{k+1} - U_k)
+        # / noise^2 and the fitted current of exp(-2 U / noise^2) is zero
+        grid = Grid1D(-4.0, 4.0, 120)
+        model = SdeModel.scalar(lambda x: -slope(x), noise)
+        adjoint = dense(kolmogorov._generator(model, grid, REFLECTING, adjoint=True))
+        gibbs = np.exp(-2.0 * potential(grid.nodes) / noise**2)
+        assert np.max(np.abs(adjoint @ gibbs)) <= 1e-12 * np.max(np.abs(adjoint) @ gibbs)
+
+    def test_steep_drift_assembles_without_floating_point_errors(self):
+        # x^6/6 - x^2 on [-6, 6] at 120 cells has cell Peclet numbers near
+        # 780 at the walls, where e^z overflows and e^-z underflows
+        grid = Grid1D(-6.0, 6.0, 120)
+        model = SdeModel.scalar(lambda x: -(x**5 - 2.0 * x), math.sqrt(2.0))
+        with np.errstate(all="raise"):
+            for adjoint in (True, False):
+                banded = kolmogorov._generator(model, grid, REFLECTING, adjoint)
+                assert np.all(np.isfinite(banded))
+                assert np.all(banded[[0, 2]] >= 0.0)
+
+    def test_a_vanishing_diffusion_under_a_drift_is_rejected(self):
+        # dX = dt + x dW has no diffusion at x = 0, where the drift pushes
+        grid = Grid1D(-1.0, 1.0, 10)
+        model = SdeModel.scalar(lambda x: np.ones_like(x), lambda x: x)
+        with pytest.raises(ValueError, match="vanishes at x = 0,"):
+            solve_fokker_planck(model, delta_field(grid, 0.5), 0.1, 0.01)
 
 
 class TestBackwardSolver:
@@ -216,6 +291,17 @@ class TestBackwardSolver:
         )
         np.testing.assert_allclose(u, 1.0, atol=1e-12)
 
+    def test_reflecting_walls_keep_second_order(self):
+        # u = cos(pi x) has u' = 0 at both walls of [-1, 1], and under
+        # Brownian motion u(t) = exp(-pi^2 t / 2) cos(pi x); an edge row
+        # without the half-cell weight would halve L u there, an error of
+        # 9e-3 here
+        grid = Grid1D(-1.0, 1.0, 200)
+        u = solve_backward_kolmogorov(SdeModel.brownian(), np.cos(np.pi * grid.nodes),
+                                      grid, t_end=0.1, dt=1e-4)
+        exact = math.exp(-np.pi**2 * 0.1 / 2) * np.cos(np.pi * grid.nodes)
+        assert np.max(np.abs(u - exact)) < 2e-4
+
     def test_dirichlet_pins_edges_to_zero(self):
         grid = Grid1D(-4.0, 4.0, 200)
         u = solve_backward_kolmogorov(
@@ -234,6 +320,24 @@ class TestBackwardSolver:
             solve_backward_kolmogorov(ou_model(), phi, grid, -1.0, 0.1)
         with pytest.raises(ValueError):
             solve_backward_kolmogorov(ou_model(), np.ones(3), grid, 1.0, 0.1)
+
+    @pytest.mark.parametrize("call, name, value", [
+        (lambda g: solve_backward_kolmogorov(ou_model(), np.ones(11), g, math.nan, 0.1),
+         "t_end", "nan"),
+        (lambda g: solve_backward_kolmogorov(ou_model(), np.ones(11), g, math.inf, 0.1),
+         "t_end", "inf"),
+        (lambda g: solve_fokker_planck(ou_model(), delta_field(g, 0.5), 1.0, math.nan),
+         "dt", "nan"),
+        (lambda g: solve_fokker_planck(ou_model(), delta_field(g, 0.5), math.inf, 0.1),
+         "t_end", "inf"),
+        (lambda g: discretize_kernel(ou_model(), g, math.inf), "t_step", "inf"),
+        (lambda g: discretize_kernel(ou_model(), g, math.nan), "t_step", "nan"),
+    ], ids=["backward-nan", "backward-inf", "fokker-planck-nan", "fokker-planck-inf",
+            "kernel-inf", "kernel-nan"])
+    def test_rejects_non_finite_times_by_name(self, call, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive, "
+                                             f"got {value}$"):
+            call(Grid1D(0.0, 1.0, 10))
 
 
 BOUNDARIES = ["neumann_zero", "dirichlet_zero"]
@@ -337,10 +441,20 @@ class TestFokkerPlanck:
         grid = Grid1D(-6.0, 6.0, 600)
         start = delta_field(grid, 1.0)
         evolved = solve_fokker_planck(ou_model(), start, t_end=1.5, dt=0.01)
-        before = np.sum(start.values) * grid.dx
-        after = np.sum(evolved.values) * grid.dx
-        assert after == pytest.approx(before, rel=1e-12)
+        assert evolved.mass() == pytest.approx(start.mass(), rel=1e-12)
         assert evolved.time == pytest.approx(1.5)
+
+    def test_point_mass_on_a_coarse_grid_stays_non_negative(self):
+        # OU on [-5, 5] at 16 cells has cell Peclet number 3.1 at the walls,
+        # where a central flux has negative weights; the fitted one stays
+        # positive without a floor
+        grid = Grid1D(-5.0, 5.0, 16)
+        start = np.zeros(grid.n_nodes)
+        start[1] = 1.0 / grid.dx
+        adjoint = kolmogorov._generator(ou_model(), grid, REFLECTING, adjoint=True)
+        rho = kolmogorov._evolve(adjoint, start, 50, 0.01)
+        assert np.all(rho >= 0.0)
+        assert np.trapezoid(rho, grid.nodes) == pytest.approx(1.0, abs=1e-12)
 
     def test_ou_relaxation_mean_and_variance(self):
         # From a point mass at x0 the law is N(x0 e^{-t}, (1 - e^{-2t})/2).
@@ -378,6 +492,34 @@ class TestFokkerPlanck:
         )
         exact = reflected_bm_density(grid.nodes, 0.5, barrier)
         assert np.trapezoid(np.abs(evolved.values - exact), grid.nodes) < 0.02
+
+
+class TestDegenerateDiffusion:
+    """GBM ``dX = X/2 dt + X dW`` on ``[0, 2]``: at x = 0 both the drift
+    and the diffusion vanish, so ``f/a`` has no value there."""
+
+    @pytest.mark.parametrize("bc", BOUNDARIES)
+    def test_gbm_solves_are_finite_and_non_negative(self, bc):
+        model = SdeModel.scalar(lambda x: 0.5 * x, lambda x: x)
+        grid = Grid1D(0.0, 2.0, 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = solve_backward_kolmogorov(model, np.exp(-grid.nodes), grid, 0.5, 0.01, bc=bc)
+            rho = solve_fokker_planck(model, delta_field(grid, 1.0), 0.5, 0.01, bc=bc)
+        for values in (u, rho.values):
+            assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+            assert values[grid.n_nodes // 2] > 0.0
+
+    def test_gbm_preserves_constants_and_leaves_the_origin_alone(self):
+        model = SdeModel.scalar(lambda x: 0.5 * x, lambda x: x)
+        grid = Grid1D(0.0, 2.0, 40)
+        u = solve_backward_kolmogorov(model, np.ones(grid.n_nodes), grid, 1.0, 0.01)
+        np.testing.assert_allclose(u, 1.0, rtol=0.0, atol=1e-12)
+        # no drift and no diffusion at x = 0: a mass there keeps its place
+        start = np.zeros(grid.n_nodes)
+        start[0] = 1.0 / grid.dx
+        rho = solve_fokker_planck(model, DensityField(grid, start), 1.0, 0.01)
+        np.testing.assert_array_equal(rho.values, start)
 
 
 class TestClosedFormDensities:
