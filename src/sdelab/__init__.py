@@ -3,9 +3,8 @@
 The package is organised around six modules:
 
 ``sde``
-    Time grids, seeded Gaussian noise streams, Wiener paths, Itô /
-    Stratonovich integrals, and Euler–Maruyama integration of
-    drift–dispersion models.
+    Time grids, seeded Gaussian noise streams, Wiener paths, and
+    Euler–Maruyama integration of drift–dispersion models.
 ``kolmogorov``
     Finite-difference solvers for the backward Kolmogorov and
     Fokker–Planck equations on 1D grids, with exact reference densities.
@@ -36,11 +35,8 @@ from .sde import (
     SdeModel,
     TimeGrid,
     WienerPath,
-    euler_maruyama,
     euler_maruyama_ensemble,
-    ito_integral,
     sample_wiener,
-    stratonovich_integral,
 )
 from .kolmogorov import (
     DensityField,
@@ -82,8 +78,7 @@ __all__ = [
     "__version__",
     # sde
     "BlowUpError", "GaussianStream", "SdeModel", "TimeGrid", "WienerPath",
-    "euler_maruyama", "euler_maruyama_ensemble", "ito_integral",
-    "sample_wiener", "stratonovich_integral",
+    "euler_maruyama_ensemble", "sample_wiener",
     # kolmogorov
     "DensityField", "Grid1D", "solve_backward_kolmogorov",
     "solve_fokker_planck", "stationary_density_gradient",

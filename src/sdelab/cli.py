@@ -10,8 +10,9 @@ Three subcommands::
 under the output root (flag, then the ``SDELAB_OUT`` environment
 variable, then ``./runs``).  Exit codes: 0 success, 1 runtime failure,
 2 configuration problem, 3 finished but flagged (e.g. an optimizer
-reported non-convergence).  ``list`` prints the experiment registry;
-``plot-data`` reshapes a finished run directory into plot-ready CSVs.
+reported non-convergence) or outside its gate's tolerance.  ``list``
+prints the experiment registry; ``plot-data`` reshapes a finished run
+directory into plot-ready CSVs.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ def _cmd_run(args) -> int:
             print(f"  {key} = {value:.6g}")
     for flag in result.outcome.flags:
         print(f"  flagged: {flag}", file=sys.stderr)
+    if not summary.get("within_tolerance", True):
+        print("  missed its gate: within_tolerance = false", file=sys.stderr)
     return result.status
 
 

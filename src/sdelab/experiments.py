@@ -43,7 +43,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 import scipy
-from scipy import stats as sp_stats
 
 from . import __version__
 from ._io import jsonable, read_json, sha256, write_csv, write_json
@@ -594,8 +593,8 @@ def run(config, *, seed: int | None = None, out=None,
     :class:`ExperimentConfig`.  ``seed``, ``out``, and ``threads``
     override the config; the output root falls back to the
     ``SDELAB_OUT`` environment variable and then ``./runs``.  Returns a
-    :class:`RunResult` whose status is 0 on success and 3 when the
-    experiment reported non-convergence flags.
+    :class:`RunResult` whose status is 3 when the experiment raised a
+    flag or its summary's ``within_tolerance`` is false, and 0 otherwise.
     """
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)
@@ -635,7 +634,8 @@ def run(config, *, seed: int | None = None, out=None,
         environment=_environment(),
     )
     manifest.save(run_dir / "manifest.json")
-    return RunResult(3 if outcome.flags else 0, run_dir, manifest, outcome)
+    missed = not outcome.summary.get("within_tolerance", True)
+    return RunResult(3 if outcome.flags or missed else 0, run_dir, manifest, outcome)
 
 
 def emit_plot_data(run_dir) -> list[Path]:
@@ -800,10 +800,13 @@ def _run_feynman_kac(run: _Run) -> ExperimentOutcome:
 def _run_arcsine(run: _Run) -> ExperimentOutcome:
     p = run.params
     grid = TimeGrid(0.0, 1.0, p["n_steps"])
-    fractions = arcsine_occupation(p["n_paths"], grid, run.stream)
-    ks = float(sp_stats.kstest(fractions, arcsine_cdf).statistic)
+    fractions = np.sort(arcsine_occupation(p["n_paths"], grid, run.stream))
+    # Kolmogorov-Smirnov: the larger gap of F below and above the empirical steps
+    cdf, n = arcsine_cdf(fractions), fractions.size
+    ks = float(max((np.arange(1.0, n + 1) / n - cdf).max(),
+                   (cdf - np.arange(0.0, n) / n).max()))
     us = np.linspace(0.0, 1.0, 101)
-    empirical = np.searchsorted(np.sort(fractions), us, side="right") / fractions.size
+    empirical = np.searchsorted(fractions, us, side="right") / n
     table_rows = [(u, e, arcsine_cdf(u)) for u, e in zip(us, empirical)]
     summary = {
         "n_paths": p["n_paths"],

@@ -2,15 +2,9 @@
 
 This module provides the building blocks used everywhere else in the
 package: uniform time grids, reproducible Gaussian noise streams, Wiener
-path construction and dyadic refinement, Ito / Stratonovich integrals,
-the Euler-Maruyama scheme, and exact solutions of linear equations
-
-    dX_t = a(t) X_t dt + sigma(t) dW_t            (additive noise)
-    dX_t = a(t) X_t dt + sigma(t) X_t dW_t        (multiplicative noise)
-
-which serve as strong-error references for the discrete schemes.  Every
-Euler-Maruyama step in the package is taken in ``_em_path``, a window of
-steps at a time, with the bits of one step at a time.  Brownian paths and
+path construction and the Euler-Maruyama scheme.  Every Euler-Maruyama
+step in the package is taken in ``_em_path``, a window of steps at a
+time, with the bits of one step at a time.  Brownian paths and
 Euler-Maruyama ensembles are generated by one window loop each
 (``_wiener_windows`` and ``_em_windows``): ``sample_wiener`` and
 ``euler_maruyama_ensemble`` collect the windows into one array, and an
@@ -29,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -37,24 +31,11 @@ __all__ = [
     "TimeGrid",
     "GaussianStream",
     "WienerPath",
-    "SamplePath",
     "SdeModel",
-    "GridMismatchError",
     "BlowUpError",
     "sample_wiener",
-    "refine_wiener_midpoint",
-    "ito_integral",
-    "stratonovich_integral",
-    "euler_maruyama",
     "euler_maruyama_ensemble",
-    "exact_linear_additive",
-    "exact_linear_multiplicative",
-    "sine_fixture",
 ]
-
-
-class GridMismatchError(ValueError):
-    """Raised when two path objects do not share the same time grid."""
 
 
 class BlowUpError(RuntimeError):
@@ -118,12 +99,6 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(self.t0, self.t_end, self.n_steps + 1)
 
-    def refined(self, levels: int = 1) -> "TimeGrid":
-        """Grid over the same interval with ``2**levels`` times more steps."""
-        if levels < 0:
-            raise ValueError(f"refinement levels must be >= 0, got {levels}")
-        return TimeGrid(self.t0, self.t_end, self.n_steps * 2**levels)
-
 
 @dataclass(frozen=True)
 class GaussianStream:
@@ -185,24 +160,20 @@ class _AddressedDraws:
         return out
 
 
-def _as_node_columns(values) -> np.ndarray:
-    """Coerce path values to shape ``(n_nodes, dim)``; 1-D input is a column."""
-    arr = np.asarray(values, dtype=float)
-    return arr[:, np.newaxis] if arr.ndim == 1 else arr
-
-
 @dataclass
 class WienerPath:
     """Discretely sampled Brownian path on a uniform grid.
 
-    ``values`` has shape ``(grid.n_nodes, dim)`` and starts at zero.
+    ``values`` has shape ``(grid.n_nodes, dim)`` and starts at zero; 1-D
+    values are one column.
     """
 
     grid: TimeGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.values = _as_node_columns(self.values)
+        values = np.asarray(self.values, dtype=float)
+        self.values = values[:, np.newaxis] if values.ndim == 1 else values
         if self.values.shape[0] != self.grid.n_nodes:
             raise ValueError(
                 f"values must have shape (n_nodes, dim) = ({self.grid.n_nodes}, ...), "
@@ -210,30 +181,6 @@ class WienerPath:
             )
         if not np.all(self.values[0] == 0.0):
             raise ValueError("a Wiener path must start at zero")
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-    def increments(self) -> np.ndarray:
-        """Step increments, shape ``(n_steps, dim)``."""
-        return np.diff(self.values, axis=0)
-
-
-@dataclass
-class SamplePath:
-    """Solution values on a grid, optionally with the driving noise attached."""
-
-    grid: TimeGrid
-    values: np.ndarray
-    wiener: WienerPath | None = None
-
-    def __post_init__(self) -> None:
-        self.values = _as_node_columns(self.values)
-        if self.values.shape[0] != self.grid.n_nodes:
-            raise ValueError(
-                f"values must have {self.grid.n_nodes} rows, got {self.values.shape[0]}"
-            )
 
     @property
     def dim(self) -> int:
@@ -387,87 +334,6 @@ def _wiener_windows(grid: TimeGrid, stream: GaussianStream, dim: int):
         yield j, nodes
 
 
-def refine_wiener_midpoint(path: WienerPath, levels: int,
-                           stream: GaussianStream) -> WienerPath:
-    """Refine a Brownian path by dyadic midpoint displacement.
-
-    Each level doubles the number of steps: the new midpoint of an interval
-    of length ``dt`` is the average of its endpoints plus an independent
-    ``N(0, dt/4)`` displacement, so existing nodes are kept bit-identically
-    and the refined pairs of half-increments are i.i.d. ``N(0, dt/2)``.
-
-    With all displacement Gaussians forced to zero the construction reduces
-    to linear interpolation between the existing nodes.
-    """
-    if levels < 0:
-        raise ValueError(f"refinement levels must be >= 0, got {levels}")
-    rng = stream.generator()
-    grid, values = path.grid, path.values
-    for _ in range(levels):
-        n_mid = grid.n_steps
-        bridge_sd = math.sqrt(grid.dt / 4.0)
-        noise = rng.normal(0.0, bridge_sd, size=(n_mid, values.shape[1]))
-        refined = np.empty((2 * n_mid + 1, values.shape[1]))
-        refined[::2] = values
-        refined[1::2] = 0.5 * (values[:-1] + values[1:]) + noise
-        grid = grid.refined()
-        values = refined
-    return WienerPath(grid, values)
-
-
-# ---------------------------------------------------------------------------
-# Stochastic integrals
-# ---------------------------------------------------------------------------
-
-def _integrand_on_grid(integrand, wiener: WienerPath) -> np.ndarray:
-    if isinstance(integrand, (SamplePath, WienerPath)):
-        if integrand.grid != wiener.grid:
-            raise GridMismatchError(
-                "integrand is sampled on a different grid than the Wiener path"
-            )
-        vals = integrand.values
-        return vals[:, 0] if vals.ndim == 2 and vals.shape[1] == 1 else vals
-    vals = np.asarray(integrand, dtype=float)
-    if vals.shape[-1] != wiener.grid.n_nodes:
-        raise GridMismatchError(
-            f"integrand has {vals.shape[-1]} nodes but the grid has "
-            f"{wiener.grid.n_nodes}"
-        )
-    return vals
-
-
-def ito_integral(integrand, wiener: WienerPath) -> float | np.ndarray:
-    """Left-endpoint (Ito) integral of ``integrand`` against ``wiener``.
-
-    Computes ``sum_k e(t_{k-1}) (W_{t_k} - W_{t_{k-1}})`` for a scalar
-    Brownian path.  ``integrand`` may be a :class:`SamplePath` on the same
-    grid or an array whose last axis enumerates the grid nodes; a leading
-    batch axis is carried through.
-    """
-    if wiener.dim != 1:
-        raise ValueError("stochastic integrals are taken against a scalar Brownian path")
-    vals = _integrand_on_grid(integrand, wiener)
-    dw = np.diff(wiener.values[:, 0])
-    out = vals[..., :-1] @ dw
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def stratonovich_integral(integrand, wiener: WienerPath) -> float | np.ndarray:
-    """Midpoint-average (Stratonovich) integral against ``wiener``.
-
-    Uses ``sum_k (e(t_k) + e(t_{k-1})) / 2 * (W_{t_k} - W_{t_{k-1}})``;
-    for ``e = W`` this converges to ``W_T^2 / 2`` where the Ito version
-    leaves the ``-T/2`` correction.
-    """
-    if wiener.dim != 1:
-        raise ValueError("stochastic integrals are taken against a scalar Brownian path")
-    vals = _integrand_on_grid(integrand, wiener)
-    dw = np.diff(wiener.values[:, 0])
-    avg = 0.5 * (vals[..., 1:] + vals[..., :-1])
-    out = avg @ dw
-    return float(out) if np.ndim(out) == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # Integrators
 # ---------------------------------------------------------------------------
@@ -502,40 +368,6 @@ def _raise_blow_up(path: np.ndarray, grid: TimeGrid, step: int) -> None:
     if not np.isfinite(path[-1]).all():
         step += next(k for k, x in enumerate(path) if not np.isfinite(x).all())
         raise BlowUpError(step, grid.nodes[step])
-
-
-def euler_maruyama(model: SdeModel, x0, grid: TimeGrid, *,
-                   stream: GaussianStream | None = None,
-                   wiener: WienerPath | None = None) -> SamplePath:
-    """Euler-Maruyama approximation of ``dX = f(X) dt + g(X) dW``.
-
-    Exactly one noise source must be supplied: either a ``stream`` (a
-    Brownian path is sampled internally and attached to the result) or an
-    existing ``wiener`` path, which allows strong-error comparisons against
-    exact solutions driven by the same noise.  With ``g == 0`` the scheme
-    reduces exactly to the explicit Euler method for the drift ODE.
-
-    Raises
-    ------
-    BlowUpError
-        If the state leaves the floating-point range; the error carries the
-        offending step index.  Only realised blow-up is detected - there is
-        no a-priori check that the coefficients are globally Lipschitz.
-    """
-    if (stream is None) == (wiener is None):
-        raise ValueError("supply exactly one of stream= or wiener=")
-    if wiener is None:
-        wiener = sample_wiener(grid, stream, dim=model.dim_noise)
-    if wiener.grid != grid:
-        raise GridMismatchError("wiener path lives on a different grid")
-    if wiener.dim != model.dim_noise:
-        raise ValueError(f"model expects {model.dim_noise}-dimensional noise, "
-                         f"got a {wiener.dim}-dimensional path")
-
-    x = np.broadcast_to(np.asarray(x0, dtype=float), (model.dim_state,))
-    values = _em_path(model, x, grid.dt, wiener.increments())
-    _raise_blow_up(values, grid, 0)
-    return SamplePath(grid, values, wiener=wiener)
 
 
 def euler_maruyama_ensemble(model: SdeModel, x0, grid: TimeGrid, n_paths: int,
@@ -583,86 +415,3 @@ def _em_windows(model: SdeModel, x0, grid: TimeGrid, n_paths: int,
         _raise_blow_up(path, grid, j)
         x = path[-1]
         yield j, path
-
-
-# ---------------------------------------------------------------------------
-# Exact linear solutions
-# ---------------------------------------------------------------------------
-
-def _coefficient_on_nodes(coeff, nodes: np.ndarray) -> np.ndarray:
-    if callable(coeff):
-        vals = np.asarray(coeff(nodes), dtype=float)
-        return np.broadcast_to(vals, nodes.shape).astype(float)
-    return np.full_like(nodes, float(coeff))
-
-
-def exact_linear_additive(a, sigma, x0: float, wiener: WienerPath) -> SamplePath:
-    """Exact solution of ``dX = a(t) X dt + sigma(t) dW`` on the path's grid.
-
-    The solution is ``X_t = x0 e^{alpha(t)} + int_0^t e^{alpha(t)-alpha(s)}
-    sigma(s) dW_s`` with ``alpha(t) = int_0^t a(s) ds``; both integrals are
-    discretised with left-endpoint sums on the grid, which makes the
-    variance of ``X_T`` equal exactly to the left-sum quadrature of
-    ``int e^{2(alpha(T)-alpha(s))} sigma(s)^2 ds``.
-
-    ``a`` and ``sigma`` may be constants or vectorised callables of time.
-    """
-    if wiener.dim != 1:
-        raise ValueError("the linear solver is one-dimensional")
-    nodes = wiener.grid.nodes
-    dt = wiener.grid.dt
-    a_vals = _coefficient_on_nodes(a, nodes)
-    s_vals = _coefficient_on_nodes(sigma, nodes)
-    dw = np.diff(wiener.values[:, 0])
-
-    x = np.empty(wiener.grid.n_nodes)
-    x[0] = float(x0)
-    # One exponential step per interval keeps the left-endpoint convolution
-    # structure while costing O(n) instead of O(n^2).
-    growth = np.exp(a_vals[:-1] * dt)
-    for k in range(wiener.grid.n_steps):
-        x[k + 1] = growth[k] * (x[k] + s_vals[k] * dw[k])
-    return SamplePath(wiener.grid, x[:, np.newaxis], wiener=wiener)
-
-
-def exact_linear_multiplicative(a, sigma, x0: float, wiener: WienerPath) -> SamplePath:
-    """Exact solution of ``dX = a(t) X dt + sigma(t) X dW`` for ``x0 > 0``.
-
-    ``X_t = x0 exp(int (a - sigma^2/2) ds + int sigma dW)`` with both
-    integrals as left-endpoint sums.  For ``a = 0, sigma = 1`` this is the
-    exponential martingale ``exp(W_t - t/2)`` with unit expectation.
-    """
-    if not x0 > 0:
-        raise ValueError(f"multiplicative solution requires x0 > 0, got {x0}")
-    if wiener.dim != 1:
-        raise ValueError("the linear solver is one-dimensional")
-    nodes = wiener.grid.nodes
-    dt = wiener.grid.dt
-    a_vals = _coefficient_on_nodes(a, nodes)[:-1]
-    s_vals = _coefficient_on_nodes(sigma, nodes)[:-1]
-    dw = np.diff(wiener.values[:, 0])
-
-    log_x = np.concatenate([
-        [0.0], np.cumsum((a_vals - 0.5 * s_vals**2) * dt + s_vals * dw)
-    ])
-    values = float(x0) * np.exp(log_x)
-    return SamplePath(wiener.grid, values[:, np.newaxis], wiener=wiener)
-
-
-def sine_fixture(wiener: WienerPath) -> SamplePath:
-    """The path ``X = sin(W)``, frozen at ``+-1`` once ``|W|`` reaches pi/2.
-
-    Up to that first crossing this is a strong solution of
-    ``dX = -X/2 dt + sqrt(1 - X^2) dW`` driven by the given path, handy as
-    a nonlinear reference for strong-convergence tests.
-    """
-    if wiener.dim != 1:
-        raise ValueError("the sine fixture is one-dimensional")
-    w = wiener.values[:, 0]
-    x = np.sin(w)
-    crossed = np.flatnonzero(np.abs(w) >= math.pi / 2.0)
-    if crossed.size:
-        first = crossed[0]
-        x = x.copy()
-        x[first:] = math.copysign(1.0, w[first])
-    return SamplePath(wiener.grid, x[:, np.newaxis], wiener=wiener)

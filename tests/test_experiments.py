@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from scipy import stats
 
 import sdelab
 from sdelab.cli import main as cli_main
@@ -33,6 +34,8 @@ from sdelab.experiments import (
     run,
 )
 from sdelab.expr import Expression
+from sdelab.firstexit import arcsine_cdf, arcsine_occupation
+from sdelab.sde import GaussianStream, TimeGrid
 
 
 class TestParameterSpec:
@@ -432,6 +435,20 @@ class TestRunArtifacts:
         payload = json.loads((result.run_dir / "result.json").read_text())
         assert payload["flags"]
 
+    def test_missed_gate_without_a_flag_returns_status_three(self, tmp_path, capsys):
+        # 100 paths put the KS statistic near 0.08, over the 0.03 gate
+        config = tmp_path / "few.ini"
+        config.write_text("[experiment]\nname = arcsine-law\n\n"
+                          "[parameters]\nn_paths = 100\nn_steps = 100\n",
+                          encoding="utf-8")
+        result = run(load_config(config), out=tmp_path / "run")
+        assert result.outcome.summary["within_tolerance"] is False
+        assert result.outcome.flags == ()
+        assert result.status == 3
+        assert cli_main(["run", "--config", str(config),
+                         "--out", str(tmp_path / "cli")]) == 3
+        assert "missed its gate" in capsys.readouterr().err
+
     def test_output_root_falls_back_to_the_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv(DEFAULT_OUT_ENV, str(tmp_path / "from-env"))
         result = run(self.config())
@@ -564,6 +581,15 @@ class TestExecuteOutcomes:
         s = out.summary
         se = s["terminal_std"] / np.sqrt(2000)
         assert abs(s["terminal_mean"] - s["terminal_mean_target"]) < 4 * se + 0.01
+
+    @pytest.mark.parametrize("seed, n_paths", [(1, 100), (2, 1000), (3, 37)])
+    def test_arcsine_ks_statistic_is_scipys(self, seed, n_paths):
+        params = {"n_paths": n_paths, "n_steps": 200}
+        out = execute("arcsine-law", parameters=params, seed=seed)
+        fractions = arcsine_occupation(n_paths, TimeGrid(0.0, 1.0, 200),
+                                       GaussianStream(seed))
+        assert out.summary["ks_statistic"] == \
+            stats.kstest(fractions, arcsine_cdf).statistic
 
     def test_feynman_kac_without_right_exits_is_flagged_not_raised(self):
         # at seed 1 both paths leave through -a: the one-sided Laplace

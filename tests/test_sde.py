@@ -1,4 +1,4 @@
-"""Tests for the sample-path core: grids, streams, integrals, integrators."""
+"""Tests for the sample-path core: grids, streams, Wiener paths, integrators."""
 
 from __future__ import annotations
 
@@ -13,35 +13,14 @@ from hypothesis import strategies as st
 from sdelab.sde import (
     BlowUpError,
     GaussianStream,
-    GridMismatchError,
-    SamplePath,
     SdeModel,
     TimeGrid,
     WienerPath,
-    euler_maruyama,
     euler_maruyama_ensemble,
-    exact_linear_additive,
-    exact_linear_multiplicative,
-    ito_integral,
-    refine_wiener_midpoint,
     sample_wiener,
-    sine_fixture,
-    stratonovich_integral,
 )
 from sdelab import sde
 from sdelab.sde import _WINDOW_ROW_STEPS
-
-
-class ZeroStream:
-    """Noise stub whose Gaussians are all zero (for interpolation checks)."""
-
-    def generator(self):
-        class _Gen:
-            @staticmethod
-            def normal(loc, scale, size):
-                return np.zeros(size)
-
-        return _Gen()
 
 
 # ---------------------------------------------------------------------------
@@ -78,14 +57,6 @@ def test_grid_rejects_degenerate_intervals_and_step_counts():
 def test_grid_rejects_a_non_finite_end(ends, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         TimeGrid(*ends, 4)
-
-
-def test_grid_refinement_doubles_steps_and_rejects_negative_levels():
-    grid = TimeGrid(0.0, 1.0, 8)
-    assert grid.refined(2).n_steps == 32
-    assert grid.refined(0) == grid
-    with pytest.raises(ValueError):
-        grid.refined(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +129,7 @@ def test_wiener_increments_have_mean_zero_and_variance_dt():
     # many independent components on one grid = a cheap ensemble
     grid = TimeGrid(0.0, 1.0, 16)
     path = sample_wiener(grid, GaussianStream(2024), dim=20_000)
-    incr = path.increments()
+    incr = np.diff(path.values, axis=0)
     n = incr.size
     se_mean = math.sqrt(grid.dt / n)
     assert abs(float(incr.mean())) < 5 * se_mean
@@ -180,140 +151,10 @@ def test_rescaled_path_c_w_of_t_over_c_squared_passes_increment_checks():
     path = sample_wiener(grid, GaussianStream(4), dim=10_000)
     scaled_grid = TimeGrid(0.0, c**2 * 1.0, 32)
     scaled = WienerPath(scaled_grid, c * path.values)
-    incr = scaled.increments()
+    incr = np.diff(scaled.values, axis=0)
     se_var = scaled_grid.dt * math.sqrt(2.0 / incr.size)
     assert abs(float(incr.var()) - scaled_grid.dt) < 5 * se_var
     assert abs(float(incr.mean())) < 5 * math.sqrt(scaled_grid.dt / incr.size)
-
-
-# ---------------------------------------------------------------------------
-# Midpoint refinement
-# ---------------------------------------------------------------------------
-
-def test_refinement_keeps_existing_nodes_bit_identical():
-    path = sample_wiener(TimeGrid(0.0, 1.0, 16), GaussianStream(5), dim=2)
-    fine = refine_wiener_midpoint(path, 3, GaussianStream(5, 1))
-    assert fine.grid.n_steps == 128
-    assert np.array_equal(fine.values[::8], path.values)
-
-
-def test_refinement_rejects_negative_levels_and_keeps_level_zero_unchanged():
-    path = sample_wiener(TimeGrid(0.0, 1.0, 8), GaussianStream(6))
-    with pytest.raises(ValueError):
-        refine_wiener_midpoint(path, -1, GaussianStream(6, 1))
-    same = refine_wiener_midpoint(path, 0, GaussianStream(6, 1))
-    assert np.array_equal(same.values, path.values)
-
-
-def test_refinement_with_zero_noise_is_linear_interpolation():
-    path = sample_wiener(TimeGrid(0.0, 1.0, 8), GaussianStream(7))
-    fine = refine_wiener_midpoint(path, 1, ZeroStream())
-    expected_mid = 0.5 * (path.values[:-1] + path.values[1:])
-    assert np.array_equal(fine.values[1::2], expected_mid)
-
-
-def test_refinement_midpoint_displacement_has_variance_dt_over_four():
-    grid = TimeGrid(0.0, 1.0, 4)
-    path = sample_wiener(grid, GaussianStream(8), dim=30_000)
-    fine = refine_wiener_midpoint(path, 1, GaussianStream(8, 1))
-    resid = fine.values[1::2] - 0.5 * (path.values[:-1] + path.values[1:])
-    target = grid.dt / 4.0
-    se = target * math.sqrt(2.0 / resid.size)
-    assert abs(float(resid.var()) - target) < 5 * se
-    # refined increments are again Gaussian with variance dt/2
-    incr = fine.increments()
-    se2 = (grid.dt / 2) * math.sqrt(2.0 / incr.size)
-    assert abs(float(incr.var()) - grid.dt / 2) < 5 * se2
-
-
-# ---------------------------------------------------------------------------
-# Ito and Stratonovich integrals
-# ---------------------------------------------------------------------------
-
-@given(c=st.floats(-10.0, 10.0), seed=st.integers(0, 99))
-@settings(max_examples=25)
-def test_integral_of_a_constant_is_c_times_terminal_value(c, seed):
-    path = sample_wiener(TimeGrid(0.0, 2.0, 64), GaussianStream(seed))
-    w_end = path.values[-1, 0]
-    const = np.full(path.grid.n_nodes, c)
-    assert ito_integral(const, path) == pytest.approx(c * w_end, abs=1e-9, rel=1e-9)
-    assert stratonovich_integral(const, path) == pytest.approx(c * w_end, abs=1e-9, rel=1e-9)
-
-
-def test_integral_rejects_mismatched_grids():
-    path = sample_wiener(TimeGrid(0.0, 1.0, 32), GaussianStream(9))
-    other = SamplePath(TimeGrid(0.0, 1.0, 64), np.zeros(65))
-    with pytest.raises(GridMismatchError):
-        ito_integral(other, path)
-    with pytest.raises(GridMismatchError):
-        ito_integral(np.zeros(44), path)
-
-
-def test_ito_integral_of_w_dw_approaches_half_w_squared_minus_half_t():
-    # The discretisation error of sum W dW against W_T^2/2 - T/2 equals
-    # (sum dW^2 - T)/2, whose RMS is sqrt(T dt / 2): halves per 4x refinement.
-    t_end = 1.0
-    errors = {256: [], 1024: []}
-    for i in range(300):
-        coarse = sample_wiener(TimeGrid(0.0, t_end, 256), GaussianStream(10, i))
-        fine = refine_wiener_midpoint(coarse, 2, GaussianStream(11, i))
-        for path in (coarse, fine):
-            w = path.values[:, 0]
-            exact = 0.5 * w[-1] ** 2 - 0.5 * t_end
-            errors[path.grid.n_steps].append(ito_integral(path, path) - exact)
-    rms = {n: float(np.sqrt(np.mean(np.square(e)))) for n, e in errors.items()}
-    assert rms[256] == pytest.approx(math.sqrt(t_end / 256 / 2), rel=0.25)
-    assert rms[1024] == pytest.approx(math.sqrt(t_end / 1024 / 2), rel=0.25)
-    assert rms[256] / rms[1024] == pytest.approx(2.0, rel=0.25)
-
-
-def test_stratonovich_integral_of_w_dw_approaches_half_w_squared():
-    diffs = []
-    for i in range(200):
-        path = sample_wiener(TimeGrid(0.0, 1.0, 512), GaussianStream(12, i))
-        w_end = path.values[-1, 0]
-        diffs.append(stratonovich_integral(path, path) - 0.5 * w_end**2)
-    # no -T/2 correction: the mean offset is zero, unlike the Ito sum
-    mean = float(np.mean(diffs))
-    se = float(np.std(diffs)) / math.sqrt(len(diffs))
-    assert abs(mean) < 5 * max(se, 1e-4)
-
-
-def test_stratonovich_integral_of_w_dw_telescopes_to_half_w_squared_exactly():
-    # sum (W_k + W_{k-1})(W_k - W_{k-1})/2 telescopes: exact on every grid
-    for n_steps in (8, 64, 512):
-        path = sample_wiener(TimeGrid(0.0, 1.0, n_steps), GaussianStream(13))
-        w_end = path.values[-1, 0]
-        assert stratonovich_integral(path, path) == pytest.approx(
-            0.5 * w_end**2, rel=1e-12, abs=1e-12)
-
-
-def test_stratonovich_refinement_is_cauchy_toward_the_chain_rule_value():
-    # int sin(W) o dW = 1 - cos(W_T) by the Stratonovich chain rule
-    errs_per_level = np.zeros(4)
-    for i in range(100):
-        paths = [sample_wiener(TimeGrid(0.0, 1.0, 64), GaussianStream(13, i))]
-        for level in range(3):
-            paths.append(refine_wiener_midpoint(paths[-1], 1,
-                                                GaussianStream(130 + level, i)))
-        target = 1.0 - math.cos(paths[0].values[-1, 0])  # W_T preserved
-        for j, p in enumerate(paths):
-            integrand = np.sin(p.values[:, 0])
-            errs_per_level[j] += (stratonovich_integral(integrand, p) - target) ** 2
-    rms = np.sqrt(errs_per_level / 100)
-    assert rms[-1] < 0.5 * rms[0]
-    assert np.all(np.diff(rms) < 0)
-
-
-def test_ito_isometry_for_w_dw_within_five_standard_errors():
-    # E[(int_0^1 W dW)^2] = int_0^1 t dt = 1/2
-    vals = []
-    for i in range(2000):
-        path = sample_wiener(TimeGrid(0.0, 1.0, 128), GaussianStream(14, i))
-        vals.append(ito_integral(path, path))
-    sq = np.square(vals)
-    se = float(np.std(sq)) / math.sqrt(len(sq))
-    assert abs(float(np.mean(sq)) - 0.5) < 5 * se
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +164,11 @@ def test_ito_isometry_for_w_dw_within_five_standard_errors():
 def test_euler_maruyama_with_zero_dispersion_is_explicit_euler_exactly():
     model = SdeModel.scalar(lambda x: np.sin(x), lambda x: 0.0)
     grid = TimeGrid(0.0, 2.0, 50)
-    path = euler_maruyama(model, 0.7, grid, stream=GaussianStream(15))
+    path = euler_maruyama_ensemble(model, 0.7, grid, 1, GaussianStream(15))
     x = 0.7
     for k in range(grid.n_steps):
         x = x + math.sin(x) * grid.dt
-        assert path.values[k + 1, 0] == x  # bit-identical to explicit Euler
+        assert path[0, k + 1, 0] == x  # bit-identical to explicit Euler
 
 
 def test_constant_dispersion_models_stay_hashable():
@@ -369,39 +210,14 @@ def test_number_dispersion_steps_bit_identically_to_a_constant_callable():
     assert np.array_equal(number, callable_)
 
 
-def test_euler_maruyama_requires_exactly_one_noise_source():
-    model = SdeModel.brownian()
-    grid = TimeGrid(0.0, 1.0, 10)
-    with pytest.raises(ValueError):
-        euler_maruyama(model, 0.0, grid)
-    wiener = sample_wiener(grid, GaussianStream(16))
-    with pytest.raises(ValueError):
-        euler_maruyama(model, 0.0, grid, stream=GaussianStream(16), wiener=wiener)
-
-
 def test_euler_maruyama_blow_up_carries_the_step_index():
     model = SdeModel.scalar(lambda x: x**3, lambda x: 0.0)
     grid = TimeGrid(0.0, 5.0, 50)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError) as excinfo:
-            euler_maruyama(model, 10.0, grid, stream=GaussianStream(17))
+            euler_maruyama_ensemble(model, 10.0, grid, 1, GaussianStream(17))
     assert 1 <= excinfo.value.step_index <= 50
     assert excinfo.value.time == pytest.approx(grid.nodes[excinfo.value.step_index])
-
-
-def test_euler_maruyama_strong_error_versus_exact_linear_solution_is_order_one():
-    # additive noise: strong order 1, so halving dt roughly halves the error
-    errs = {128: [], 256: []}
-    for i in range(100):
-        fine = sample_wiener(TimeGrid(0.0, 1.0, 256), GaussianStream(18, i))
-        coarse = WienerPath(TimeGrid(0.0, 1.0, 128), fine.values[::2])
-        model = SdeModel.scalar(lambda x: -x, lambda x: 1.0)
-        for w in (coarse, fine):
-            em = euler_maruyama(model, 1.0, w.grid, wiener=w)
-            exact = exact_linear_additive(-1.0, 1.0, 1.0, w)
-            errs[w.grid.n_steps].append(abs(em.values[-1, 0] - exact.values[-1, 0]))
-    rms = {n: float(np.sqrt(np.mean(np.square(e)))) for n, e in errs.items()}
-    assert rms[128] / rms[256] == pytest.approx(2.0, rel=0.4)
 
 
 def test_ensemble_matches_single_path_layout_and_is_reproducible():
@@ -471,15 +287,13 @@ def test_blow_up_inside_a_window_is_raised_at_the_per_step_loop_step():
     model = SdeModel.scalar(lambda x: x**3, 0.1)
     n_paths, grid = WINDOWED["n_paths"], TimeGrid(0.0, 1.0, 100)
     window = _WINDOW_ROW_STEPS // n_paths
-    wiener = sample_wiener(grid, GaussianStream(32))
     raised = []
     with np.errstate(over="ignore", invalid="ignore"):
         for run in (
             lambda: euler_maruyama_ensemble(model, 2.5, grid, n_paths, GaussianStream(32)),
             lambda: reference_ensemble(model, 2.5, grid, n_paths, GaussianStream(32)),
-            lambda: euler_maruyama(model, 2.5, grid, wiener=wiener),
-            lambda: per_step_reference(model, np.array([2.5]), grid,
-                                       iter(wiener.increments()).__next__),
+            lambda: euler_maruyama_ensemble(model, 2.5, grid, 1, GaussianStream(32)),
+            lambda: reference_ensemble(model, 2.5, grid, 1, GaussianStream(32)),
         ):
             with pytest.raises(BlowUpError) as excinfo:
                 run()
@@ -489,93 +303,3 @@ def test_blow_up_inside_a_window_is_raised_at_the_per_step_loop_step():
     # window, the single path inside its one window of 100 steps
     assert 0 < (raised[0][0] - 1) % window < window - 1
     assert 1 < raised[2][0] < grid.n_steps
-
-
-# ---------------------------------------------------------------------------
-# Exact linear solutions
-# ---------------------------------------------------------------------------
-
-def test_additive_solution_with_zero_drift_is_x0_plus_the_path():
-    path = sample_wiener(TimeGrid(0.0, 1.0, 200), GaussianStream(20))
-    sol = exact_linear_additive(0.0, 1.0, 2.5, path)
-    assert sol.values[:, 0] == pytest.approx(2.5 + path.values[:, 0], abs=1e-12)
-
-
-def test_additive_solution_variance_matches_quadrature_of_the_kernel():
-    # dX = -X dt + dW on [0, 1]: the left-sum construction has terminal
-    # variance exactly sum_j exp(2(alpha_N - alpha_j)) dt, which converges
-    # to the continuum value (1 - e^-2)/2 = 0.43233235838169365.
-    grid = TimeGrid(0.0, 1.0, 64)
-    nodes, dt = grid.nodes, grid.dt
-    alpha = np.concatenate([[0.0], np.cumsum(np.full(grid.n_steps, -dt))])
-    quadrature = float(np.sum(np.exp(2.0 * (alpha[-1] - alpha[:-1]))) * dt)
-
-    terminal = []
-    for i in range(10_000):
-        w = sample_wiener(grid, GaussianStream(21, i))
-        terminal.append(exact_linear_additive(-1.0, 1.0, 0.0, w).values[-1, 0])
-    var = float(np.var(terminal))
-    assert var == pytest.approx(quadrature, rel=0.03)
-    assert var == pytest.approx((1.0 - math.exp(-2.0)) / 2.0, rel=0.03)
-
-
-def test_multiplicative_solution_rejects_nonpositive_start():
-    path = sample_wiener(TimeGrid(0.0, 1.0, 10), GaussianStream(22))
-    with pytest.raises(ValueError):
-        exact_linear_multiplicative(0.0, 1.0, 0.0, path)
-    with pytest.raises(ValueError):
-        exact_linear_multiplicative(0.0, 1.0, -1.0, path)
-
-
-def test_driftless_multiplicative_solution_is_the_exponential_martingale():
-    path = sample_wiener(TimeGrid(0.0, 2.0, 128), GaussianStream(23))
-    sol = exact_linear_multiplicative(0.0, 1.0, 1.0, path)
-    w, t = path.values[:, 0], path.grid.nodes
-    assert sol.values[:, 0] == pytest.approx(np.exp(w - 0.5 * t), rel=1e-12, abs=1e-12)
-
-
-def test_exponential_martingale_has_unit_mean_over_1e5_samples():
-    # With unit time steps the one-step growth factors exp(-1/2 + dW) are
-    # i.i.d. copies of X_1 started at 1; 2000 paths x 50 steps = 1e5 samples.
-    grid = TimeGrid(0.0, 50.0, 50)
-    ratios = []
-    for i in range(2000):
-        path = sample_wiener(grid, GaussianStream(24, i))
-        sol = exact_linear_multiplicative(0.0, 1.0, 1.0, path)
-        ratios.append(sol.values[1:, 0] / sol.values[:-1, 0])
-    mean = float(np.concatenate(ratios).mean())
-    assert 0.95 <= mean <= 1.05
-
-
-# ---------------------------------------------------------------------------
-# Sine fixture
-# ---------------------------------------------------------------------------
-
-def test_sine_fixture_is_sin_w_before_crossing_and_frozen_after():
-    path = sample_wiener(TimeGrid(0.0, 4.0, 4000), GaussianStream(25))
-    fixt = sine_fixture(path)
-    w = path.values[:, 0]
-    x = fixt.values[:, 0]
-    assert np.all(np.abs(x) <= 1.0)
-    crossed = np.flatnonzero(np.abs(w) >= math.pi / 2)
-    assert crossed.size > 0  # |W| typically exceeds pi/2 well before T=4
-    first = crossed[0]
-    assert x[:first] == pytest.approx(np.sin(w[:first]))
-    assert np.all(x[first:] == math.copysign(1.0, w[first]))
-
-
-def test_sine_fixture_agrees_with_euler_maruyama_before_crossing():
-    model = SdeModel.scalar(lambda x: -0.5 * x,
-                            lambda x: np.sqrt(np.clip(1.0 - x**2, 0.0, None)))
-    errs = {}
-    for n_steps in (200, 800):
-        per_path = []
-        for i in range(64):
-            w = sample_wiener(TimeGrid(0.0, 0.5, n_steps), GaussianStream(26, i))
-            fixt = sine_fixture(w)
-            em = euler_maruyama(model, 0.0, w.grid, wiener=w)
-            inside = np.abs(w.values[:, 0]) < math.pi / 2
-            stop = int(np.argmin(inside)) if not inside.all() else len(inside)
-            per_path.append(np.max(np.abs(fixt.values[:stop, 0] - em.values[:stop, 0])))
-        errs[n_steps] = float(np.sqrt(np.mean(np.square(per_path))))
-    assert errs[800] < 0.7 * errs[200]
