@@ -42,7 +42,6 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
-import scipy
 
 from . import __version__
 from ._io import jsonable, read_json, sha256, write_csv, write_json
@@ -579,6 +578,8 @@ class RunResult:
 
 
 def _environment() -> dict[str, str]:
+    import scipy  # for its version only: ``import sdelab`` loads no scipy
+
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "blas": f"{blas['name']} {blas['version']}",

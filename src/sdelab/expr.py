@@ -176,6 +176,8 @@ def _neg(a: _Node) -> _Node:
         return _const(-a.value)
     if a.op == "neg":
         return a.left
+    if a.op == "-":
+        return _Node("-", left=a.right, right=a.left)  # -(u - v) = v - u
     return _Node("neg", left=a)
 
 
@@ -403,7 +405,9 @@ class Expression:
 
     def __neg__(self) -> "Expression":
         """``-self``: its values are those of ``self`` with the sign flipped,
-        bit for bit, since ``_neg`` folds only constants and double negations."""
+        bit for bit, since ``_neg`` folds only constants, double negations
+        and differences, whose IEEE rounding is sign-symmetric; the one
+        exception is that an exact zero of a difference stays +0.0."""
         root = _neg(self.root)
         return Expression(_render(root), root)
 

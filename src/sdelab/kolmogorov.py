@@ -32,7 +32,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .sde import GaussianStream, SdeModel, TimeGrid, _em_windows
 
@@ -200,28 +199,31 @@ def _generator(model: SdeModel, grid: Grid1D, bc: BoundaryCondition,
 # Time stepping
 # ---------------------------------------------------------------------------
 
-def _factorize(banded: np.ndarray) -> tuple:
-    """LU factors (``dgttrf``) of a tridiagonal matrix in banded storage ``(3, n)``."""
-    banded = np.asarray_chkfinite(banded)
-    *factors, info = dgttrf(banded[2, :-1], banded[1], banded[0, 1:])
-    if info != 0:
-        raise LinAlgError("singular matrix")
-    return tuple(factors)
-
-
-def _solve_factored(factors: tuple, b: np.ndarray) -> np.ndarray:
-    """Solve with :func:`_factorize`'s factors, in place on a Fortran-ordered ``b``.
+def _factorize(banded: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor (``dgttrf``) a tridiagonal matrix in banded storage ``(3, n)``
+    and return its solve ``b -> x``, which overwrites a Fortran-ordered ``b``.
 
     The eliminations are those of ``gtsv``, which ``solve_banded`` runs,
     so the bits are the same.
     """
-    x, _ = dgttrs(*factors, b, overwrite_b=1)
-    return x
+    # scipy's LAPACK loads at the first grid solve, not at import
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
+    banded = np.asarray_chkfinite(banded)
+    *factors, info = dgttrf(banded[2, :-1], banded[1], banded[0, 1:])
+    if info != 0:
+        raise LinAlgError("singular matrix")
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x, _ = dgttrs(*factors, b, overwrite_b=1)
+        return x
+
+    return solve
 
 
-def _resolvent(factors: tuple, n: int) -> np.ndarray:
+def _resolvent(solve: Callable, n: int) -> np.ndarray:
     """The one-step resolvent ``(I - dt A)^{-1}`` as a dense matrix."""
-    return _solve_factored(factors, np.eye(n, order="F"))
+    return solve(np.eye(n, order="F"))
 
 
 def _evolve(banded_a: np.ndarray, state: np.ndarray, n_steps: int,
@@ -244,18 +246,18 @@ def _evolve(banded_a: np.ndarray, state: np.ndarray, n_steps: int,
     """
     lhs = -dt * banded_a
     lhs[1] += 1.0
-    factors = _factorize(lhs)
+    solve = _factorize(lhs)
     n = lhs.shape[1]
     state = np.asarray_chkfinite(state)
     if state.ndim == 2 and state.shape[1] >= n:
-        power = np.linalg.matrix_power(_resolvent(factors, n), n_steps)
+        power = np.linalg.matrix_power(_resolvent(solve, n), n_steps)
         if (state.shape[1] == n and np.count_nonzero(state) == n
                 and np.all(np.diagonal(state) == 1.0)):
             return power  # the identity that assembles a transition kernel
         return power @ state
     u = np.array(state.reshape(n, -1), order="F")
     for _ in range(n_steps):
-        u = _solve_factored(factors, u)
+        u = solve(u)
     return u.reshape(state.shape)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .expr import Expression
 from .firstexit import Domain, interval_exit_reference, mc_exit
-from .kolmogorov import _factorize, _solve_factored
+from .kolmogorov import _factorize
 from .sde import GaussianStream, SdeModel, TimeGrid
 
 __all__ = [
@@ -246,7 +246,7 @@ def minimize_action(model: SdeModel, x0, y, T: float, n_steps: int,
     banded[0, 1:] = -1.0
     banded[1, :] = 2.0
     banded[2, :-1] = -1.0
-    laplacian = _factorize(banded)
+    solve_laplacian = _factorize(banded)
 
     action = _trial_action(model, grid, values)
     history = [action]
@@ -257,7 +257,7 @@ def minimize_action(model: SdeModel, x0, y, T: float, n_steps: int,
             converged = True
             break
         # row-major like ``grad``: the sums below depend on the memory order
-        step = _solve_factored(laplacian, np.array(grad, order="F"))
+        step = solve_laplacian(np.array(grad, order="F"))
         step = np.ascontiguousarray(step) * dt * d_bar
         slope = float(np.sum(grad * step))
         alpha = 1.0

@@ -144,7 +144,7 @@ class TestModelSpec:
         model = ModelSpec.from_mapping(
             {"preset": "gradient", "potential": "x^4/4 - x^2/2"}).build()
         assert isinstance(model.drift, Expression)
-        assert model.drift.source == "-(x^3-x)"
+        assert model.drift.source == "x-x^3"  # the negation folded into the difference
 
     def test_gradient_build_differences_a_variable_exponent(self):
         model = ModelSpec.from_mapping(

@@ -28,12 +28,39 @@ def test_every_exported_name_resolves(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
-def test_importing_the_package_leaves_scipy_stats_out():
-    # importing scipy.stats adds about half a second to every process start
+def _run_fresh(script: str) -> str:
+    """``script``'s standard output from a fresh interpreter that imports
+    this ``sdelab``."""
     src = str(Path(sdelab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, sdelab; print('scipy.stats' in sys.modules)"],
-        env=env, timeout=120, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    done = subprocess.run([sys.executable, "-c", script], env=env, timeout=120,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
+def test_importing_the_package_leaves_scipy_stats_out():
+    # importing scipy.stats adds about half a second to every process start
+    assert _run_fresh("import sys, sdelab; print('scipy.stats' in sys.modules)") == "False"
+
+
+LAPACK_BOUNDARY = """\
+import sys
+import sdelab
+from sdelab import kolmogorov
+from sdelab.experiments import execute
+from sdelab.sde import SdeModel
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+execute("eyring-kramers", parameters={"n_paths": 8, "eps": 0.5})
+print("scipy.linalg" in sys.modules)
+grid = kolmogorov.Grid1D(-3.0, 3.0, 30)
+model = SdeModel.scalar(lambda x: -x, 1.0)
+kolmogorov.solve_fokker_planck(model, kolmogorov.delta_field(grid, 0.5), 0.1, 0.01)
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_lapack_loads_at_the_first_grid_solve():
+    # scipy.linalg costs about 0.3 s and 20 MB of RSS at start-up; a run
+    # that steps only paths never needs it
+    assert _run_fresh(LAPACK_BOUNDARY).splitlines() == ["[]", "False", "True"]

@@ -150,6 +150,19 @@ class TestCompiledGoldens:
         assert (-e)(1.7) == -self.GOLDENS[source][1]
         assert (-(-e)).root == e.root
 
+    def test_negating_a_difference_swaps_its_operands(self):
+        # -(u - v) is v - u: one ufunc fewer and the same bits, except that
+        # an exact zero comes out +0.0 instead of -0.0
+        e = parse_expression("x^3 - x")
+        negated = -e
+        assert negated.root.op == "-" and negated.source == "x-x^3"
+        assert (negated.root.left, negated.root.right) == (e.root.right, e.root.left)
+        xs = np.random.Generator(np.random.Philox(7)).uniform(-2.0, 2.0, 4096)
+        assert np.array_equal(negated(xs), -(e(xs)))
+        zero = negated(np.array([1.0]))[0]
+        assert zero == 0.0 and not np.signbit(zero)
+        assert (-negated).root == e.root
+
 
 def _ulp(q: Fraction) -> Fraction:
     """The spacing of doubles at the exact nonzero value ``q``."""

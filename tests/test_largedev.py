@@ -361,7 +361,8 @@ class TestEyringKramers:
     # -U' on 4096 Philox(7) draws from [-2, 2] as one column, recorded from
     # the negated symbolic or central-difference derivative that ``_drift``
     # replaced: (SHA-256 of the values, value at 1.7), compared with ``==``;
-    # the double well's ``-(x^3-x)`` is recorded with x^3 as (x*x)*x
+    # the double well's drift, now ``x-x^3``, is recorded as ``-(x^3-x)``
+    # with x^3 as (x*x)*x
     DRIFTS = {
         "x^4/4 - x^2/2": (
             "ffa665c10f01bb2fea08ed0fb4254a521ccea1da755acfb1ef64af5e67b7d7f3",
