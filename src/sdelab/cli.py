@@ -10,7 +10,7 @@ Three subcommands::
 under the output root (flag, then the ``SDELAB_OUT`` environment
 variable, then ``./runs``).  Exit codes: 0 success, 1 runtime failure,
 2 configuration problem, 3 finished but flagged (e.g. an optimizer
-reported non-convergence) or outside its gate's tolerance.  ``list``
+reported non-convergence) or missed a gate, which ``run`` names.  ``list``
 prints the experiment registry; ``plot-data`` reshapes a finished run
 directory into plot-ready CSVs.
 """
@@ -68,8 +68,10 @@ def _cmd_run(args) -> int:
             print(f"  {key} = {value:.6g}")
     for flag in result.outcome.flags:
         print(f"  flagged: {flag}", file=sys.stderr)
-    if not summary.get("within_tolerance", True):
-        print("  missed its gate: within_tolerance = false", file=sys.stderr)
+    for gate in result.outcome.gates:
+        if not gate.passed:
+            print(f"  missed its gate: {gate.name} = {gate.value} "
+                  f"(needs {gate.op} {gate.bound})", file=sys.stderr)
     return result.status
 
 

@@ -309,10 +309,6 @@ class HmContractionReport:
     mean_ratio: float
     max_point_ratio: float
 
-    @property
-    def satisfied(self) -> bool:
-        return max(self.max_ratio, self.max_point_ratio) <= self.alpha_bar + 1e-9
-
 
 def verify_hm_contraction(kernel, V, beta: float, alpha_bar: float,
                           n_pairs: int = 1000,

@@ -34,6 +34,7 @@ import difflib
 import hashlib
 import json
 import math
+import operator
 import os
 import platform
 from dataclasses import dataclass, field, replace
@@ -84,6 +85,7 @@ __all__ = [
     "ExperimentConfig",
     "Experiment",
     "ExperimentOutcome",
+    "Gate",
     "RunManifest",
     "RunResult",
     "DEFAULT_OUT_ENV",
@@ -291,19 +293,43 @@ class ModelSpec:
 # Experiments and their outcomes
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Gate:
+    """One acceptance check, ``value <op> bound``, which a ``None`` or NaN
+    value misses; ``name`` is the value's summary key or an expression of keys."""
+
+    name: str
+    value: float | None
+    op: str
+    bound: float
+
+    _OPS = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
+            ">=": operator.ge, ">": operator.gt}
+
+    @property
+    def passed(self) -> bool:
+        return self.value is not None and bool(self._OPS[self.op](self.value, self.bound))
+
+
 @dataclass
 class ExperimentOutcome:
-    """In-memory result of one experiment: summary, tables, and flags.
+    """In-memory result of one experiment: summary, tables, flags and gates.
 
     ``tables`` maps a name to a ``(header, rows)`` pair destined for a
     CSV file of the same name; ``flags`` lists non-convergence or
-    infeasibility conditions, which turn into a nonzero exit status.
+    infeasibility conditions; ``summary["within_tolerance"]`` says whether
+    every gate passed.  A flag or a missed gate gives a nonzero exit status.
     """
 
     experiment: str
     summary: dict[str, object]
     tables: dict[str, tuple[tuple[str, ...], list[tuple]]] = field(default_factory=dict)
     flags: tuple[str, ...] = ()
+    gates: tuple[Gate, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.gates:
+            self.summary["within_tolerance"] = all(gate.passed for gate in self.gates)
 
 
 @dataclass
@@ -595,7 +621,7 @@ def run(config, *, seed: int | None = None, out=None,
     override the config; the output root falls back to the
     ``SDELAB_OUT`` environment variable and then ``./runs``.  Returns a
     :class:`RunResult` whose status is 3 when the experiment raised a
-    flag or its summary's ``within_tolerance`` is false, and 0 otherwise.
+    flag or missed a gate (listed in ``result.json``), and 0 otherwise.
     """
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)
@@ -616,6 +642,7 @@ def run(config, *, seed: int | None = None, out=None,
         "seed": config.seed,
         "summary": outcome.summary,
         "flags": list(outcome.flags),
+        "gates": [{**vars(gate), "passed": gate.passed} for gate in outcome.gates],
     })
     outputs["result.json"] = sha256(run_dir / "result.json")
     for name, (header, rows) in outcome.tables.items():
@@ -708,13 +735,13 @@ def _run_exit_ball(run: _Run) -> ExperimentOutcome:
         "mean_exit_time_std_error": stats.time_std_error,
         "mean_exit_time_target": target,
         "abs_error": abs(mean - target),
-        "tolerance": 0.03,
-        "within_tolerance": bool(abs(mean - target) <= 0.03),
         "fraction_censored": stats.fraction_censored,
     }
     tables = {"exit_time_histogram": (("t_lo", "t_hi", "count"),
                                       _histogram_rows(stats.exit_times))}
-    return ExperimentOutcome("exit-ball-2d", summary, tables)
+    gates = (Gate("abs_error", summary["abs_error"], "<=", 0.03),
+             Gate("fraction_censored", stats.fraction_censored, "==", 0.0))
+    return ExperimentOutcome("exit-ball-2d", summary, tables, gates=gates)
 
 
 def _run_shell_hitting(run: _Run) -> ExperimentOutcome:
@@ -732,10 +759,9 @@ def _run_shell_hitting(run: _Run) -> ExperimentOutcome:
         "hit_probability_target": target,
         "finite_shell_probability": closed,
         "abs_error": abs(estimate - target),
-        "tolerance": 0.03,
-        "within_tolerance": bool(abs(estimate - target) <= 0.03),
     }
-    return ExperimentOutcome("shell-hitting-3d", summary)
+    return ExperimentOutcome("shell-hitting-3d", summary, gates=(
+        Gate("abs_error", summary["abs_error"], "<=", 0.03),))
 
 
 def _run_feynman_kac(run: _Run) -> ExperimentOutcome:
@@ -780,7 +806,6 @@ def _run_feynman_kac(run: _Run) -> ExperimentOutcome:
             flags.append("every path through +a left at the same time: "
                          "the conditional mean's z-score is undefined")
 
-    defined = laplace_defined and cond_z is not None
     summary = {
         "n_paths": n,
         "max_abs_z_laplace": float(max(z_scores)) if laplace_defined else None,
@@ -788,14 +813,15 @@ def _run_feynman_kac(run: _Run) -> ExperimentOutcome:
         "conditional_mean_time_std_error": cond_se,
         "conditional_mean_time_target": float(cond_closed),
         "conditional_mean_z": cond_z,
-        "z_threshold": 3.0,
-        "within_tolerance": defined and bool(max(max(z_scores), abs(cond_z)) <= 3.0),
         "fraction_censored": stats.fraction_censored,
     }
     tables = {"laplace": (("lam", "estimate", "std_error", "closed_form",
                            "z_score"), rows)}
+    gates = (Gate("max_abs_z_laplace", summary["max_abs_z_laplace"], "<=", 3.0),
+             Gate("|conditional_mean_z|", None if cond_z is None else abs(cond_z),
+                  "<=", 3.0))
     return ExperimentOutcome("feynman-kac-interval", summary, tables,
-                             flags=tuple(flags))
+                             flags=tuple(flags), gates=gates)
 
 
 def _run_arcsine(run: _Run) -> ExperimentOutcome:
@@ -813,12 +839,11 @@ def _run_arcsine(run: _Run) -> ExperimentOutcome:
         "n_paths": p["n_paths"],
         "n_steps": p["n_steps"],
         "ks_statistic": ks,
-        "threshold": 0.03,
-        "within_tolerance": bool(ks < 0.03),
     }
     tables = {"occupation_cdf": (("u", "empirical_cdf", "arcsine_cdf"),
                                  table_rows)}
-    return ExperimentOutcome("arcsine-law", summary, tables)
+    return ExperimentOutcome("arcsine-law", summary, tables,
+                             gates=(Gate("ks_statistic", ks, "<", 0.03),))
 
 
 def _check_ito_levels(params: Mapping[str, object]) -> None:
@@ -871,11 +896,11 @@ def _run_ito_isometry(run: _Run) -> ExperimentOutcome:
         "isometry_difference": iso_diff,
         "isometry_difference_std_error": iso_se,
         "isometry_z": iso_diff / iso_se,
-        "z_threshold": 5.0,
-        "within_tolerance": bool(abs(iso_diff) <= 5.0 * iso_se),
     }
     tables = {"convergence": (("n_steps", "rms_error"), rows)}
-    return ExperimentOutcome("ito-isometry", summary, tables)
+    gates = (Gate("|isometry_difference|", abs(iso_diff), "<=", 5.0 * iso_se),
+             Gate("max_ratio_deviation", summary["max_ratio_deviation"], "<=", 0.15))
+    return ExperimentOutcome("ito-isometry", summary, tables, gates=gates)
 
 
 def _run_fp_stationarity(run: _Run) -> ExperimentOutcome:
@@ -897,14 +922,13 @@ def _run_fp_stationarity(run: _Run) -> ExperimentOutcome:
         "potential": spec.potential.source,
         "n_cells": p["n_cells"],
         "stationary_l1_drift": float(drift_l1),
-        "stationary_drift_threshold": 1e-4,
         "uniform_relaxation_l1": float(relax_l1),
-        "relaxation_threshold": 1e-3,
-        "within_tolerance": bool(drift_l1 < 1e-4 and relax_l1 < 1e-3),
     }
     rows = list(zip(grid.nodes, pi.values, relaxed.values))
     tables = {"densities": (("x", "stationary", "relaxed_from_uniform"), rows)}
-    return ExperimentOutcome("fp-stationarity", summary, tables)
+    gates = (Gate("stationary_l1_drift", summary["stationary_l1_drift"], "<", 1e-4),
+             Gate("uniform_relaxation_l1", summary["uniform_relaxation_l1"], "<", 1e-3))
+    return ExperimentOutcome("fp-stationarity", summary, tables, gates=gates)
 
 
 def _run_hm_kernel(run: _Run) -> ExperimentOutcome:
@@ -936,13 +960,7 @@ def _run_hm_kernel(run: _Run) -> ExperimentOutcome:
 
     gamma_error = abs(cert.gamma - gamma_target) / gamma_target
     d_error = abs(cert.d - d_target) / d_target
-    flags = []
-    if not cert.feasible:
-        flags.append("drift certificate infeasible")
-    if not (gamma_error <= 0.05 and d_error <= 0.05):
-        flags.append("drift certificate more than 5% off the closed-form gamma or d")
-    if not contraction.satisfied:
-        flags.append("contraction ratio exceeded the certified bound")
+    flags = () if cert.feasible else ("drift certificate infeasible",)
     summary = {
         "gamma": cert.gamma,
         "gamma_target": gamma_target,
@@ -956,13 +974,14 @@ def _run_hm_kernel(run: _Run) -> ExperimentOutcome:
         "max_ratio": contraction.max_ratio,
         "max_point_ratio": contraction.max_point_ratio,
         "n_pairs": p["n_pairs"],
-        "within_tolerance": bool(
-            gamma_error <= 0.05 and d_error <= 0.05
-            and minor.alpha > 0.0 and contraction.satisfied),
     }
     tables = {"contraction_decay": (("n", "rho_beta_distance"), rows)}
-    return ExperimentOutcome("hm-ou-kernel", summary, tables,
-                             flags=tuple(flags))
+    gates = (Gate("gamma_rel_error", gamma_error, "<=", 0.05),
+             Gate("d_rel_error", d_error, "<=", 0.05),
+             Gate("alpha", minor.alpha, ">", 0.0),
+             Gate("max_ratio", contraction.max_ratio, "<=", alpha_bar + 1e-9),
+             Gate("max_point_ratio", contraction.max_point_ratio, "<=", alpha_bar + 1e-9))
+    return ExperimentOutcome("hm-ou-kernel", summary, tables, flags=flags, gates=gates)
 
 
 def _run_birkhoff(run: _Run) -> ExperimentOutcome:
@@ -997,16 +1016,16 @@ def _run_birkhoff(run: _Run) -> ExperimentOutcome:
         "residual_left": perron.residual_left,
         "observed_rate": perron.observed_rate,
         "rate_bound": float(rate_bound),
-        "within_tolerance": bool(
-            abs(delta - math.log(4.0)) <= 1e-9
-            and worst <= ratio_bound + 1e-9
-            and perron.lambda0 < 1.0
-            and max(perron.residual_right, perron.residual_left) < 1e-8
-            and perron.observed_rate <= rate_bound + 1e-9),
     }
     rows = list(zip(killed.grid.nodes, perron.h0, perron.pi0))
     tables = {"perron_vectors": (("x", "h0", "pi0"), rows)}
-    return ExperimentOutcome("birkhoff-jentzsch", summary, tables)
+    gates = (Gate("|projective_diameter - log 4|", abs(delta - math.log(4.0)), "<=", 1e-9),
+             Gate("max_sampled_ratio", worst, "<=", ratio_bound + 1e-9),
+             Gate("lambda0", perron.lambda0, "<", 1.0),
+             Gate("residual_right", perron.residual_right, "<", 1e-8),
+             Gate("residual_left", perron.residual_left, "<", 1e-8),
+             Gate("observed_rate", perron.observed_rate, "<=", rate_bound + 1e-9))
+    return ExperimentOutcome("birkhoff-jentzsch", summary, tables, gates=gates)
 
 
 def _run_minimum_action(run: _Run) -> ExperimentOutcome:
@@ -1027,20 +1046,18 @@ def _run_minimum_action(run: _Run) -> ExperimentOutcome:
         "action": path.action,
         "action_target": closed,
         "abs_error": abs(path.action - closed),
-        "action_tolerance": 1e-3,
         "free_action": free_path.action,
         "free_action_target": 0.125,
         "free_abs_error": abs(free_path.action - 0.125),
-        "free_tolerance": 1e-4,
         "iterations": len(path.history) - 1,
-        "within_tolerance": bool(abs(path.action - closed) <= 1e-3
-                                 and abs(free_path.action - 0.125) <= 1e-4),
     }
     profile = p["level"] * np.sinh(path.grid.nodes) / math.sinh(p["t_end"])
     rows = list(zip(path.grid.nodes, path.values[:, 0], profile))
     tables = {"optimal_path": (("t", "x", "closed_form"), rows)}
+    gates = (Gate("abs_error", summary["abs_error"], "<=", 1e-3),
+             Gate("free_abs_error", summary["free_abs_error"], "<=", 1e-4))
     return ExperimentOutcome("ou-minimum-action", summary, tables,
-                             flags=tuple(flags))
+                             flags=tuple(flags), gates=gates)
 
 
 def _run_quasipotential(run: _Run) -> ExperimentOutcome:
@@ -1058,15 +1075,14 @@ def _run_quasipotential(run: _Run) -> ExperimentOutcome:
         "value": result.value,
         "value_target": target,
         "rel_error": abs(result.value - target) / abs(target),
-        "tolerance": 0.02,
         "minimizing_t": result.minimizing_t,
-        "within_tolerance": bool(
-            abs(result.value - target) <= 0.02 * abs(target)),
     }
     rows = list(zip(result.t_values, result.action_values))
     tables = {"envelope": (("t_horizon", "action"), rows)}
+    gates = (Gate("|value - value_target|", abs(result.value - target),
+                  "<=", 0.02 * abs(target)),)
     return ExperimentOutcome("quasipotential-double-well", summary, tables,
-                             flags=flags)
+                             flags=flags, gates=gates)
 
 
 def _run_arrhenius(run: _Run) -> ExperimentOutcome:
@@ -1086,15 +1102,14 @@ def _run_arrhenius(run: _Run) -> ExperimentOutcome:
         "value_at_smallest_eps_exact": float(fit.exact[-1]),
         "discretisation_bias_z": float((smallest - fit.exact[-1]) / fit.stderr[-1]),
         "rel_error_at_smallest_eps": abs(smallest - fit.v_bar) / fit.v_bar,
-        "tolerance": 0.15,
         "monotone": bool(fit.monotone),
-        "within_tolerance": bool(
-            fit.monotone
-            and abs(smallest - fit.v_bar) <= 0.15 * fit.v_bar),
     }
     rows = list(zip(fit.eps, fit.eps_log_mean_tau, fit.stderr, fit.exact))
     tables = {"fit": (("eps", "eps_log_mean_tau", "stderr", "exact"), rows)}
-    return ExperimentOutcome("arrhenius-well", summary, tables)
+    gates = (Gate("monotone", summary["monotone"], "==", True),
+             Gate("|value_at_smallest_eps - v_bar|", abs(smallest - fit.v_bar),
+                  "<=", 0.15 * fit.v_bar))
+    return ExperimentOutcome("arrhenius-well", summary, tables, gates=gates)
 
 
 def _run_eyring_kramers(run: _Run) -> ExperimentOutcome:
@@ -1119,13 +1134,14 @@ def _run_eyring_kramers(run: _Run) -> ExperimentOutcome:
         "exact_mean_time": exact,
         "discretisation_bias_z": (stats.mean_time - exact) / stats.time_std_error,
         "ratio": float(ratio),
-        "ratio_window": [0.5, 2.0],
-        "within_tolerance": bool(0.5 <= ratio <= 2.0),
         "fraction_censored": stats.fraction_censored,
     }
     tables = {"transition_time_histogram": (("t_lo", "t_hi", "count"),
                                             _histogram_rows(stats.exit_times))}
-    return ExperimentOutcome("eyring-kramers", summary, tables)
+    gates = (Gate("ratio", summary["ratio"], ">=", 0.5),
+             Gate("ratio", summary["ratio"], "<=", 2.0),
+             Gate("fraction_censored", stats.fraction_censored, "==", 0.0))
+    return ExperimentOutcome("eyring-kramers", summary, tables, gates=gates)
 
 
 def _run_certificates(run: _Run) -> ExperimentOutcome:
@@ -1144,8 +1160,6 @@ def _run_certificates(run: _Run) -> ExperimentOutcome:
     bounds = fit_cone_bounds(killed)
     cone_bad = bounds.violations(killed)
 
-    sound = drift_bad == 0 and minor_bad == 0 and cone_bad == 0
-    flags = () if sound else ("certificate recheck found violations",)
     summary = {
         "drift_violations": int(drift_bad),
         "minorisation_violations": int(minor_bad),
@@ -1154,10 +1168,10 @@ def _run_certificates(run: _Run) -> ExperimentOutcome:
         "d": cert.d,
         "alpha": minor.alpha,
         "cone_ratio": bounds.L,
-        "sound": bool(sound),
-        "within_tolerance": bool(sound),
     }
-    return ExperimentOutcome("certificate-soundness", summary, flags=flags)
+    return ExperimentOutcome("certificate-soundness", summary, gates=tuple(
+        Gate(key, summary[key], "==", 0)
+        for key in ("drift_violations", "minorisation_violations", "cone_violations")))
 
 
 # node columns per block of sample-paths' per-node moments

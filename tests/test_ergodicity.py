@@ -301,7 +301,6 @@ class TestHmContraction:
         v, beta, alpha_bar = certified
         report = verify_hm_contraction(ou_kernel, v, beta, alpha_bar,
                                        n_pairs=300, stream=GaussianStream(41))
-        assert report.satisfied
         assert report.max_ratio <= alpha_bar + 1e-9
         assert report.max_point_ratio <= alpha_bar + 1e-9
         assert 0.0 < report.mean_ratio < report.max_point_ratio

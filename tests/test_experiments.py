@@ -22,6 +22,8 @@ from sdelab.experiments import (
     ConfigError,
     DEFAULT_OUT_ENV,
     ExperimentConfig,
+    ExperimentOutcome,
+    Gate,
     ModelSpec,
     ParameterSpec,
     RunManifest,
@@ -331,6 +333,24 @@ growth = 0.07
 QUICK = dict(n_paths=16, t_end=0.5, n_steps=20)
 
 
+class TestGate:
+    @pytest.mark.parametrize("value, op, bound, passed", [
+        (0.02, "<", 0.03, True), (0.03, "<", 0.03, False), (0.03, "<=", 0.03, True),
+        (0, "==", 0, True), (1, "==", 0, False), (0.5, ">=", 0.5, True),
+        (0.0, ">", 0.0, False), (None, "<=", 3.0, False),
+        (float("nan"), "<=", 3.0, False)])
+    def test_a_gate_passes_by_its_comparison(self, value, op, bound, passed):
+        assert Gate("g", value, op, bound).passed is passed
+
+    def test_the_summary_reads_whether_every_gate_passed(self):
+        gates = (Gate("a", 1.0, "<", 2.0), Gate("b", 3.0, "<", 2.0))
+        assert ExperimentOutcome("x", {}, gates=gates[:1]).summary == \
+            {"within_tolerance": True}
+        assert ExperimentOutcome("x", {}, gates=gates).summary == \
+            {"within_tolerance": False}
+        assert ExperimentOutcome("x", {}).summary == {}
+
+
 class TestRunArtifacts:
     def config(self, **params):
         merged = dict(QUICK)
@@ -445,9 +465,33 @@ class TestRunArtifacts:
         assert result.outcome.summary["within_tolerance"] is False
         assert result.outcome.flags == ()
         assert result.status == 3
+        gates = json.loads((result.run_dir / "result.json").read_text())["gates"]
+        assert gates == [{"name": "ks_statistic",
+                          "value": result.outcome.summary["ks_statistic"],
+                          "op": "<", "bound": 0.03, "passed": False}]
         assert cli_main(["run", "--config", str(config),
                          "--out", str(tmp_path / "cli")]) == 3
-        assert "missed its gate" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "missed its gate: ks_statistic = " in err
+        assert "(needs < 0.03)" in err
+
+    @pytest.mark.parametrize("name, parameters, seed, missed", [
+        # 20 paths put an RMS ratio 0.54 off sqrt(2), over the 0.15 rate bound
+        ("ito-isometry", {"n_paths": 20}, 2, "max_ratio_deviation"),
+        # a horizon of 2 censors about 0.5% of the paths, with the mean
+        # still inside its 0.03 tolerance
+        ("exit-ball-2d", {"t_max": 2.0}, None, "fraction_censored"),
+    ])
+    def test_a_missed_acceptance_bound_returns_status_three(
+            self, tmp_path, name, parameters, seed, missed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the censoring warning
+            result = run(ExperimentConfig(name, seed, parameters=parameters),
+                         out=tmp_path)
+        assert result.status == 3
+        assert result.outcome.flags == ()
+        assert result.outcome.summary["within_tolerance"] is False
+        assert [g.name for g in result.outcome.gates if not g.passed] == [missed]
 
     def test_output_root_falls_back_to_the_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv(DEFAULT_OUT_ENV, str(tmp_path / "from-env"))
@@ -546,7 +590,10 @@ class TestExecuteOutcomes:
 
     def test_certificates_are_sound_on_a_small_grid(self):
         out = execute("certificate-soundness", parameters={"n_cells": 60})
-        assert out.summary["sound"] is True
+        assert out.summary["within_tolerance"] is True
+        assert {g.name: g.passed for g in out.gates} == {
+            "drift_violations": True, "minorisation_violations": True,
+            "cone_violations": True}
         assert out.flags == ()
 
     @pytest.mark.parametrize("n_cells", [16, 40])

@@ -333,6 +333,39 @@ def test_only_generator_assembles_a_kolmogorov_operator():
     assert _package_uses(clips)["kolmogorov.py"] == []
 
 
+def _verdict_writes(tree: ast.AST) -> list[str]:
+    """The top-level function or class of every dict key, subscript store or
+    keyword argument that sets ``within_tolerance``."""
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Dict):
+                keys = node.keys
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                keys = [node.slice]
+            elif isinstance(node, ast.keyword):
+                keys = [ast.Constant(node.arg)]
+            else:
+                continue
+            found += [owner for key in keys
+                      if isinstance(key, ast.Constant) and key.value == "within_tolerance"]
+    return found
+
+
+def test_only_experiment_outcome_sets_within_tolerance():
+    # ``ExperimentOutcome`` sets the verdict to whether every gate passed,
+    # by ``Gate.passed``; a runner writing the key would be a second rule
+    sample = ("def r(s):\n    s['within_tolerance'] = True\n"
+              "    return {'within_tolerance': 1}, dict(within_tolerance=1)\n")
+    assert _verdict_writes(ast.parse(sample)) == ["r"] * 3, \
+        "the guard no longer sees a write"
+    uses = _package_uses(_verdict_writes)
+    assert uses.pop("experiments.py") == ["ExperimentOutcome"], \
+        "the guard no longer sees the derivation"
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
 def _assert_lines(tree: ast.AST) -> list[int]:
     """The line of every ``assert`` statement in a module."""
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
