@@ -29,8 +29,6 @@ directory into plot-ready CSVs.
 
 from __future__ import annotations
 
-import configparser
-import difflib
 import hashlib
 import json
 import math
@@ -62,10 +60,10 @@ from .firstexit import (
     shell_hitting_probability,
 )
 from .ergodicity import (
+    _cross_ratio,
     discretize_kernel,
     drift_violations,
     fit_cone_bounds,
-    hilbert_metric,
     hm_constants,
     power_iteration_jentzsch,
     projective_diameter,
@@ -363,15 +361,19 @@ def list_experiments() -> tuple[Experiment, ...]:
     return tuple(_REGISTRY.values())
 
 
+def _did_you_mean(name: str, names) -> str:
+    import difflib  # only a misspelt name needs it
+
+    hint = difflib.get_close_matches(name, names, n=1)
+    return f"; did you mean {hint[0]!r}?" if hint else ""
+
+
 def get_experiment(name: str) -> Experiment:
     try:
         return _REGISTRY[name]
     except KeyError:
-        hint = difflib.get_close_matches(name, _REGISTRY, n=1)
-        extra = f"; did you mean {hint[0]!r}?" if hint else ""
-        raise ConfigError(
-            f"unknown experiment {name!r}{extra} (run 'sdelab list' for "
-            "the registry)") from None
+        raise ConfigError(f"unknown experiment {name!r}{_did_you_mean(name, _REGISTRY)} "
+                          "(run 'sdelab list' for the registry)") from None
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +405,8 @@ class ExperimentConfig:
         params = {name: spec.convert(spec.default) for name, spec in specs.items()}
         for key, raw in (self.parameters or {}).items():
             if key not in specs:
-                hint = difflib.get_close_matches(key, specs, n=1)
-                extra = f"; did you mean {hint[0]!r}?" if hint else ""
                 raise ConfigError(f"unknown parameter {key!r} for experiment "
-                                  f"{experiment.name!r}{extra}")
+                                  f"{experiment.name!r}{_did_you_mean(key, specs)}")
             params[key] = specs[key].convert(raw)
         if experiment.name == "ito-isometry":  # the one rule across parameters
             _check_ito_levels(params)
@@ -488,6 +488,8 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
                 raise ConfigError(f"section {name!r} must be an object",
                                   source=source)
     else:
+        import configparser  # JSON configs, as perfbench writes, never need it
+
         parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read_string(text, source=source)
@@ -557,8 +559,9 @@ class RunManifest:
     The timestamp lives only here — data files stay deterministic.
     ``environment`` names the Python, numpy and scipy versions, numpy's
     BLAS and the platform, since the bytes depend on numpy's samplers and
-    kernels and, for transition kernels, on BLAS matrix products;
-    manifests written without it load with an empty mapping.
+    kernels and, for transition kernels, on BLAS matrix products and so
+    on the BLAS thread variables, also named (``None`` where unset).
+    Manifests written without it load with an empty mapping.
     """
 
     experiment: str
@@ -569,7 +572,7 @@ class RunManifest:
     threads: int
     outputs: Mapping[str, str]
     flags: tuple[str, ...]
-    environment: Mapping[str, str] = field(default_factory=dict)
+    environment: Mapping[str, str | None] = field(default_factory=dict)
 
     def save(self, path) -> None:
         write_json(path, {
@@ -603,13 +606,14 @@ class RunResult:
     outcome: ExperimentOutcome
 
 
-def _environment() -> dict[str, str]:
+def _environment() -> dict[str, str | None]:
     import scipy  # for its version only: ``import sdelab`` loads no scipy
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "blas": f"{blas['name']} {blas['version']}",
-            "platform": platform.platform()}
+            "platform": platform.platform(), **{name: os.environ.get(name) for name in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
 
 
 def run(config, *, seed: int | None = None, out=None,
@@ -991,14 +995,13 @@ def _run_birkhoff(run: _Run) -> ExperimentOutcome:
                                 stream=run.stream.child(1))
     ratio_bound = math.tanh(delta / 4.0)
 
-    gen = run.stream.child(2).generator()
-    worst = 0.0
-    for _ in range(p["n_probe"]):
-        f, g = np.exp(gen.uniform(-2.0, 2.0, size=(2, 2)))
-        before = hilbert_metric(f, g)
-        if before < 1e-12:
-            continue
-        worst = max(worst, hilbert_metric(two @ f, two @ g) / before)
+    probes = np.exp(run.stream.child(2).generator().uniform(
+        -2.0, 2.0, size=(p["n_probe"], 2, 2)))
+    pushed = np.matmul(two, probes[..., None])[..., 0]
+    # libm's log, as hilbert_metric takes it: numpy's SIMD log can differ in the last bit
+    before = [abs(math.log(r)) for r in _cross_ratio(probes[:, 0], probes[:, 1]).tolist()]
+    after = [abs(math.log(r)) for r in _cross_ratio(pushed[:, 0], pushed[:, 1]).tolist()]
+    worst = max((a / b for a, b in zip(after, before) if b >= 1e-12), default=0.0)
 
     killed = discretize_kernel(SdeModel.brownian(1), Grid1D(-1.0, 1.0, p["n_cells"]),
                                p["t_step"], bc="dirichlet_zero")

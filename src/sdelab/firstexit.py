@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -430,6 +429,8 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
     if n_shards == 1:
         blowups = [shard(0, n_paths)]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging: only here
+
         with ThreadPoolExecutor(max_workers=n_shards) as pool:
             blowups = list(pool.map(shard, cuts[:-1], cuts[1:]))
     blowups = [err for err in blowups if err is not None]
@@ -472,30 +473,28 @@ def mc_radial_hitting(r_start: float, r_inner: float, r_outer: float, dim: int,
     gen = stream.generator()
     snap = _SNAP_FRACTION * (r_outer - r_inner)
 
+    # compacted active set: ``x[k]`` is the state of path ``open_paths[k]``
     x = np.zeros((n_paths, dim))
     x[:, 0] = r_start
     hit_inner = np.zeros(n_paths, dtype=bool)
     open_paths = np.arange(n_paths)
 
     for _ in range(_MAX_ROUNDS):
-        if open_paths.size == 0:
-            break
-        r = np.linalg.norm(x[open_paths], axis=1)
+        r = np.linalg.norm(x, axis=1)
         inner_gap = r - r_inner
         outer_gap = r_outer - r
         done = (inner_gap <= snap) | (outer_gap <= snap)
         if done.any():
-            ids = open_paths[done]
-            hit_inner[ids] = inner_gap[done] <= outer_gap[done]
+            hit_inner[open_paths[done]] = inner_gap[done] <= outer_gap[done]
             keep = ~done
-            open_paths = open_paths[keep]
+            open_paths, x = open_paths[keep], x[keep]
             inner_gap, outer_gap = inner_gap[keep], outer_gap[keep]
         if open_paths.size == 0:
             break
         sd = kappa * np.minimum(inner_gap, outer_gap)
-        x[open_paths] += sd[:, np.newaxis] * gen.normal(size=(open_paths.size, dim))
+        x += sd[:, np.newaxis] * gen.normal(size=(open_paths.size, dim))
     else:
-        r = np.linalg.norm(x[open_paths], axis=1)
+        r = np.linalg.norm(x, axis=1)
         hit_inner[open_paths] = (r - r_inner) <= (r_outer - r)
 
     p = float(hit_inner.mean())

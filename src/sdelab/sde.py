@@ -311,8 +311,9 @@ def _wiener_windows(grid: TimeGrid, stream: GaussianStream, dim: int):
 
     Each window draws ``_WINDOW_ROW_STEPS // dim`` steps (at least one) with
     ``standard_normal(out=...)``, scales them by ``sqrt(dt)``, adds the
-    carried last node to its first row and sums it in place.  Windowed
-    draws from one generator are one draw, and the running sum adds each
+    carried last node to its first row and sums it in place: by ``cumsum``,
+    or row by row where the window has no more rows than columns.  Windowed
+    draws from one generator are one draw, and either running sum adds each
     row to the one before it, so the nodes have the bits of one draw and
     one ``cumsum``.  The window is a buffer that the next window overwrites.
     """
@@ -329,7 +330,11 @@ def _wiener_windows(grid: TimeGrid, stream: GaussianStream, dim: int):
         nodes *= sqrt_dt
         if j:
             nodes[0] += last
-        np.cumsum(nodes, axis=0, out=nodes)
+        if len(nodes) > dim:
+            np.cumsum(nodes, axis=0, out=nodes)
+        else:  # along a short axis cumsum runs one inner loop per column
+            for i in range(1, len(nodes)):
+                nodes[i] += nodes[i - 1]
         last[:] = nodes[-1]
         yield j, nodes
 

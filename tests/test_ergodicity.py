@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -276,9 +277,19 @@ class TestRhoBeta:
         mu, nu = np.eye(3)[0], np.eye(3)[2]
         assert rho_beta_distance(mu, nu, v, 0.5) == pytest.approx(2.0 + 0.5 * 8.0)
 
+    def test_stacked_rows_match_one_call_per_row(self):
+        gen = GaussianStream(5).generator()
+        mu, nu = np.exp(gen.normal(size=(2, 6, 9)))
+        v = gen.uniform(0.0, 4.0, size=9)
+        stacked = rho_beta_distance(mu, nu, v, 0.7)
+        assert stacked.shape == (6,)
+        assert stacked.tolist() == [rho_beta_distance(a, b, v, 0.7) for a, b in zip(mu, nu)]
+
     def test_validation(self):
         with pytest.raises(ValueError, match="grid"):
             rho_beta_distance(np.ones(3) / 3, np.ones(4) / 4, np.ones(3), 1.0)
+        with pytest.raises(ValueError, match="grid"):
+            rho_beta_distance(np.ones((2, 3)) / 3, np.ones((2, 3)) / 3, np.ones(4), 1.0)
         with pytest.raises(ValueError, match="beta"):
             rho_beta_distance(np.ones(3) / 3, np.ones(3) / 3, np.ones(3), -1.0)
 
@@ -296,7 +307,47 @@ def certified(ou_kernel):
     return v, beta, alpha_bar
 
 
+def hm_contraction_one_pair_at_a_time(m, v, beta, n_pairs, stream):
+    """``(max_ratio, mean_ratio, max_point_ratio)`` from drawing and
+    measuring one random pair, then one point mass, at a time."""
+    gen = stream.generator()
+    weights = 1.0 + beta * v
+    ratios = np.empty(n_pairs)
+    for i in range(n_pairs):
+        w = np.exp(gen.normal(size=(2, m.shape[0])))
+        mu, nu = w / w.sum(axis=1, keepdims=True)
+        ratios[i] = (np.sum(weights * np.abs(mu @ m - nu @ m))
+                     / np.sum(weights * np.abs(mu - nu)))
+    point_ratio = 0.0
+    for x in range(m.shape[0]):
+        after = np.abs(m[x][None, :] - m) @ weights
+        after[x] = 0.0
+        point_ratio = max(point_ratio, float(np.max(after / (2.0 + beta * (v[x] + v)))))
+    return float(ratios.max()), float(ratios.mean()), point_ratio
+
+
 class TestHmContraction:
+    def test_batches_give_the_bits_of_one_pair_at_a_time(self, ou_kernel, certified):
+        # 300 pairs are not a whole number of batches
+        v, beta, alpha_bar = certified
+        report = verify_hm_contraction(ou_kernel, v, beta, alpha_bar,
+                                       n_pairs=300, stream=GaussianStream(41))
+        assert (report.max_ratio, report.mean_ratio, report.max_point_ratio) == \
+            hm_contraction_one_pair_at_a_time(ou_kernel.matrix, v, beta, 300,
+                                              GaussianStream(41))
+
+    def test_holds_a_batch_not_every_pair(self):
+        # all 1000 pairs of 401-state measures, and their images, are 13 MB
+        m = random_stochastic(401, 12)
+        v = np.linspace(0.0, 4.0, 401)
+        tracemalloc.start()
+        try:
+            verify_hm_contraction(m, v, 0.5, 0.9, n_pairs=1000, stream=GaussianStream(13))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_every_sampled_pair_contracts(self, ou_kernel, certified):
         v, beta, alpha_bar = certified
         report = verify_hm_contraction(ou_kernel, v, beta, alpha_bar,
@@ -371,7 +422,40 @@ class TestHilbertMetric:
             hilbert_metric([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+def diameter_one_pair_at_a_time(p, n_probe, stream):
+    n = p.shape[0]
+    delta = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            delta = max(delta, hilbert_metric(p[i], p[j]))
+    gen = stream.generator()
+    for _ in range(n_probe):
+        f, g = np.exp(gen.uniform(-3.0, 3.0, size=(2, n)))
+        delta = max(delta, hilbert_metric(p @ f, p @ g))
+    return delta
+
+
 class TestProjectiveDiameter:
+    def test_arrays_give_the_bits_of_one_pair_at_a_time(self):
+        p = GaussianStream(29).generator().uniform(0.05, 1.0, size=(40, 40))
+        assert projective_diameter(p, n_probe=200, stream=GaussianStream(30)) == \
+            diameter_one_pair_at_a_time(p, 200, GaussianStream(30))
+
+    def test_holds_one_row_of_pairs_not_every_pair(self):
+        # the cross ratios of all 44 850 row pairs of a 300-row kernel take
+        # two 300-vectors each, 310 MiB at once
+        p = GaussianStream(31).generator().uniform(0.5, 1.0, size=(300, 300))
+        tracemalloc.start()
+        try:
+            projective_diameter(p, n_probe=100, stream=GaussianStream(32))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_a_single_state_has_zero_diameter(self):
+        assert projective_diameter(np.array([[0.5]]), n_probe=0) == 0.0
+
     def test_two_state_cross_ratio(self):
         delta = projective_diameter(np.array([[2.0, 1.0], [1.0, 2.0]]),
                                     n_probe=200)

@@ -404,7 +404,10 @@ class TestRunArtifacts:
         assert manifest.experiment == "sample-paths"
         datetime.fromisoformat(manifest.created_utc)  # must parse
 
-    def test_manifest_records_the_environment(self, tmp_path):
+    def test_manifest_records_the_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "1")
         result = run(self.config(), out=tmp_path)
         path = result.run_dir / "manifest.json"
         environment = RunManifest.load(path).environment
@@ -412,7 +415,8 @@ class TestRunArtifacts:
         assert environment == {
             "python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "blas": f"{blas['name']} {blas['version']}",
-            "platform": platform.platform()}
+            "platform": platform.platform(), "OPENBLAS_NUM_THREADS": "2",
+            "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "1"}
         data = json.loads(path.read_text())
         del data["environment"]
         path.write_text(json.dumps(data))

@@ -637,6 +637,32 @@ class TestRadialHitting:
             mc_radial_hitting(2.0, 1.0, 8.0, dim=3, n_paths=1,
                               stream=GaussianStream(0))
 
+    @pytest.mark.parametrize("rounds", [30, firstexit._MAX_ROUNDS])
+    def test_compacted_paths_give_the_bits_of_indexed_updates(self, monkeypatch, rounds):
+        # reference: every path keeps its row, updated through an index
+        monkeypatch.setattr(firstexit, "_MAX_ROUNDS", rounds)
+        gen = GaussianStream(8344).generator()
+        x = np.zeros((600, 3))
+        x[:, 0] = 2.0
+        hit = np.zeros(600, dtype=bool)
+        open_paths = np.arange(600)
+        snap = firstexit._SNAP_FRACTION * 7.0
+        for _ in range(rounds):
+            r = np.linalg.norm(x[open_paths], axis=1)
+            done = (r - 1.0 <= snap) | (8.0 - r <= snap)
+            hit[open_paths[done]] = (r - 1.0 <= 8.0 - r)[done]
+            open_paths, r = open_paths[~done], r[~done]
+            if open_paths.size == 0:
+                break
+            sd = 0.2 * np.minimum(r - 1.0, 8.0 - r)
+            x[open_paths] += sd[:, None] * gen.normal(size=(open_paths.size, 3))
+        else:
+            r = np.linalg.norm(x[open_paths], axis=1)
+            hit[open_paths] = r - 1.0 <= 8.0 - r
+        assert mc_radial_hitting(2.0, 1.0, 8.0, dim=3, n_paths=600,
+                                 stream=GaussianStream(8344)) == \
+            (float(hit.mean()), float(hit.std(ddof=1) / math.sqrt(600)))
+
     def test_reproducible(self):
         a = mc_radial_hitting(2.0, 1.0, 8.0, dim=3, n_paths=500,
                               stream=GaussianStream(8343))

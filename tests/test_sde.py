@@ -111,6 +111,7 @@ def test_wiener_path_matches_cumulated_normal_increments():
     (7, 1, 30),   # four windows of 7 steps and a ragged one of 2
     (12, 3, 23),  # five windows of 4 steps and a ragged one of 3
     (8, 5, 9),    # fewer row-steps than columns: one step per window
+    (40, 10, 13), # windows of 4 steps over 10 columns, summed row by row
     (64, 2, 5),   # one window, shorter than the window size
 ])
 def test_windowed_wiener_equals_one_draw(monkeypatch, row_steps, dim, n_steps):
