@@ -9,10 +9,9 @@ Three subcommands::
 ``run`` executes one configured experiment and writes its artifacts
 under the output root (flag, then the ``SDELAB_OUT`` environment
 variable, then ``./runs``).  Exit codes: 0 success, 1 runtime failure,
-2 configuration problem, 3 finished but flagged (e.g. an optimizer
-reported non-convergence) or missed a gate, which ``run`` names.  ``list``
-prints the experiment registry; ``plot-data`` reshapes a finished run
-directory into plot-ready CSVs.
+2 configuration problem, 3 finished but missed a gate, and ``run``
+names each missed gate.  ``list`` prints the experiment registry;
+``plot-data`` reshapes a finished run directory into plot-ready CSVs.
 """
 
 from __future__ import annotations
@@ -61,17 +60,13 @@ def _cmd_run(args) -> int:
     result = run(args.config, seed=args.seed, out=args.out,
                  threads=args.threads)
     summary = result.outcome.summary
-    print(f"{result.outcome.experiment}: wrote {result.run_dir}")
+    print(f"{result.manifest.experiment}: wrote {result.run_dir}")
     for key in sorted(summary):
         value = summary[key]
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             print(f"  {key} = {value:.6g}")
     for flag in result.outcome.flags:
-        print(f"  flagged: {flag}", file=sys.stderr)
-    for gate in result.outcome.gates:
-        if not gate.passed:
-            print(f"  missed its gate: {gate.name} = {gate.value} "
-                  f"(needs {gate.op} {gate.bound})", file=sys.stderr)
+        print(f"  missed its gate: {flag}", file=sys.stderr)
     return result.status
 
 

@@ -324,6 +324,8 @@ def verify_hm_contraction(kernel, V, beta: float, alpha_bar: float,
     stream order in batches and pushed one measure per product, so the
     report equals that of one pair at a time.
     """
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
     m = _kernel_matrix(kernel)
     v = np.asarray(V, dtype=float)
     n = m.shape[0]
@@ -421,6 +423,8 @@ def projective_diameter(kernel, n_probe: int = 1000,
     product, and each row meets the rows after it as one array, so the
     estimate equals that of one pair at a time.
     """
+    if n_probe < 0:
+        raise ValueError(f"n_probe must be non-negative, got {n_probe}")
     p = _kernel_matrix(kernel)
     if np.any(p <= 0):
         raise ValueError("projective diameter needs a strictly positive kernel")

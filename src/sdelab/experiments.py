@@ -311,23 +311,27 @@ class Gate:
 
 @dataclass
 class ExperimentOutcome:
-    """In-memory result of one experiment: summary, tables, flags and gates.
+    """In-memory result of one experiment: summary, tables and gates.
 
     ``tables`` maps a name to a ``(header, rows)`` pair destined for a
-    CSV file of the same name; ``flags`` lists non-convergence or
-    infeasibility conditions; ``summary["within_tolerance"]`` says whether
-    every gate passed.  A flag or a missed gate gives a nonzero exit status.
+    CSV file of the same name; ``summary["within_tolerance"]`` says whether
+    every gate passed, and ``flags`` renders each missed gate, in gate
+    order.  A run ends with a nonzero status exactly when ``flags`` is not
+    empty.
     """
 
-    experiment: str
     summary: dict[str, object]
     tables: dict[str, tuple[tuple[str, ...], list[tuple]]] = field(default_factory=dict)
-    flags: tuple[str, ...] = ()
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self) -> None:
         if self.gates:
             self.summary["within_tolerance"] = all(gate.passed for gate in self.gates)
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        return tuple(f"{gate.name} = {gate.value} (needs {gate.op} {gate.bound})"
+                     for gate in self.gates if not gate.passed)
 
 
 @dataclass
@@ -557,6 +561,8 @@ class RunManifest:
     ``outputs`` maps each data file to its SHA-256, so byte-identical
     reproduction is checkable without re-reading this module's code.
     The timestamp lives only here — data files stay deterministic.
+    ``flags`` renders each missed gate, as :attr:`ExperimentOutcome.flags`
+    does, so it is empty exactly when the run's status is 0.
     ``environment`` names the Python, numpy and scipy versions, numpy's
     BLAS and the platform, since the bytes depend on numpy's samplers and
     kernels and, for transition kernels, on BLAS matrix products and so
@@ -624,8 +630,9 @@ def run(config, *, seed: int | None = None, out=None,
     :class:`ExperimentConfig`.  ``seed``, ``out``, and ``threads``
     override the config; the output root falls back to the
     ``SDELAB_OUT`` environment variable and then ``./runs``.  Returns a
-    :class:`RunResult` whose status is 3 when the experiment raised a
-    flag or missed a gate (listed in ``result.json``), and 0 otherwise.
+    :class:`RunResult` whose status is 3 when the experiment missed a
+    gate, and 0 otherwise; ``result.json`` lists the gates, and its
+    ``flags`` renders each missed one.
     """
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)
@@ -642,7 +649,7 @@ def run(config, *, seed: int | None = None, out=None,
     run_dir.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, str] = {}
     write_json(run_dir / "result.json", {
-        "experiment": outcome.experiment,
+        "experiment": config.experiment,
         "seed": config.seed,
         "summary": outcome.summary,
         "flags": list(outcome.flags),
@@ -666,8 +673,7 @@ def run(config, *, seed: int | None = None, out=None,
         environment=_environment(),
     )
     manifest.save(run_dir / "manifest.json")
-    missed = not outcome.summary.get("within_tolerance", True)
-    return RunResult(3 if outcome.flags or missed else 0, run_dir, manifest, outcome)
+    return RunResult(3 if outcome.flags else 0, run_dir, manifest, outcome)
 
 
 def emit_plot_data(run_dir) -> list[Path]:
@@ -745,7 +751,7 @@ def _run_exit_ball(run: _Run) -> ExperimentOutcome:
                                       _histogram_rows(stats.exit_times))}
     gates = (Gate("abs_error", summary["abs_error"], "<=", 0.03),
              Gate("fraction_censored", stats.fraction_censored, "==", 0.0))
-    return ExperimentOutcome("exit-ball-2d", summary, tables, gates=gates)
+    return ExperimentOutcome(summary, tables, gates=gates)
 
 
 def _run_shell_hitting(run: _Run) -> ExperimentOutcome:
@@ -764,7 +770,7 @@ def _run_shell_hitting(run: _Run) -> ExperimentOutcome:
         "finite_shell_probability": closed,
         "abs_error": abs(estimate - target),
     }
-    return ExperimentOutcome("shell-hitting-3d", summary, gates=(
+    return ExperimentOutcome(summary, gates=(
         Gate("abs_error", summary["abs_error"], "<=", 0.03),))
 
 
@@ -778,7 +784,6 @@ def _run_feynman_kac(run: _Run) -> ExperimentOutcome:
     right = stats.boundary_params == 1.0
 
     # a z-score over a zero standard error is undefined and written as null
-    flags = []
     rows = []
     z_scores = []
     for lam in lambdas:
@@ -792,27 +797,20 @@ def _run_feynman_kac(run: _Run) -> ExperimentOutcome:
         one_closed = fk_laplace_one_sided(lam, a, 0.0)
         z_scores.append(abs(one_est - one_closed) / one_se if one_se > 0 else None)
     laplace_defined = None not in z_scores
-    if not laplace_defined:
-        flags.append("a Laplace estimate has zero standard error: its z-score is undefined")
 
     right_times = stats.exit_times[right]
     cond_closed = fk_conditional_mean(a, 0.0)
     cond_mean = float(right_times.mean()) if right_times.size else None
     cond_se = cond_z = None
-    if right_times.size < 2:
-        flags.append(f"{right_times.size} of {n} paths left through +a, too few for "
-                     "a standard error: the conditional mean's z-score is undefined")
-    else:
+    if right_times.size >= 2:  # fewer give no standard error
         cond_se = float(right_times.std(ddof=1) / math.sqrt(right_times.size))
         if cond_se > 0:
             cond_z = float((cond_mean - cond_closed) / cond_se)
-        else:
-            flags.append("every path through +a left at the same time: "
-                         "the conditional mean's z-score is undefined")
 
     summary = {
         "n_paths": n,
         "max_abs_z_laplace": float(max(z_scores)) if laplace_defined else None,
+        "right_exits": right_times.size,
         "conditional_mean_time": cond_mean,
         "conditional_mean_time_std_error": cond_se,
         "conditional_mean_time_target": float(cond_closed),
@@ -822,10 +820,10 @@ def _run_feynman_kac(run: _Run) -> ExperimentOutcome:
     tables = {"laplace": (("lam", "estimate", "std_error", "closed_form",
                            "z_score"), rows)}
     gates = (Gate("max_abs_z_laplace", summary["max_abs_z_laplace"], "<=", 3.0),
+             Gate("right_exits", summary["right_exits"], ">=", 2),
              Gate("|conditional_mean_z|", None if cond_z is None else abs(cond_z),
                   "<=", 3.0))
-    return ExperimentOutcome("feynman-kac-interval", summary, tables,
-                             flags=tuple(flags), gates=gates)
+    return ExperimentOutcome(summary, tables, gates=gates)
 
 
 def _run_arcsine(run: _Run) -> ExperimentOutcome:
@@ -846,7 +844,7 @@ def _run_arcsine(run: _Run) -> ExperimentOutcome:
     }
     tables = {"occupation_cdf": (("u", "empirical_cdf", "arcsine_cdf"),
                                  table_rows)}
-    return ExperimentOutcome("arcsine-law", summary, tables,
+    return ExperimentOutcome(summary, tables,
                              gates=(Gate("ks_statistic", ks, "<", 0.03),))
 
 
@@ -904,7 +902,7 @@ def _run_ito_isometry(run: _Run) -> ExperimentOutcome:
     tables = {"convergence": (("n_steps", "rms_error"), rows)}
     gates = (Gate("|isometry_difference|", abs(iso_diff), "<=", 5.0 * iso_se),
              Gate("max_ratio_deviation", summary["max_ratio_deviation"], "<=", 0.15))
-    return ExperimentOutcome("ito-isometry", summary, tables, gates=gates)
+    return ExperimentOutcome(summary, tables, gates=gates)
 
 
 def _run_fp_stationarity(run: _Run) -> ExperimentOutcome:
@@ -932,7 +930,7 @@ def _run_fp_stationarity(run: _Run) -> ExperimentOutcome:
     tables = {"densities": (("x", "stationary", "relaxed_from_uniform"), rows)}
     gates = (Gate("stationary_l1_drift", summary["stationary_l1_drift"], "<", 1e-4),
              Gate("uniform_relaxation_l1", summary["uniform_relaxation_l1"], "<", 1e-3))
-    return ExperimentOutcome("fp-stationarity", summary, tables, gates=gates)
+    return ExperimentOutcome(summary, tables, gates=gates)
 
 
 def _run_hm_kernel(run: _Run) -> ExperimentOutcome:
@@ -964,8 +962,8 @@ def _run_hm_kernel(run: _Run) -> ExperimentOutcome:
 
     gamma_error = abs(cert.gamma - gamma_target) / gamma_target
     d_error = abs(cert.d - d_target) / d_target
-    flags = () if cert.feasible else ("drift certificate infeasible",)
     summary = {
+        "drift_feasible": cert.feasible,
         "gamma": cert.gamma,
         "gamma_target": gamma_target,
         "gamma_rel_error": gamma_error,
@@ -980,12 +978,13 @@ def _run_hm_kernel(run: _Run) -> ExperimentOutcome:
         "n_pairs": p["n_pairs"],
     }
     tables = {"contraction_decay": (("n", "rho_beta_distance"), rows)}
-    gates = (Gate("gamma_rel_error", gamma_error, "<=", 0.05),
+    gates = (Gate("drift_feasible", cert.feasible, "==", True),
+             Gate("gamma_rel_error", gamma_error, "<=", 0.05),
              Gate("d_rel_error", d_error, "<=", 0.05),
              Gate("alpha", minor.alpha, ">", 0.0),
              Gate("max_ratio", contraction.max_ratio, "<=", alpha_bar + 1e-9),
              Gate("max_point_ratio", contraction.max_point_ratio, "<=", alpha_bar + 1e-9))
-    return ExperimentOutcome("hm-ou-kernel", summary, tables, flags=flags, gates=gates)
+    return ExperimentOutcome(summary, tables, gates=gates)
 
 
 def _run_birkhoff(run: _Run) -> ExperimentOutcome:
@@ -1028,7 +1027,7 @@ def _run_birkhoff(run: _Run) -> ExperimentOutcome:
              Gate("residual_right", perron.residual_right, "<", 1e-8),
              Gate("residual_left", perron.residual_left, "<", 1e-8),
              Gate("observed_rate", perron.observed_rate, "<=", rate_bound + 1e-9))
-    return ExperimentOutcome("birkhoff-jentzsch", summary, tables, gates=gates)
+    return ExperimentOutcome(summary, tables, gates=gates)
 
 
 def _run_minimum_action(run: _Run) -> ExperimentOutcome:
@@ -1040,12 +1039,9 @@ def _run_minimum_action(run: _Run) -> ExperimentOutcome:
 
     free_path = minimize_action(SdeModel.brownian(1), 0.0, 1.0, 4.0, 100)
 
-    flags = []
-    if not path.converged:
-        flags.append("action minimization did not converge")
-    if not free_path.converged:
-        flags.append("free-particle minimization did not converge")
     summary = {
+        "converged": path.converged,
+        "free_converged": free_path.converged,
         "action": path.action,
         "action_target": closed,
         "abs_error": abs(path.action - closed),
@@ -1057,10 +1053,11 @@ def _run_minimum_action(run: _Run) -> ExperimentOutcome:
     profile = p["level"] * np.sinh(path.grid.nodes) / math.sinh(p["t_end"])
     rows = list(zip(path.grid.nodes, path.values[:, 0], profile))
     tables = {"optimal_path": (("t", "x", "closed_form"), rows)}
-    gates = (Gate("abs_error", summary["abs_error"], "<=", 1e-3),
+    gates = (Gate("converged", path.converged, "==", True),
+             Gate("free_converged", free_path.converged, "==", True),
+             Gate("abs_error", summary["abs_error"], "<=", 1e-3),
              Gate("free_abs_error", summary["free_abs_error"], "<=", 1e-4))
-    return ExperimentOutcome("ou-minimum-action", summary, tables,
-                             flags=tuple(flags), gates=gates)
+    return ExperimentOutcome(summary, tables, gates=gates)
 
 
 def _run_quasipotential(run: _Run) -> ExperimentOutcome:
@@ -1071,10 +1068,9 @@ def _run_quasipotential(run: _Run) -> ExperimentOutcome:
                             n_steps=p["n_steps"], tol=p["tol"],
                             max_iter=p["max_iter"])
     target = 2.0 * (U(p["y"]) - U(p["x_star"]))
-    flags = () if result.converged else (
-        "action minimization did not converge at every horizon",)
     summary = {
         "potential": U.source,
+        "converged": result.converged,
         "value": result.value,
         "value_target": target,
         "rel_error": abs(result.value - target) / abs(target),
@@ -1082,10 +1078,10 @@ def _run_quasipotential(run: _Run) -> ExperimentOutcome:
     }
     rows = list(zip(result.t_values, result.action_values))
     tables = {"envelope": (("t_horizon", "action"), rows)}
-    gates = (Gate("|value - value_target|", abs(result.value - target),
-                  "<=", 0.02 * abs(target)),)
-    return ExperimentOutcome("quasipotential-double-well", summary, tables,
-                             flags=flags, gates=gates)
+    gates = (Gate("converged", result.converged, "==", True),
+             Gate("|value - value_target|", abs(result.value - target),
+                  "<=", 0.02 * abs(target)))
+    return ExperimentOutcome(summary, tables, gates=gates)
 
 
 def _run_arrhenius(run: _Run) -> ExperimentOutcome:
@@ -1112,7 +1108,7 @@ def _run_arrhenius(run: _Run) -> ExperimentOutcome:
     gates = (Gate("monotone", summary["monotone"], "==", True),
              Gate("|value_at_smallest_eps - v_bar|", abs(smallest - fit.v_bar),
                   "<=", 0.15 * fit.v_bar))
-    return ExperimentOutcome("arrhenius-well", summary, tables, gates=gates)
+    return ExperimentOutcome(summary, tables, gates=gates)
 
 
 def _run_eyring_kramers(run: _Run) -> ExperimentOutcome:
@@ -1144,7 +1140,7 @@ def _run_eyring_kramers(run: _Run) -> ExperimentOutcome:
     gates = (Gate("ratio", summary["ratio"], ">=", 0.5),
              Gate("ratio", summary["ratio"], "<=", 2.0),
              Gate("fraction_censored", stats.fraction_censored, "==", 0.0))
-    return ExperimentOutcome("eyring-kramers", summary, tables, gates=gates)
+    return ExperimentOutcome(summary, tables, gates=gates)
 
 
 def _run_certificates(run: _Run) -> ExperimentOutcome:
@@ -1172,7 +1168,7 @@ def _run_certificates(run: _Run) -> ExperimentOutcome:
         "alpha": minor.alpha,
         "cone_ratio": bounds.L,
     }
-    return ExperimentOutcome("certificate-soundness", summary, gates=tuple(
+    return ExperimentOutcome(summary, gates=tuple(
         Gate(key, summary[key], "==", 0)
         for key in ("drift_violations", "minorisation_violations", "cone_violations")))
 
@@ -1236,7 +1232,7 @@ def _run_sample_paths(run: _Run) -> ExperimentOutcome:
         "moments": (tuple(header), rows),
         "paths": (("t", "path_id", "x"), path_rows),
     }
-    return ExperimentOutcome("sample-paths", summary, tables)
+    return ExperimentOutcome(summary, tables)
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,8 @@ class ActionPath:
 
     ``values`` has one row per grid node; scalar paths may be passed as a
     flat array and are stored with a trailing state axis.  ``converged``
-    is set by the minimizers; a flagged path still carries the best
-    iterate found.
+    is set by the minimizers; a path that did not converge still carries
+    the best iterate found.
     """
 
     grid: TimeGrid

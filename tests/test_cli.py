@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sdelab
 from sdelab.cli import main
 
 
@@ -163,7 +168,31 @@ class TestRun:
                           encoding="utf-8")
         assert main(["run", "--config", str(config),
                      "--out", str(tmp_path / "o")]) == 3
-        assert "flagged" in capsys.readouterr().err
+        assert "missed its gate: converged = False (needs == True)" in \
+            capsys.readouterr().err
+
+    def test_status_rule_holds_under_optimisation(self, tmp_path):
+        # ``python -O`` strips asserts; the status must not rest on one
+        config = tmp_path / "stall.ini"
+        config.write_text("[experiment]\nname = ou-minimum-action\n"
+                          "[parameters]\nn_steps = 50\nmax_iter = 1\n",
+                          encoding="utf-8")
+        src = str(Path(sdelab.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "sdelab.cli", "run", "--config", str(config),
+             "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 3
+        payload = json.loads(
+            (tmp_path / "o" / "ou-minimum-action" / "result.json").read_text())
+        assert [g["name"] for g in payload["gates"] if not g["passed"]] == \
+            ["converged", "abs_error"]
+        assert payload["flags"][0] == "converged = False (needs == True)"
+        assert [line for line in done.stderr.splitlines() if "missed its gate:" in line] \
+            == [f"  missed its gate: {flag}" for flag in payload["flags"]]
 
 
 class TestPlotData:

@@ -348,6 +348,12 @@ class TestHmContraction:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    @pytest.mark.parametrize("n_pairs", [0, -1])
+    def test_a_sample_of_no_pairs_names_the_argument(self, ou_kernel, certified, n_pairs):
+        v, beta, alpha_bar = certified
+        with pytest.raises(ValueError, match=f"n_pairs must be at least 1, got {n_pairs}"):
+            verify_hm_contraction(ou_kernel, v, beta, alpha_bar, n_pairs=n_pairs)
+
     def test_every_sampled_pair_contracts(self, ou_kernel, certified):
         v, beta, alpha_bar = certified
         report = verify_hm_contraction(ou_kernel, v, beta, alpha_bar,
@@ -455,6 +461,14 @@ class TestProjectiveDiameter:
 
     def test_a_single_state_has_zero_diameter(self):
         assert projective_diameter(np.array([[0.5]]), n_probe=0) == 0.0
+
+    def test_no_probes_leave_the_rows_to_give_the_diameter(self):
+        delta = projective_diameter(np.array([[2.0, 1.0], [1.0, 2.0]]), n_probe=0)
+        assert delta == pytest.approx(math.log(4.0), abs=1e-12)
+
+    def test_a_negative_probe_count_names_the_argument(self):
+        with pytest.raises(ValueError, match="n_probe must be non-negative, got -1"):
+            projective_diameter(np.array([[2.0, 1.0], [1.0, 2.0]]), n_probe=-1)
 
     def test_two_state_cross_ratio(self):
         delta = projective_diameter(np.array([[2.0, 1.0], [1.0, 2.0]]),

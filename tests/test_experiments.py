@@ -344,11 +344,11 @@ class TestGate:
 
     def test_the_summary_reads_whether_every_gate_passed(self):
         gates = (Gate("a", 1.0, "<", 2.0), Gate("b", 3.0, "<", 2.0))
-        assert ExperimentOutcome("x", {}, gates=gates[:1]).summary == \
+        assert ExperimentOutcome({}, gates=gates[:1]).summary == \
             {"within_tolerance": True}
-        assert ExperimentOutcome("x", {}, gates=gates).summary == \
+        assert ExperimentOutcome({}, gates=gates).summary == \
             {"within_tolerance": False}
-        assert ExperimentOutcome("x", {}).summary == {}
+        assert ExperimentOutcome({}).summary == {}
 
 
 class TestRunArtifacts:
@@ -459,6 +459,20 @@ class TestRunArtifacts:
         payload = json.loads((result.run_dir / "result.json").read_text())
         assert payload["flags"]
 
+    def test_the_benchmark_failure_line_names_the_missed_gates(self, tmp_path, monkeypatch):
+        perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+        if Path(sdelab.__file__).resolve().parent != perfbench.parent / "src" / "sdelab":
+            pytest.skip("sdelab is not imported from this checkout's src/, so the worker exits")
+        monkeypatch.syspath_prepend(str(perfbench))
+        import worker
+        from workloads import Operation
+
+        op = Operation("ou-minimum-action", {"n_steps": 50, "max_iter": 1})
+        record = worker.run_operation(
+            op, ExperimentConfig(op.experiment, parameters=op.parameters), 1, tmp_path)
+        assert record["problems"][0].startswith(
+            "status 3 (flags: ['converged = False (needs == True)', 'abs_error = ")
+
     def test_missed_gate_without_a_flag_returns_status_three(self, tmp_path, capsys):
         # 100 paths put the KS statistic near 0.08, over the 0.03 gate
         config = tmp_path / "few.ini"
@@ -467,7 +481,8 @@ class TestRunArtifacts:
                           encoding="utf-8")
         result = run(load_config(config), out=tmp_path / "run")
         assert result.outcome.summary["within_tolerance"] is False
-        assert result.outcome.flags == ()
+        assert result.outcome.flags == (
+            f"ks_statistic = {result.outcome.summary['ks_statistic']} (needs < 0.03)",)
         assert result.status == 3
         gates = json.loads((result.run_dir / "result.json").read_text())["gates"]
         assert gates == [{"name": "ks_statistic",
@@ -493,9 +508,11 @@ class TestRunArtifacts:
             result = run(ExperimentConfig(name, seed, parameters=parameters),
                          out=tmp_path)
         assert result.status == 3
-        assert result.outcome.flags == ()
+        missed_gates = [g for g in result.outcome.gates if not g.passed]
+        assert result.outcome.flags == tuple(
+            f"{g.name} = {g.value} (needs {g.op} {g.bound})" for g in missed_gates)
         assert result.outcome.summary["within_tolerance"] is False
-        assert [g.name for g in result.outcome.gates if not g.passed] == [missed]
+        assert [g.name for g in missed_gates] == [missed]
 
     def test_output_root_falls_back_to_the_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv(DEFAULT_OUT_ENV, str(tmp_path / "from-env"))
@@ -651,8 +668,9 @@ class TestExecuteOutcomes:
         assert s["max_abs_z_laplace"] is None
         assert s["conditional_mean_time"] is None
         assert s["conditional_mean_z"] is None
-        assert any("zero standard error" in flag for flag in out.flags)
-        assert any("0 of 2 paths left through +a" in flag for flag in out.flags)
+        missed = [(g.name, g.value) for g in out.gates if not g.passed]
+        assert missed == [("max_abs_z_laplace", None), ("right_exits", 0),
+                          ("|conditional_mean_z|", None)]
 
     def test_feynman_kac_with_one_right_exit_has_no_conditional_z(self):
         with warnings.catch_warnings():
@@ -664,8 +682,10 @@ class TestExecuteOutcomes:
         assert s["conditional_mean_time_std_error"] is None
         assert s["conditional_mean_z"] is None
         assert s["max_abs_z_laplace"] > 0
-        assert out.flags == ("1 of 2 paths left through +a, too few for a standard "
-                             "error: the conditional mean's z-score is undefined",)
+        # two paths also put the Laplace z-scores past their gate
+        assert out.flags == (f"max_abs_z_laplace = {s['max_abs_z_laplace']} (needs <= 3.0)",
+                             "right_exits = 1 (needs >= 2)",
+                             "|conditional_mean_z| = None (needs <= 3.0)")
 
     @pytest.mark.parametrize("n_steps, doublings", [(100, 3), (8, 5), (2048, 12)])
     def test_ito_isometry_levels_must_divide_the_fine_grid(self, n_steps, doublings):
