@@ -29,6 +29,7 @@ directory into plot-ready CSVs.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
@@ -474,8 +475,12 @@ def execute(name: "str | ExperimentConfig", *,
                         "overrides; build a new config instead")
     if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise ConfigError(f"threads must be a positive integer, got {threads}")
-    return get_experiment(config.experiment).runner(
+    outcome = get_experiment(config.experiment).runner(
         _Run(config.parameters, config.model, GaussianStream(config.seed), threads))
+    # glibc keeps freed arrays under its mmap threshold, which it raises up to 32 MB,
+    # in its heap: without a trim, tens of MB stay resident or not by heap layout
+    getattr(ctypes.CDLL(None) if os.name == "posix" else None, "malloc_trim", lambda pad: 0)(0)
+    return outcome
 
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:

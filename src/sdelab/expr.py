@@ -10,10 +10,11 @@ Configuration files describe potentials as plain text like
     atom   := NUMBER | 'x' | '(' expr ')'
 
 ``^`` is exponentiation and associates to the right (``2^3^2`` is 512);
-unary minus binds looser, so ``-x^2`` means ``-(x^2)``.  Parsed
-expressions evaluate through numpy and broadcast over arrays, which the
-Monte Carlo drivers rely on.  Errors carry the line and column where
-parsing stopped.
+unary minus binds looser, so ``-x^2`` means ``-(x^2)``.  A parsed
+expression compiles once to the source of one Python function, and that
+to the function, which evaluates through numpy and broadcasts over arrays;
+one that calls no numpy function takes Python floats too, and rounds on
+them as on arrays.  Errors carry the line and column where parsing stopped.
 
 A constant integer exponent ``n`` with ``3 <= n <= 8`` evaluates as a
 chain of products by repeated squaring, within ``n - 1`` ulp of the exact
@@ -24,9 +25,9 @@ libm ``pow``.  Every other exponent goes through ``np.power``.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -95,72 +96,66 @@ class _Node:
     right: "_Node | None" = None
 
 
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-               "/": operator.truediv}
+_ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
-
-# scalar exponents that numpy sends to square, sqrt and reciprocal, which
-# round differently from pow; tests/test_expr.py derives this set from numpy.
-# They enter np.power as full arrays, so they keep pow's rounding; the
-# integers 3..8 of _POW_CHAINS never reach np.power at all
+# scalar exponents that numpy sends to square, sqrt and reciprocal, which round
+# unlike pow (tests/test_expr.py derives the set): they enter np.power as arrays
 _POW_FAST_PATHS = frozenset({2.0, 0.5, -1.0})
 
-# v^n for a constant exponent n as products by right-to-left binary
-# exponentiation, x^6 = x^2 x^4 and x^7 = (x x^2) x^4: unfolded, each is a
-# product of n factors x, so it is within n - 1 roundings (n - 1 ulp) of the
-# exact power.  x^2 stays on pow, so no x^2 result changes.
-_POW_CHAINS = {
-    3.0: lambda v: v * v * v,
-    4.0: lambda v: (s := v * v) * s,
-    5.0: lambda v: (s := v * v) * s * v,
-    6.0: lambda v: (s := v * v) * (s * s),
-    7.0: lambda v: (s := v * v) * v * (s * s),
-    8.0: lambda v: (q := (s := v * v) * s) * q,
-}
+
+def _chain(v: str, n: int) -> str:
+    """``v^n`` for ``3 <= n <= 8`` as the product, low to high, of the squares
+    v, v^2, v^4, v^8 that n's bits pick, each a walrus at its first use: n
+    factors v, within n - 1 ulp of the exact power; x^2 stays on pow."""
+    use, name, terms = f"(b := {v})", "b", []
+    for power in (2, 4, 8, 16):
+        if n & 1:
+            terms.append(use)
+            use = name
+        n >>= 1
+        if not n:
+            return "(" + " * ".join(terms) + ")"
+        use, name = f"(b{power} := {use} * {name})", f"b{power}"
 
 
-def _compile(node: _Node) -> float | Callable[[np.ndarray], np.ndarray]:
-    """Compile ``node`` into a float (constant subtree) or a closure ``x -> array``.
+def _name(value: float | str, consts: list[float]) -> str:
+    if isinstance(value, str):
+        return value
+    consts.append(value)  # bound by name: inf, nan and -0.0 keep their bits
+    return f"c{len(consts) - 1}"
 
-    Constants enter ``+ - * /`` as Python floats, which rounds exactly as
-    the elementwise array operation.  A constant exponent ``n`` in
-    ``3..8`` becomes the product chain of :data:`_POW_CHAINS`, within
-    ``n - 1`` ulp of the exact power.  Every other power goes through
-    ``np.power``: a constant exponent as a Python float, which rounds as
-    ``pow`` does, unless it is in :data:`_POW_FAST_PATHS`.  Such an
-    exponent, an exponent with ``x`` in it, and a constant base enter
-    ``np.power`` as full arrays.
-    """
+
+def _compile(node: _Node, consts: list[float], context: int = 0) -> float | str:
+    """A float (constant subtree) or the source of ``node``'s value as an operand
+    of precedence ``context``, its constant ``i`` named ``c<i>`` in ``consts``.
+    Constants enter ``+ - * /`` as floats, which round as the elementwise array
+    operation does.  A constant exponent in ``3..8`` becomes :func:`_chain`;
+    other powers call ``np.power``, a constant exponent as a float, which rounds
+    as ``pow``, unless it is in :data:`_POW_FAST_PATHS`.  Such an exponent, one
+    with ``x`` in it and a constant base enter ``np.power`` as full arrays."""
     if node.op == "const":
         return node.value
     if node.op == "var":
-        return lambda x: x
+        return "x"
     if node.op == "neg":
-        a = _compile(node.left)
-        return -a if isinstance(a, float) else (lambda x: -a(x))
-    a, b = _compile(node.left), _compile(node.right)
+        a = _compile(node.left, consts, 3)
+        return -a if isinstance(a, float) else f"(-{a})"
     if node.op == "^":
-        base = _full(a) if isinstance(a, float) else a
-        if isinstance(b, float) and b in _POW_CHAINS:
-            chain = _POW_CHAINS[b]
-            return lambda x: chain(base(x))
-        if isinstance(b, float) and b not in _POW_FAST_PATHS:
-            return lambda x: np.power(base(x), b)
-        exponent = _full(b) if isinstance(b, float) else b
-        return lambda x: np.power(base(x), exponent(x))
-    op = _ARITHMETIC[node.op]
+        a, b = _compile(node.left, consts), _compile(node.right, consts)
+        full = "np.full_like(x, {})".format
+        base = full(_name(a, consts)) if isinstance(a, float) else a
+        if isinstance(b, float) and b in range(3, 9):
+            return _chain(base, int(b))
+        if isinstance(b, float):
+            b = full(_name(b, consts)) if b in _POW_FAST_PATHS else _name(b, consts)
+        return f"np.power({base}, {b})"
+    prec = _PREC[node.op]
+    a, b = _compile(node.left, consts, prec), _compile(node.right, consts, prec + 1)
     if isinstance(a, float) and isinstance(b, float):
         with np.errstate(all="ignore"):
-            return float(op(np.float64(a), np.float64(b)))
-    if isinstance(a, float):
-        return lambda x: op(a, b(x))
-    if isinstance(b, float):
-        return lambda x: op(a(x), b)
-    return lambda x: op(a(x), b(x))
-
-
-def _full(value: float):
-    return lambda x: np.full_like(x, value)
+            return float(_ARITHMETIC[node.op](a, b))
+    text = f"{_name(a, consts)} {node.op} {_name(b, consts)}"
+    return f"({text})" if prec < context else text
 
 
 def _const(value: float) -> _Node:
@@ -236,10 +231,8 @@ def _pow(a: _Node, b: _Node) -> _Node:
 
 
 def _depends_on_x(node: _Node) -> bool:
-    if node.op == "var":
-        return True
-    return any(_depends_on_x(child) for child in (node.left, node.right)
-               if child is not None)
+    return node.op == "var" or any(_depends_on_x(child) for child in
+                                   (node.left, node.right) if child is not None)
 
 
 def _diff(node: _Node) -> _Node:
@@ -368,40 +361,47 @@ class _Parser:
 
 
 _FLOAT64 = np.dtype(np.float64)
+# a function compiled once per source: expressions of one shape share it
+_function = lru_cache(maxsize=1024)(lambda source: eval(source, {"np": np}))
 
 
 @dataclass(frozen=True)
 class Expression:
     """A parsed one-variable expression, callable on scalars and arrays.
 
-    The tree is compiled once, at construction, into nested closures.  A
-    float64 ``ndarray`` of one or more dimensions goes to them as it is;
-    other input goes through ``np.asarray``, and 0-d input returns a float.
+    The tree is compiled once, at construction, to the source of one function
+    and that to the function.  A float64 ``ndarray`` of one or more dimensions
+    goes to it as it is, other input through ``np.asarray``, and 0-d input as a
+    one-element array, so it rounds as arrays do, and returns a float.
+    ``_on_floats`` is the function where it calls no numpy: on Python floats
+    it rounds as on arrays, but it may raise ``ZeroDivisionError``.
     """
 
     source: str
     root: _Node
-    _evaluate: Callable[[np.ndarray], np.ndarray] = field(
-        init=False, repr=False, compare=False)
+    _evaluate: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
+    _on_floats: Callable[[float], float] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        compiled = _compile(self.root)
-        if isinstance(compiled, float):
-            compiled = _full(compiled)
-        object.__setattr__(self, "_evaluate", compiled)
+        consts: list[float] = []
+        text = _compile(self.root, consts)
+        text = f"np.full_like(x, {_name(text, consts)})" if isinstance(text, float) else text
+        names = ", ".join(f"c{i}" for i in range(len(consts)))
+        compiled = _function(f"lambda {names}: lambda x: {text}")(*consts)
+        vars(self).update(_evaluate=compiled,  # frozen: set past __setattr__
+                          _on_floats=None if "np." in text else compiled)
 
     def __call__(self, x) -> float | np.ndarray:
         if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim:
             return self._evaluate(x)  # what asarray would pass through
         arr = np.asarray(x, dtype=float)
-        out = self._evaluate(arr)
-        return float(out) if arr.ndim == 0 else out
+        return self._evaluate(arr) if arr.ndim else float(self._evaluate(arr.reshape(1))[0])
 
     def __repr__(self) -> str:
         return f"Expression({self.source!r})"
 
     def __reduce__(self):
-        return Expression, (self.source, self.root)  # closures do not pickle
+        return Expression, (self.source, self.root)  # compiled functions do not pickle
 
     def __neg__(self) -> "Expression":
         """``-self``: its values are those of ``self`` with the sign flipped,

@@ -4,7 +4,9 @@ This module provides the building blocks used everywhere else in the
 package: uniform time grids, reproducible Gaussian noise streams, Wiener
 path construction and the Euler-Maruyama scheme.  Every Euler-Maruyama
 step in the package is taken in ``_em_path``, a window of steps at a
-time, with the bits of one step at a time.  Brownian paths and
+time, with the bits of one step at a time: as arrays, or, in a narrow
+window of a 1-D state with an expression drift, path by path on Python
+floats, which round as the array step does.  Brownian paths and
 Euler-Maruyama ensembles are generated by one window loop each
 (``_wiener_windows`` and ``_em_windows``): ``sample_wiener`` and
 ``euler_maruyama_ensemble`` collect the windows into one array, and an
@@ -285,6 +287,10 @@ class SdeModel:
 # levels off at 32768, whose 256 KB buffers per state dimension stay in cache
 _WINDOW_ROW_STEPS = 32768
 
+# rows up to which _em_path may step a window row by row on Python floats: on a 2-vCPU
+# Xeon that loop won at 16 rows and lost at 32, where numpy's cost per call is no longer most
+_SCALAR_ROWS = 16
+
 
 # ---------------------------------------------------------------------------
 # Wiener path construction
@@ -352,11 +358,30 @@ def _em_path(model: SdeModel, x: np.ndarray, dt: float, dw: np.ndarray) -> np.nd
     """The one Euler-Maruyama loop: ``(w + 1,) + x.shape`` states from ``x`` over
     step-major noise ``dw`` of shape ``(w,) + batch + (k,)``.  A constant ``g``
     multiplies the window's noise at once; each step's rows are contiguous,
-    so ``einsum`` sums them in the per-step order."""
+    so ``einsum`` sums them in the per-step order.
+
+    A window of at most ``_SCALAR_ROWS`` rows of a 1-D state with a constant
+    ``g``, whose drift is zero or an :class:`~sdelab.expr.Expression` that
+    runs on Python floats, steps each row as ``v + f(v) * dt + g_dw`` on
+    Python floats, without numpy's cost per call: the IEEE operations of the
+    array step in its order, so the same bits, but for the sign of a NaN.  A
+    division by zero, which raises on floats, redoes the window as arrays."""
     path = np.empty((dw.shape[0] + 1,) + x.shape)
     path[0] = x
     g = model.constant_dispersion
     g_dw_w = None if g is None else _disperse(g, dw)
+    f = getattr(model.drift, "_on_floats", None)  # set on an Expression
+    if (g is not None and model.dim_state == 1 and x.size <= _SCALAR_ROWS
+            and (f is not None or model.drift is _zero_drift)):
+        rows, dt = path.reshape(len(path), -1), float(dt)
+        try:
+            for r, (v, noise) in enumerate(zip(
+                    rows[0].tolist(), g_dw_w.reshape(len(dw), -1).T.tolist())):
+                rows[1:, r] = ([v := v + f(v) * dt + e for e in noise] if f
+                               else [v := v + e for e in noise])
+            return path
+        except ZeroDivisionError:
+            pass  # numpy divides by zero without raising: step as arrays
     for k in range(dw.shape[0]):
         x = path[k]
         g_dw = _disperse(model.dispersion(x), dw[k]) if g_dw_w is None else g_dw_w[k]

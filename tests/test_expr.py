@@ -134,6 +134,17 @@ class TestCompiledGoldens:
                         differ.add(c)
         assert differ == _POW_FAST_PATHS
 
+    @pytest.mark.parametrize("source", sorted(GOLDENS) + ["x^4/4 - x^2/2"])
+    def test_scalar_calls_round_as_array_elements(self, source):
+        # a 0-d exponent would take numpy's square, sqrt and reciprocal fast
+        # paths: a scalar goes in as a one-element array instead
+        f = parse_expression(source)
+        xs = np.random.Generator(np.random.Philox(7)).uniform(0.05, 4.0, 4096)
+        if source == "x^4/4 - x^2/2":
+            xs -= 2.0
+        scalars = np.array([f(x) for x in xs.tolist()])
+        assert np.array_equal(scalars.view(np.int64), f(xs).view(np.int64))
+
     @pytest.mark.parametrize("source", sorted(GOLDENS))
     def test_zero_dimensional_input_returns_a_float(self, source):
         f = parse_expression(source)
@@ -220,6 +231,37 @@ class TestIntegerPowers:
             # a full exponent array keeps pow's rounding for every exponent
             expected = np.power(self.POINTS, np.full_like(self.POINTS, c))
         assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+
+
+class TestOnFloats:
+    # sources whose compiled function calls no numpy function; it also runs
+    # on Python floats, where it must round as on array elements
+    SOURCES = ["x^3", "-x^3 + x", "x - x^3", "-(x - 2)/(x*x + 3)", "2*-x - -x/7",
+               "((x*x + 1)^3 - 2)^7", "x^8 - x^6 + x^4 - (x - 1)^7 + 1e300*x*x"]
+    SOURCES += [f"x^{n}" for n in range(3, 9)] + [f"(x + 1)^{n}" for n in range(3, 9)]
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_the_compiled_function_on_floats_matches_arrays(self, source):
+        f = parse_expression(source)
+        assert f._on_floats is not None
+        with np.errstate(all="ignore"):
+            arrays = f(TestIntegerPowers.POINTS)
+        floats = np.array([f._on_floats(x) for x in TestIntegerPowers.POINTS.tolist()])
+        # IEEE 754 leaves open which NaN operand a result carries, so a NaN's
+        # sign may differ; every other value must be the same bits
+        nan = np.isnan(arrays)
+        assert np.array_equal(np.isnan(floats), nan)
+        assert np.array_equal(floats[~nan].view(np.int64), arrays[~nan].view(np.int64))
+
+    @pytest.mark.parametrize("source", ["x^2", "x^0.5", "2^x", "3", "x/(1 + x^2)"])
+    def test_numpy_calls_keep_the_function_off_floats(self, source):
+        assert parse_expression(source)._on_floats is None
+
+    def test_folded_constants_keep_their_bits(self):
+        # constants are bound by name, so inf, nan and -0.0 need no literal
+        assert np.signbit(parse_expression("-0")(np.ones(2))).all()
+        assert parse_expression("x + 1e308*10")(-1.0) == math.inf
+        assert math.isnan(parse_expression("x - (1e308*10 - 1e308*10)")(1.0))
 
 
 class TestErrors:

@@ -379,3 +379,29 @@ def test_no_module_asserts():
     uses = _package_uses(_assert_lines)
     assert len(uses) > 1
     assert {name: found for name, found in uses.items() if found} == {}
+
+
+def _code_generation_uses(tree: ast.AST) -> list[str]:
+    """Every use of the builtins ``eval``, ``exec`` or ``compile`` in a module,
+    by name or as an attribute of ``builtins``; ``re.compile`` is not one."""
+    names = ("eval", "exec", "compile")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in names:
+            found.append(node.id)
+        elif (isinstance(node, ast.Attribute) and node.attr in names
+              and isinstance(node.value, ast.Name) and node.value.id == "builtins"):
+            found.append(node.attr)
+    return sorted(found)
+
+
+def test_only_expr_generates_code():
+    # ``Expression`` compiles its source once to one function; generated
+    # code elsewhere would be a second evaluator to keep bit for bit
+    sample = "eval('1')\nexec(s)\nbuiltins.compile(s, 'f', 'eval')\nre.compile(s)\n"
+    assert _code_generation_uses(ast.parse(sample)) == ["compile", "eval", "exec"], \
+        "the guard no longer sees a call"
+    uses = _package_uses(_code_generation_uses)
+    assert uses.pop("expr.py") == ["eval"], \
+        "the guard no longer sees expr's own compilation"
+    assert {name: found for name, found in uses.items() if found} == {}

@@ -20,6 +20,7 @@ from sdelab.sde import (
     sample_wiener,
 )
 from sdelab import sde
+from sdelab.expr import parse_expression
 from sdelab.sde import _WINDOW_ROW_STEPS
 
 
@@ -304,3 +305,98 @@ def test_blow_up_inside_a_window_is_raised_at_the_per_step_loop_step():
     # window, the single path inside its one window of 100 steps
     assert 0 < (raised[0][0] - 1) % window < window - 1
     assert 1 < raised[2][0] < grid.n_steps
+
+
+# ---------------------------------------------------------------------------
+# The float loop of narrow windows
+# ---------------------------------------------------------------------------
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal bit for bit, but with any NaN equal to any NaN: IEEE 754 leaves
+    open which NaN operand a result carries, so its sign may differ."""
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+def _both_loops(monkeypatch, model, x, dt, dw):
+    """``_em_path`` as it runs, then with every window on the array loop."""
+    with np.errstate(all="ignore"):
+        fast = sde._em_path(model, x, dt, dw)
+        with monkeypatch.context() as m:
+            m.setattr(sde, "_SCALAR_ROWS", 0)
+            slow = sde._em_path(model, x, dt, dw)
+    return fast, slow
+
+
+def _window(rows: int, steps: int = 300, seed: int = 0, start=(-1.5, 1.5)):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return (rng.uniform(*start, (rows, 1)),
+            rng.normal(0.0, 0.05, (steps, rows, 2)))  # two noise columns
+
+
+FLOAT_DRIFTS = ["x - x^3", "-x^5/5 + 2*x - 1/(3 + x*x)", "x^8 - x^6 + x^4 - (x - 1)^7"]
+
+
+@pytest.mark.parametrize("source", FLOAT_DRIFTS)
+def test_the_float_loop_has_the_bits_of_the_array_loop(monkeypatch, source):
+    drift = parse_expression(source)
+    assert drift._on_floats is not None
+    model = SdeModel(1, 2, drift, [[0.7, -0.3]])
+    for rows in range(1, sde._SCALAR_ROWS + 2):
+        x, dw = _window(rows, seed=rows)
+        fast, slow = _both_loops(monkeypatch, model, x, 4e-3, dw)
+        assert _same_bits(fast, slow)
+
+
+def test_the_float_loop_steps_the_zero_drift_bit_for_bit(monkeypatch):
+    model = SdeModel(1, 2, sde._zero_drift, [[1.0, 0.5]])
+    x, dw = _window(5, seed=3)
+    fast, slow = _both_loops(monkeypatch, model, x, 4e-3, dw)
+    assert _same_bits(fast, slow)
+
+
+def test_a_division_by_zero_redoes_the_window_as_arrays(monkeypatch):
+    model = SdeModel(1, 2, parse_expression("1/x"), [[0.0, 0.0]])
+    x, dw = _window(3, steps=4)
+    x[1] = 0.0
+    fast, slow = _both_loops(monkeypatch, model, x, 4e-3, dw)
+    assert np.isinf(fast[1, 1, 0])
+    assert _same_bits(fast, slow)
+
+
+def test_a_drift_that_calls_numpy_takes_the_array_loop(monkeypatch):
+    drift = parse_expression("x^2 - 1")
+    assert drift._on_floats is None
+    model = SdeModel(1, 2, drift, [[0.7, -0.3]])
+    x, dw = _window(4)
+    fast, slow = _both_loops(monkeypatch, model, x, 4e-3, dw)
+    assert _same_bits(fast, slow)
+
+
+def test_a_window_that_blows_up_has_the_bits_of_the_array_loop(monkeypatch):
+    # from far out the explicit step overshoots until x - x^3 overflows to
+    # nan; the rows that start near the wells stay finite
+    model = SdeModel(1, 2, parse_expression("x - x^3"), [[0.1, 0.1]])
+    x, dw = _window(6, steps=60, start=(2.0, 9.0))
+    fast, slow = _both_loops(monkeypatch, model, x, 0.05, dw)
+    assert np.isnan(fast[-1]).any() and np.isfinite(fast[-1]).any()
+    assert _same_bits(fast, slow)
+
+
+def test_mc_exit_is_the_same_on_both_loops(monkeypatch):
+    from sdelab.firstexit import Domain, mc_exit
+    from sdelab.largedev import _drift
+
+    eps = 0.5  # eyring-kramers' model, at the noise level its benchmark runs
+    model = SdeModel(1, 1, _drift(parse_expression("x^4/4 - x^2/2")),
+                     [[math.sqrt(eps)]])
+    runs = []
+    for cap in (sde._SCALAR_ROWS, 0):
+        monkeypatch.setattr(sde, "_SCALAR_ROWS", cap)
+        runs.append(mc_exit(model, -1.0, Domain.interval(-4.0, 0.5), h=4e-3,
+                            n_paths=40, stream=GaussianStream(5), t_max=1e4))
+    fast, slow = (dataclasses.astuple(stats) for stats in runs)
+    assert len(fast) == len(slow) and runs[0].exit_times.size == 40
+    for a, b in zip(fast, slow):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
