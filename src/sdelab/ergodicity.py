@@ -341,11 +341,10 @@ def verify_hm_contraction(kernel, V, beta: float, alpha_bar: float,
     weights = 1.0 + beta * v
     point_ratio = 0.0
     rows = np.empty_like(m)
-    for x in range(n):
-        np.subtract(m[x], m, out=rows)
-        after = np.abs(rows, out=rows) @ weights           # rho_beta of row pairs
-        before = 2.0 + beta * (v[x] + v)                   # distance of point masses
-        after[x] = 0.0
+    for x in range(n - 1):  # each pair of rows once: row x against the rows after it
+        later = np.subtract(m[x], m[x + 1:], out=rows[x + 1:])
+        after = np.abs(later, out=later) @ weights         # rho_beta of row pairs
+        before = 2.0 + beta * (v[x] + v[x + 1:])           # distance of point masses
         point_ratio = max(point_ratio, float(np.max(after / before)))
     return HmContractionReport(n_pairs, alpha_bar, float(ratios.max()),
                                float(ratios.mean()), point_ratio)

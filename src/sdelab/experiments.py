@@ -762,8 +762,7 @@ def _run_exit_ball(run: _Run) -> ExperimentOutcome:
 def _run_shell_hitting(run: _Run) -> ExperimentOutcome:
     p = run.params
     estimate, std_error = mc_radial_hitting(
-        p["r_start"], p["r_inner"], p["r_outer"], 3, p["n_paths"],
-        run.stream, kappa=p["kappa"])
+        p["r_start"], p["r_inner"], p["r_outer"], 3, p["n_paths"], run.stream)
     closed = shell_hitting_probability(p["r_inner"], p["r_outer"],
                                        p["r_start"], 3)
     target = ball_hitting_probability(p["r_inner"], (p["r_start"], 0.0, 0.0), 3)
@@ -1271,8 +1270,6 @@ _register(Experiment(
         _p("r_inner", "float", 1.0, "inner sphere radius", minimum=0, exclusive=True),
         _p("r_start", "float", 2.0, "starting radius", minimum=0, exclusive=True),
         _p("r_outer", "float", 64.0, "outer shell radius", minimum=0, exclusive=True),
-        _p("kappa", "float", 0.2, "step scale relative to sphere distance",
-           minimum=0, exclusive=True),
     ),
     _run_shell_hitting,
 ))

@@ -13,6 +13,8 @@ run, and ``threads`` shards the paths without changing a bit of the
 result.  It checks exits once per window of steps, each stepped by the one
 Euler-Maruyama loop ``sde._em_path``, so a path may take up to one window
 of steps past its exit; those steps are discarded.
+:func:`mc_radial_hitting` takes no time steps: it runs Muller's walk on
+spheres between two concentric spheres.
 
 The closed-form side collects the classical exit oracles for Brownian
 motion and geometric Brownian motion: mean exit times from balls, hitting
@@ -258,7 +260,6 @@ _STEP_BLOCK = 256  # steps per noise address of mc_exit
 # window with no step that close to the boundary needs no exponentials
 _KILL_CAP = 40.0
 _SNAP_FRACTION = 1e-4  # of the gap width: mc_radial_hitting's hit distance
-_MAX_ROUNDS = 200_000  # mc_radial_hitting's steps before open paths are snapped
 
 
 def _check_sampling(n_paths: int, h: float | None = None,
@@ -448,23 +449,20 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
 
 
 def mc_radial_hitting(r_start: float, r_inner: float, r_outer: float, dim: int,
-                      n_paths: int, stream: GaussianStream, *,
-                      kappa: float = 0.2) -> tuple[float, float]:
+                      n_paths: int, stream: GaussianStream) -> tuple[float, float]:
     """Probability that Brownian motion hits the inner sphere before the outer.
 
-    Exploits exact Gaussian increments with a state-dependent clock: each
-    path takes a step of standard deviation ``kappa`` times its distance to
-    the nearest sphere, which is exact in law at the sampled times and
-    makes skipping a boundary between samples overwhelmingly unlikely
-    (probability ~ exp(-2/kappa^2) per step).  Paths within
-    ``_SNAP_FRACTION`` of the gap width are assigned to the nearer sphere,
-    as are those still open after ``_MAX_ROUNDS`` steps.
+    Muller's walk on spheres: each open path jumps to a uniform point on the
+    sphere of radius ``d = min(r - r_inner, r_outer - r)`` around it, which
+    is where Brownian motion first leaves that ball, so every jump is exact
+    in law.  The direction is one ``dim``-normal draw scaled to length ``d``.
+    Paths within ``_SNAP_FRACTION`` of the gap width are assigned to the
+    nearer sphere; that snap is the walk's only bias.
     Returns ``(estimate, standard_error)``.
     """
-    if not 0.0 < r_inner < r_start < r_outer:
-        raise ValueError(
-            f"need 0 < r_inner < r_start < r_outer, got {(r_inner, r_start, r_outer)}"
-        )
+    if not 0.0 < r_inner < r_start < r_outer < math.inf:
+        raise ValueError(f"need 0 < r_inner < r_start < r_outer < inf, "
+                         f"got {(r_inner, r_start, r_outer)}")
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     _check_sampling(n_paths)
@@ -479,7 +477,7 @@ def mc_radial_hitting(r_start: float, r_inner: float, r_outer: float, dim: int,
     hit_inner = np.zeros(n_paths, dtype=bool)
     open_paths = np.arange(n_paths)
 
-    for _ in range(_MAX_ROUNDS):
+    while open_paths.size:
         r = np.linalg.norm(x, axis=1)
         inner_gap = r - r_inner
         outer_gap = r_outer - r
@@ -489,13 +487,9 @@ def mc_radial_hitting(r_start: float, r_inner: float, r_outer: float, dim: int,
             keep = ~done
             open_paths, x = open_paths[keep], x[keep]
             inner_gap, outer_gap = inner_gap[keep], outer_gap[keep]
-        if open_paths.size == 0:
-            break
-        sd = kappa * np.minimum(inner_gap, outer_gap)
-        x += sd[:, np.newaxis] * gen.normal(size=(open_paths.size, dim))
-    else:
-        r = np.linalg.norm(x, axis=1)
-        hit_inner[open_paths] = (r - r_inner) <= (r_outer - r)
+        step = gen.normal(size=(open_paths.size, dim))
+        d = np.minimum(inner_gap, outer_gap)
+        x += (d / np.linalg.norm(step, axis=1))[:, np.newaxis] * step
 
     p = float(hit_inner.mean())
     se = float(hit_inner.std(ddof=1) / math.sqrt(n_paths))
@@ -538,10 +532,13 @@ def shell_hitting_probability(r_inner: float, r_outer: float, r: float, n: int) 
     """Probability of reaching the inner sphere before the outer one.
 
     Ratio of the radial harmonic function ``phi`` between the spheres:
-    ``phi(r) = r`` in 1D, ``log r`` in 2D, ``r^{2-n}`` for ``n >= 3``.
+    ``phi(r) = r`` in 1D, ``log r`` in 2D, ``r^{2-n}`` for ``n >= 3``.  An
+    infinite ``r_outer`` gives :func:`ball_hitting_probability`'s limit.
     """
     if not 0.0 < r_inner < r < r_outer:
         raise ValueError(f"need 0 < r_inner < r < r_outer, got {(r_inner, r, r_outer)}")
+    if n <= 2 and r_outer == math.inf:
+        return 1.0  # recurrence: phi(r_outer) is infinite
     if n == 1:
         phi = lambda s: s
     elif n == 2:

@@ -1,12 +1,15 @@
 """Tests for the experiment registry, configuration files, and run artifacts."""
 
-import json
+import ast
 import hashlib
+import inspect
+import json
 import os
 import platform
 import re
 import subprocess
 import sys
+import textwrap
 import warnings
 from datetime import datetime
 from pathlib import Path
@@ -216,6 +219,21 @@ class TestRegistry:
     def test_unknown_parameter_suggests_a_neighbour(self):
         with pytest.raises(ConfigError, match="did you mean 'n_paths'"):
             execute("exit-ball-2d", parameters={"n_pathz": 10})
+
+    def test_shell_hitting_rejects_the_retired_kappa(self):
+        # the walk on spheres has no step scale, so kappa is not a parameter
+        with pytest.raises(ConfigError, match="unknown parameter 'kappa'"):
+            execute("shell-hitting-3d", parameters={"kappa": 0.2})
+
+    @pytest.mark.parametrize("experiment", list_experiments(), ids=lambda e: e.name)
+    def test_every_parameter_is_read_by_its_runner(self, experiment):
+        # a parameter that no runner reads is a dead knob: it changes the
+        # config hash and nothing else
+        tree = ast.parse(textwrap.dedent(inspect.getsource(experiment.runner)))
+        read = {node.slice.value for node in ast.walk(tree)
+                if isinstance(node, ast.Subscript)
+                and isinstance(node.slice, ast.Constant)}
+        assert {spec.name for spec in experiment.parameters} <= read
 
     def test_model_section_rejected_where_unsupported(self):
         with pytest.raises(ConfigError, match="does not take a model"):

@@ -637,31 +637,43 @@ class TestRadialHitting:
             mc_radial_hitting(2.0, 1.0, 8.0, dim=3, n_paths=1,
                               stream=GaussianStream(0))
 
-    @pytest.mark.parametrize("rounds", [30, firstexit._MAX_ROUNDS])
-    def test_compacted_paths_give_the_bits_of_indexed_updates(self, monkeypatch, rounds):
-        # reference: every path keeps its row, updated through an index
-        monkeypatch.setattr(firstexit, "_MAX_ROUNDS", rounds)
+    @pytest.mark.parametrize("n", [30, 200_000])
+    def test_compacted_paths_give_the_bits_of_indexed_updates(self, n):
+        # reference: every path keeps its row, updated through an index;
+        # a small batch and one large enough for a long tail of open paths
         gen = GaussianStream(8344).generator()
-        x = np.zeros((600, 3))
+        x = np.zeros((n, 3))
         x[:, 0] = 2.0
-        hit = np.zeros(600, dtype=bool)
-        open_paths = np.arange(600)
+        hit = np.zeros(n, dtype=bool)
+        open_paths = np.arange(n)
         snap = firstexit._SNAP_FRACTION * 7.0
-        for _ in range(rounds):
+        while open_paths.size:
             r = np.linalg.norm(x[open_paths], axis=1)
             done = (r - 1.0 <= snap) | (8.0 - r <= snap)
             hit[open_paths[done]] = (r - 1.0 <= 8.0 - r)[done]
             open_paths, r = open_paths[~done], r[~done]
-            if open_paths.size == 0:
-                break
-            sd = 0.2 * np.minimum(r - 1.0, 8.0 - r)
-            x[open_paths] += sd[:, None] * gen.normal(size=(open_paths.size, 3))
-        else:
-            r = np.linalg.norm(x[open_paths], axis=1)
-            hit[open_paths] = r - 1.0 <= 8.0 - r
-        assert mc_radial_hitting(2.0, 1.0, 8.0, dim=3, n_paths=600,
+            step = gen.normal(size=(open_paths.size, 3))
+            d = np.minimum(r - 1.0, 8.0 - r)
+            x[open_paths] += (d / np.linalg.norm(step, axis=1))[:, None] * step
+        assert mc_radial_hitting(2.0, 1.0, 8.0, dim=3, n_paths=n,
                                  stream=GaussianStream(8344)) == \
-            (float(hit.mean()), float(hit.std(ddof=1) / math.sqrt(600)))
+            (float(hit.mean()), float(hit.std(ddof=1) / math.sqrt(n)))
+
+    def test_one_dimensional_walk_lands_on_a_sphere_in_one_jump(self):
+        # from 2 on (1, 3) the sphere of radius 1 is the pair {1, 3}: each
+        # path jumps once, to the inner end exactly when its normal is negative
+        n = 2000
+        p, se = mc_radial_hitting(2.0, 1.0, 3.0, dim=1, n_paths=n,
+                                  stream=GaussianStream(8345))
+        negative = GaussianStream(8345).generator().normal(size=n) < 0.0
+        assert p == float(negative.mean())
+        assert se == float(negative.std(ddof=1) / math.sqrt(n))
+
+    def test_rejects_an_infinite_outer_radius(self):
+        # an infinite snap distance would close every path at once
+        with pytest.raises(ValueError, match="r_outer"):
+            mc_radial_hitting(2.0, 1.0, math.inf, dim=3, n_paths=100,
+                              stream=GaussianStream(1))
 
     def test_reproducible(self):
         a = mc_radial_hitting(2.0, 1.0, 8.0, dim=3, n_paths=500,
@@ -737,6 +749,12 @@ class TestBallClosedForms:
     def test_shell_formula_approaches_infinite_limit(self):
         finite = shell_hitting_probability(1.0, 1e9, 2.0, 3)
         assert finite == pytest.approx(ball_hitting_probability(1.0, 2.0, 3), abs=1e-8)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_infinite_shell_is_the_ball_limit(self, n):
+        # in one and two dimensions phi(inf) is infinite: recurrence gives 1
+        assert shell_hitting_probability(1.0, math.inf, 2.0, n) == \
+            ball_hitting_probability(1.0, 2.0, n)
 
     @given(st.floats(1.5, 10.0), st.floats(11.0, 50.0))
     def test_shell_probability_decreases_with_start_radius(self, r1, r_outer):
