@@ -537,6 +537,8 @@ def shell_hitting_probability(r_inner: float, r_outer: float, r: float, n: int) 
     """
     if not 0.0 < r_inner < r < r_outer:
         raise ValueError(f"need 0 < r_inner < r < r_outer, got {(r_inner, r, r_outer)}")
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
     if n <= 2 and r_outer == math.inf:
         return 1.0  # recurrence: phi(r_outer) is infinite
     if n == 1:

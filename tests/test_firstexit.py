@@ -766,6 +766,12 @@ class TestBallClosedForms:
         with pytest.raises(ValueError):
             shell_hitting_probability(2.0, 1.0, 1.5, 3)
 
+    @pytest.mark.parametrize("r_outer", [2.0, math.inf])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_shell_rejects_a_dimension_below_one(self, n, r_outer):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            shell_hitting_probability(1.0, r_outer, 1.5, n)
+
 
 class TestGbmExit:
     def test_scale_function_solves_the_ode_symbolically(self):

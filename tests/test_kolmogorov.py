@@ -346,11 +346,32 @@ BOUNDARIES = ["neumann_zero", "dirichlet_zero"]
 class TestOneFactorisation:
     """The stepper against one ``solve_banded`` call per step.
 
-    Vectors are stepped with the same eliminations, so they match to the
-    bit; kernels are a power of the resolvent, so their entries match to
-    a tolerance set from the rounding of about 14 products of
-    non-negative 121 x 121 matrices (a few 1e-14 each).
+    Vectors on a generator in detailed balance step through the LDL^T
+    factors of the symmetrised ``I - dt L``: the same solves in another
+    order of rounding, so their entries match to a relative tolerance set
+    from measurement (at most 2.1e-14 after 70 steps at 300 cells, against
+    about 3.4e-14 for either route from an extended-precision solve).
+    That difference grows with the range of the scales, to a few 1e-13 at
+    hundreds of e-folds.  Vectors that only the LU takes, a
+    ``dirichlet_zero`` solve among them, match to the bit.  Kernels are a
+    power of the resolvent, so their entries match to a tolerance set from
+    the rounding of about 14 products of non-negative 121 x 121 matrices
+    (a few 1e-14 each).
     """
+
+    @staticmethod
+    def routes(monkeypatch) -> list:
+        """Record, per vector solve, whether the LDL^T route applied."""
+        taken = []
+        symmetrize = kolmogorov._symmetrize
+
+        def spy(banded):
+            found = symmetrize(banded)
+            taken.append(found is not None)
+            return found
+
+        monkeypatch.setattr(kolmogorov, "_symmetrize", spy)
+        return taken
 
     @pytest.mark.parametrize("bc", BOUNDARIES)
     def test_kernel_matches_the_banded_loop(self, monkeypatch, bc):
@@ -369,10 +390,13 @@ class TestOneFactorisation:
 
     @pytest.mark.parametrize("bc", BOUNDARIES)
     def test_vector_solves_match_the_banded_loop(self, monkeypatch, bc):
+        # dirichlet_zero's zeroed edge rows are one-way faces: the LU, to the bit
+        ldlt = bc == "neumann_zero"
         grid = Grid1D(-3.0, 3.0, 300)
         model = ou_model(rate=0.8, noise=0.9)
         phi = np.exp(-grid.nodes**2)
         start = delta_field(grid, 0.5)
+        routes = self.routes(monkeypatch)
         runs = []
         for evolve in (kolmogorov._evolve, banded_stepping):
             monkeypatch.setattr(kolmogorov, "_evolve", evolve)
@@ -380,8 +404,58 @@ class TestOneFactorisation:
             rho = solve_fokker_planck(model, start, 0.7, 0.01, bc=bc).values
             runs.append((u, rho))
         (u, rho), (u_ref, rho_ref) = runs
-        np.testing.assert_array_equal(u, u_ref)
-        np.testing.assert_array_equal(rho, rho_ref)
+        assert routes == [ldlt, ldlt]
+        rtol = 1e-12 if ldlt else 0.0
+        np.testing.assert_allclose(u, u_ref, rtol=rtol, atol=0.0)
+        np.testing.assert_allclose(rho, rho_ref, rtol=rtol, atol=0.0)
+
+    @pytest.mark.parametrize("adjoint", [True, False])
+    @pytest.mark.parametrize("rate", [15.0, 25.0], ids=["range-270", "range-450"])
+    def test_vector_solves_near_the_scale_range_match_the_banded_loop(
+            self, monkeypatch, adjoint, rate):
+        # ln(max d / min d) is about 270 and 450, against a limit of 460;
+        # the largest relative difference measured was 4.7e-13 and 1.2e-13
+        grid = Grid1D(-3.0, 3.0, 300)
+        banded_a = kolmogorov._generator(ou_model(rate=rate, noise=0.5), grid,
+                                         BoundaryCondition.NEUMANN_ZERO, adjoint)
+        start = np.exp(-((grid.nodes - 0.5) / 0.4) ** 2)
+        routes = self.routes(monkeypatch)
+        u = kolmogorov._evolve(banded_a, start, 70, 0.01)
+        assert routes == [True]
+        np.testing.assert_allclose(u, banded_stepping(banded_a, start, 70, 0.01),
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("bc", BOUNDARIES)
+    @pytest.mark.parametrize("adjoint", [True, False])
+    @pytest.mark.parametrize("model", [
+        # D = 0 and f = 0 at the node x = 0: a one-way face
+        SdeModel.scalar(lambda x: -0.8 * x, lambda x: 0.9 * x),
+        # ln(max d / min d) is about 1800, past the scale range
+        ou_model(rate=100.0, noise=0.5),
+    ], ids=["one-way-face", "scale-range"])
+    def test_lu_only_generators_keep_the_bits_of_the_banded_loop(
+            self, monkeypatch, bc, adjoint, model):
+        grid = Grid1D(-3.0, 3.0, 300)
+        bc = BoundaryCondition(bc)
+        banded_a = kolmogorov._generator(model, grid, bc, adjoint)
+        start = np.exp(-((grid.nodes - 0.5) / 0.4) ** 2)
+        start[[0, -1]] = 0.0
+        routes = self.routes(monkeypatch)
+        u = kolmogorov._evolve(banded_a, start, 20, 0.01)
+        assert routes == [False]
+        np.testing.assert_array_equal(u, banded_stepping(banded_a, start, 20, 0.01))
+
+    def test_an_indefinite_symmetrised_matrix_keeps_the_bits_of_the_banded_loop(
+            self, monkeypatch):
+        # off-diagonal pairs of one sign, but a negative diagonal in I - dt A:
+        # dpttrf rejects T, and the LU steps it
+        banded_a = np.zeros((3, 50))
+        banded_a[0, 1:], banded_a[1], banded_a[2, :-1] = -1.0, 300.0, -2.0
+        start = np.linspace(1.0, 2.0, 50)
+        routes = self.routes(monkeypatch)
+        u = kolmogorov._evolve(banded_a, start, 3, 0.01)
+        assert routes == [False]
+        np.testing.assert_array_equal(u, banded_stepping(banded_a, start, 3, 0.01))
 
     def test_the_identity_is_not_multiplied_into_the_power(self):
         # a zero column appended to the identity takes the dense product;
