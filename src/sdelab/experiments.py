@@ -1281,7 +1281,7 @@ _register(Experiment(
         _p("n_paths", "int", 10_000, "Monte Carlo sample size", minimum=2),
         _p("h", "float", 1e-3, "Euler-Maruyama step", minimum=0, exclusive=True),
         _p("a", "float", 1.0, "interval half-width", minimum=0, exclusive=True),
-        _p("lambdas", "floats", (0.5, 1.0, 2.0), "Laplace parameters"),
+        _p("lambdas", "floats", (0.5, 1.0, 2.0), "Laplace parameters", minimum=0),
         _p("t_max", "float", 40.0, "censoring horizon", minimum=0, exclusive=True),
     ),
     _run_feynman_kac,
@@ -1375,7 +1375,8 @@ _register(Experiment(
         _p("potential", "potential", "x^4/4 - x^2/2", "potential U(x)"),
         _p("x_star", "float", -1.0, "attractor (equilibrium of -U')"),
         _p("y", "float", 0.0, "target point"),
-        _p("horizons", "floats", (1.0, 2.0, 3.0, 5.0), "travel times"),
+        _p("horizons", "floats", (1.0, 2.0, 3.0, 5.0), "travel times",
+           minimum=0, exclusive=True),
         _p("n_steps", "int", 400, "path discretization", minimum=8),
         _p("tol", "float", 1e-8, "gradient tolerance", minimum=0, exclusive=True),
         _p("max_iter", "int", 500, "iteration budget", minimum=1),
@@ -1390,7 +1391,8 @@ _register(Experiment(
         _p("potential", "potential", "x^2/2", "potential U(x)"),
         _p("a", "float", -1.0, "left boundary"),
         _p("b", "float", 1.0, "right boundary"),
-        _p("eps", "floats", (0.25, 0.167, 0.125), "noise levels"),
+        _p("eps", "floats", (0.25, 0.167, 0.125), "noise levels", minimum=0,
+           exclusive=True),
         _p("n_paths", "int", 1000, "paths per noise level", minimum=2),
         _p("h", "float", 5e-3, "Euler-Maruyama step", minimum=0, exclusive=True),
         _p("t_max", "float", 5e4, "censoring horizon", minimum=0, exclusive=True),

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sde import (_WINDOW_ROW_STEPS, BlowUpError, GaussianStream, SdeModel,
-                  TimeGrid, _AddressedDraws, _em_path, _wiener_windows)
+                  TimeGrid, _AddressedDraws, _em_path, _em_windows)
 
 __all__ = [
     "Domain",
@@ -690,16 +690,14 @@ def arcsine_occupation(n_paths: int, grid: TimeGrid, stream: GaussianStream) -> 
 
     The occupation integral uses left endpoints on the simulation grid, so
     each sample lies on ``{0, 1/n, ..., 1}``; the discretisation bias of
-    the resulting CDF is O(n_steps^{-1/2}).  Each window of Brownian nodes
-    is reduced to integer counts of positive nodes as it is drawn, so only
-    one window is held, not the whole path; the samples have the bits of
-    the mean over the whole path.
+    the resulting CDF is O(n_steps^{-1/2}).  Each window of the one ensemble
+    loop ``sde._em_windows`` on ``SdeModel.brownian()`` is reduced to integer
+    counts of positive nodes as it is drawn, so only one window is held, not
+    the whole path; the samples have the bits of the mean over the whole path.
     """
     positive = np.zeros(n_paths, dtype=np.int64)
-    for j, nodes in _wiener_windows(grid, stream, n_paths):
-        if j + len(nodes) == grid.n_steps:
-            nodes = nodes[:-1]  # the last node starts no step
-        positive += np.count_nonzero(nodes > 0.0, axis=0)
+    for _, path in _em_windows(SdeModel.brownian(), 0.0, grid, n_paths, stream):
+        positive += np.count_nonzero(path[:-1] > 0.0, axis=(0, 2))
     return np.sort(positive / grid.n_steps)
 
 

@@ -152,11 +152,13 @@ def _drift(U: Callable) -> Callable:
 
 
 def _hessian(U: Callable, x: np.ndarray) -> np.ndarray:
-    """Hessian of ``U(*x)``: the exact ``U''`` of a 1-D :class:`Expression`,
-    else central differences of the central-difference gradient."""
-    drift = _drift(U)
-    if x.size == 1 and isinstance(drift, Expression):
-        return np.reshape((-drift.derivative())(x), (1, 1))
+    """Hessian of ``U(*x)``: the exact ``U''`` of a 1-D :class:`Expression` with no
+    ``x`` in an exponent, else central differences of the central-difference gradient."""
+    if x.size == 1 and isinstance(U, Expression):
+        try:
+            return np.reshape(U.derivative().derivative()(x), (1, 1))
+        except ValueError:
+            pass  # no logarithm in the grammar: fall back to differences
     grad = lambda y: np.array(_central_differences(lambda z: U(*z), y, y.size))
     return np.array(_central_differences(grad, x, x.size))
 

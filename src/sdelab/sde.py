@@ -6,11 +6,11 @@ path construction and the Euler-Maruyama scheme.  Every Euler-Maruyama
 step in the package is taken in ``_em_path``, a window of steps at a
 time, with the bits of one step at a time: as arrays, or, in a narrow
 window of a 1-D state with an expression drift, path by path on Python
-floats, which round as the array step does.  Brownian paths and
-Euler-Maruyama ensembles are generated by one window loop each
-(``_wiener_windows`` and ``_em_windows``): ``sample_wiener`` and
-``euler_maruyama_ensemble`` collect the windows into one array, and an
-estimator that needs a few numbers per path reduces each window as it
+floats, which round as the array step does.  Ensembles are generated by
+one window loop, ``_em_windows``; a Brownian path is its case
+``SdeModel.brownian()``, with one column per path.  ``sample_wiener``
+and ``euler_maruyama_ensemble`` collect the windows into one array, and
+an estimator that needs a few numbers per path reduces each window as it
 arrives, in memory O(paths x window).
 
 All randomness is drawn from a :class:`GaussianStream`, a thin wrapper
@@ -220,8 +220,8 @@ class SdeModel:
         of shape ``(..., n, k)``, or the constant ``(n, k)`` matrix ``g``
         itself.  A matrix is stored read-only as :attr:`constant_dispersion`
         (which takes no part in equality or hashing), and ``dispersion``
-        becomes its broadcast over the batch axes.  The Euler-Maruyama step
-        and the exit drivers use a constant ``g`` directly.
+        becomes its broadcast over the batch axes (:attr:`identity_dispersion`
+        marks ``g = I``); the Euler-Maruyama step and exit drivers use ``g`` directly.
 
     A gradient system ``dX = -grad U dt + sqrt(2) dW`` in ``n`` dimensions
     is ``SdeModel(n, n, drift, math.sqrt(2) * np.eye(n))``; with this
@@ -235,6 +235,7 @@ class SdeModel:
     dispersion: DispersionFn | np.ndarray
     constant_dispersion: np.ndarray | None = field(init=False, compare=False,
                                                    repr=False)
+    identity_dispersion: bool = field(init=False, default=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dim_state < 1 or self.dim_noise < 1:
@@ -251,6 +252,7 @@ class SdeModel:
                 raise ValueError(f"a constant dispersion must be finite, got {g.tolist()}")
             g.flags.writeable = False
             object.__setattr__(self, "dispersion", partial(_broadcast_dispersion, g))
+            object.__setattr__(self, "identity_dispersion", np.array_equal(g, np.eye(len(g))))
         object.__setattr__(self, "constant_dispersion", g)
 
     def diffusion_matrix(self, x: np.ndarray) -> np.ndarray:
@@ -282,7 +284,7 @@ class SdeModel:
         return cls(dim, dim, _zero_drift, np.eye(dim))
 
 
-# row-steps per window of Euler-Maruyama or Brownian steps: on the perfbench probes
+# row-steps per window of Euler-Maruyama steps: on the perfbench probes
 # 1024 (one-step windows at 1000 rows) was slower than per-step checks, and the gain
 # levels off at 32768, whose 256 KB buffers per state dimension stay in cache
 _WINDOW_ROW_STEPS = 32768
@@ -299,50 +301,15 @@ _SCALAR_ROWS = 16
 def sample_wiener(grid: TimeGrid, stream: GaussianStream, dim: int = 1) -> WienerPath:
     """Sample a Brownian path on ``grid`` by accumulating N(0, dt) increments.
 
-    The path is collected from :func:`_wiener_windows`; a caller that
-    reduces the path node by node can iterate the windows instead and hold
-    one window, not the whole ``(n_nodes, dim)`` array.
+    The ``dim`` columns are ``SdeModel.brownian()`` paths from the one ensemble loop
+    :func:`_em_windows`, which a caller that reduces them node by node iterates instead.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     values = np.zeros((grid.n_nodes, dim))
-    for j, nodes in _wiener_windows(grid, stream, dim):
-        values[j + 1:j + 1 + len(nodes)] = nodes
+    for j, path in _em_windows(SdeModel.brownian(), 0.0, grid, dim, stream):
+        values[j + 1:j + len(path)] = path[1:, :, 0]
     return WienerPath(grid, values)
-
-
-def _wiener_windows(grid: TimeGrid, stream: GaussianStream, dim: int):
-    """The one Brownian loop: yields ``(j, nodes)``, the values at nodes
-    ``j + 1 .. j + w`` of a ``dim``-column path that starts at zero.
-
-    Each window draws ``_WINDOW_ROW_STEPS // dim`` steps (at least one) with
-    ``standard_normal(out=...)``, scales them by ``sqrt(dt)``, adds the
-    carried last node to its first row and sums it in place: by ``cumsum``,
-    or row by row where the window has no more rows than columns.  Windowed
-    draws from one generator are one draw, and either running sum adds each
-    row to the one before it, so the nodes have the bits of one draw and
-    one ``cumsum``.  The window is a buffer that the next window overwrites.
-    """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    rng = stream.generator()
-    sqrt_dt = math.sqrt(grid.dt)
-    window = max(1, _WINDOW_ROW_STEPS // dim)
-    buffer = np.empty((min(window, grid.n_steps), dim))
-    last = np.zeros(dim)
-    for j in range(0, grid.n_steps, window):
-        nodes = buffer[:min(window, grid.n_steps - j)]
-        rng.standard_normal(out=nodes)
-        nodes *= sqrt_dt
-        if j:
-            nodes[0] += last
-        if len(nodes) > dim:
-            np.cumsum(nodes, axis=0, out=nodes)
-        else:  # along a short axis cumsum runs one inner loop per column
-            for i in range(1, len(nodes)):
-                nodes[i] += nodes[i - 1]
-        last[:] = nodes[-1]
-        yield j, nodes
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +324,8 @@ def _disperse(g: np.ndarray, dw: np.ndarray) -> np.ndarray:
 def _em_path(model: SdeModel, x: np.ndarray, dt: float, dw: np.ndarray) -> np.ndarray:
     """The one Euler-Maruyama loop: ``(w + 1,) + x.shape`` states from ``x`` over
     step-major noise ``dw`` of shape ``(w,) + batch + (k,)``.  A constant ``g``
-    multiplies the window's noise at once; each step's rows are contiguous,
-    so ``einsum`` sums them in the per-step order.
+    multiplies the window's noise at once, where ``einsum`` sums each step's
+    contiguous rows in the per-step order; an identity ``g`` is skipped.
 
     A window of at most ``_SCALAR_ROWS`` rows of a 1-D state with a constant
     ``g``, whose drift is zero or an :class:`~sdelab.expr.Expression` that
@@ -369,7 +336,8 @@ def _em_path(model: SdeModel, x: np.ndarray, dt: float, dw: np.ndarray) -> np.nd
     path = np.empty((dw.shape[0] + 1,) + x.shape)
     path[0] = x
     g = model.constant_dispersion
-    g_dw_w = None if g is None else _disperse(g, dw)
+    # skipping g = I pays: at 40 000 rows einsum with a 1x1 g costs three multiplies
+    g_dw_w = None if g is None else dw if model.identity_dispersion else _disperse(g, dw)
     f = getattr(model.drift, "_on_floats", None)  # set on an Expression
     if (g is not None and model.dim_state == 1 and x.size <= _SCALAR_ROWS
             and (f is not None or model.drift is _zero_drift)):
@@ -428,19 +396,21 @@ def _em_windows(model: SdeModel, x0, grid: TimeGrid, n_paths: int,
     of shape ``(w + 1, n_paths, dim_state)`` at nodes ``j .. j + w``.
 
     The noise is one ``(n_paths, dim_noise)`` draw per step, taken a window
-    of ``_WINDOW_ROW_STEPS // n_paths`` steps (at least one) at a time.  A
-    window with a non-finite state raises :class:`BlowUpError` at its step.
+    of ``_WINDOW_ROW_STEPS // n_paths`` steps (at least one) at a time into
+    one buffer, scaled in place: the bits of one ``normal(0, sqrt(dt))`` draw.
+    A window with a non-finite state raises :class:`BlowUpError` at its step.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     rng = stream.generator()
     dt = grid.dt
-    sqrt_dt = math.sqrt(dt)
     window = max(1, _WINDOW_ROW_STEPS // n_paths)
+    buffer = np.empty((min(window, grid.n_steps), n_paths, model.dim_noise))
     x = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, model.dim_state))
     for j in range(0, grid.n_steps, window):
-        dw = rng.normal(0.0, sqrt_dt,
-                        size=(min(window, grid.n_steps - j), n_paths, model.dim_noise))
+        dw = buffer[:min(window, grid.n_steps - j)]
+        rng.standard_normal(out=dw)
+        dw *= math.sqrt(dt)
         path = _em_path(model, x, dt, dw)
         _raise_blow_up(path, grid, j)
         x = path[-1]

@@ -306,6 +306,16 @@ growth = 0.07
             "[experiment]\nname = arcsine-law\n[parameters]\nn_paths = 9\n")
         assert base.config_hash != other.config_hash
 
+    @pytest.mark.parametrize("name, key, value", [
+        ("feynman-kac-interval", "lambdas", "-1"),
+        ("arrhenius-well", "eps", "0.25, 0.1, -0.1"),
+        ("quasipotential-double-well", "horizons", "-1, 2"),
+    ])
+    def test_list_parameters_are_bounded_at_config_time(self, name, key, value):
+        # a bad item fails the config (status 2), not the run (status 1)
+        with pytest.raises(ConfigError, match=f"parameter '{key}' must be"):
+            parse_config(f"[experiment]\nname = {name}\n[parameters]\n{key} = {value}\n")
+
     def test_unknown_section_is_rejected(self):
         with pytest.raises(ConfigError, match="unknown section"):
             parse_config("[experiment]\nname = arcsine-law\n[plotting]\na=1\n")

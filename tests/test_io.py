@@ -227,6 +227,18 @@ def test_only_sde_applies_the_euler_maruyama_update():
             if set(found) - {"_em_path"}} == {}
 
 
+def test_only_em_windows_and_mc_exit_call_the_euler_maruyama_loop():
+    # ``sde._em_windows`` steps ensembles and Brownian paths through ``_em_path``,
+    # and ``mc_exit`` steps exits through it; a third caller would be a second
+    # loop from noise to paths
+    uses = _package_uses(_owner_uses(("_em_path",)))
+    assert uses.pop("sde.py") == ["_em_windows._em_path"], \
+        "the guard no longer sees sde's own call"
+    assert uses.pop("firstexit.py") == ["<module>._em_path", "mc_exit._em_path"], \
+        "the guard no longer sees firstexit's own import and call"
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
 def _bit_generator_uses(tree: ast.AST) -> list[str]:
     """Every name, attribute or import of numpy's Philox, seeding or bit generators."""
     names = ("Philox", "SeedSequence", "bit_generator")

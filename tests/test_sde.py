@@ -119,7 +119,8 @@ def test_windowed_wiener_equals_one_draw(monkeypatch, row_steps, dim, n_steps):
     monkeypatch.setattr(sde, "_WINDOW_ROW_STEPS", row_steps)
     grid = TimeGrid(0.0, 1.3, n_steps)
     window = max(1, row_steps // dim)
-    starts = [j for j, _ in sde._wiener_windows(grid, GaussianStream(33), dim)]
+    starts = [j for j, _ in sde._em_windows(SdeModel.brownian(), 0.0, grid, dim,
+                                            GaussianStream(33))]
     assert starts == list(range(0, n_steps, window))
     steps = GaussianStream(33).generator().standard_normal((n_steps, dim))
     expected = np.vstack([np.zeros((1, dim)), np.cumsum(steps * math.sqrt(grid.dt), axis=0)])
@@ -382,6 +383,34 @@ def test_a_window_that_blows_up_has_the_bits_of_the_array_loop(monkeypatch):
     fast, slow = _both_loops(monkeypatch, model, x, 0.05, dw)
     assert np.isnan(fast[-1]).any() and np.isfinite(fast[-1]).any()
     assert _same_bits(fast, slow)
+
+
+def _disperse_every_step(model, x, dt, dw):
+    """The array step with ``g dW`` taken by ``_disperse``, as for any constant ``g``."""
+    path = [x]
+    for noise in dw:
+        if model.drift is not sde._zero_drift:
+            x = x + model.drift(x) * dt
+        x = x + sde._disperse(model.constant_dispersion, noise)
+        path.append(x)
+    return np.array(path)
+
+
+@pytest.mark.parametrize("model", [
+    SdeModel.brownian(1), SdeModel.brownian(2),
+    SdeModel(1, 1, parse_expression("-2*x"), [[1.0]]),  # OU, sigma = 1
+], ids=["brownian-1", "brownian-2", "ou"])
+@pytest.mark.parametrize("rows", [sde._SCALAR_ROWS, sde._SCALAR_ROWS + 1])
+def test_an_identity_dispersion_adds_the_noise_itself(model, rows):
+    # g = I skips ``_disperse``; on the float loop (at most 16 rows of a 1-D state)
+    # and on the array loop the states keep the bits of g dW
+    assert model.identity_dispersion
+    assert not SdeModel(1, 2, sde._zero_drift, [[1.0, 0.0]]).identity_dispersion
+    rng = np.random.Generator(np.random.Philox(rows))
+    x = rng.uniform(-1.0, 1.0, (rows, model.dim_state))
+    dw = rng.normal(0.0, 0.05, (50, rows, model.dim_noise))
+    np.testing.assert_array_equal(sde._em_path(model, x, 4e-3, dw),
+                                  _disperse_every_step(model, x, 4e-3, dw))
 
 
 def test_mc_exit_is_the_same_on_both_loops(monkeypatch):
