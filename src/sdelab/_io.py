@@ -45,11 +45,6 @@ def write_json(path, obj) -> None:
         encoding="utf-8")
 
 
-def read_json(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def write_csv(path, header: Sequence[str], rows: Iterable) -> None:
     """Write ``rows`` under ``header``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:

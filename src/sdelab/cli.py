@@ -1,17 +1,15 @@
 """Command-line front end for the experiment runner.
 
-Three subcommands::
+Two subcommands::
 
     sdelab run --config exp.ini [--seed N] [--out DIR] [--threads K]
     sdelab list
-    sdelab plot-data RUN_DIR
 
 ``run`` executes one configured experiment and writes its artifacts
 under the output root (flag, then the ``SDELAB_OUT`` environment
 variable, then ``./runs``).  Exit codes: 0 success, 1 runtime failure,
 2 configuration problem, 3 finished but missed a gate, and ``run``
-names each missed gate.  ``list`` prints the experiment registry;
-``plot-data`` reshapes a finished run directory into plot-ready CSVs.
+names each missed gate.  ``list`` prints the experiment registry.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import sys
 from .experiments import (
     ConfigError,
     DEFAULT_OUT_ENV,
-    emit_plot_data,
     list_experiments,
     run,
 )
@@ -49,10 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            "(results do not depend on this)")
 
     sub.add_parser("list", help="list the experiment registry")
-
-    plotp = sub.add_parser(
-        "plot-data", help="emit plot-ready CSVs from a finished run directory")
-    plotp.add_argument("run_dir", help="directory written by 'sdelab run'")
     return parser
 
 
@@ -78,30 +71,18 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_plot_data(args) -> int:
-    for path in emit_plot_data(args.run_dir):
-        print(path)
-    return 0
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "list":
-            return _cmd_list()
-        return _cmd_plot_data(args)
+        return _cmd_list()
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except Exception as err:  # noqa: BLE001 - the CLI boundary reports, not raises
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -83,14 +83,6 @@ class DiscreteKernel:
         if not self.substochastic and np.any(np.abs(sums - 1.0) > 1e-9):
             raise ValueError("rows of a stochastic kernel must sum to one")
 
-    @property
-    def n_states(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        """Right action on functions: ``(P f)(x) = sum_y p(x, y) f(y)``."""
-        return self.matrix @ np.asarray(f, dtype=float)
-
     def apply_adjoint(self, mu: np.ndarray) -> np.ndarray:
         """Left action on measures: ``(mu P)(y) = sum_x mu(x) p(x, y)``."""
         return np.asarray(mu, dtype=float) @ self.matrix

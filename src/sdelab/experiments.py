@@ -22,9 +22,8 @@ per-experiment schema; model presets (``bm``, ``ou``, ``gbm``,
 :class:`ParameterSpec` rules.  A configuration is checked once, when its
 :class:`ExperimentConfig` or :class:`ModelSpec` is built, so a
 ``ModelSpec`` built in Python hashes like its config-file spelling.
-:func:`run` drives an experiment from a config file, :func:`execute`
-runs one in-process, and :func:`emit_plot_data` reshapes a finished run
-directory into plot-ready CSVs.
+:func:`run` drives an experiment from a config file, and :func:`execute`
+runs one in-process.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import __version__
-from ._io import jsonable, read_json, sha256, write_csv, write_json
+from ._io import jsonable, sha256, write_csv, write_json
 from .expr import Expression, ExpressionError, parse_expression
 from .firstexit import (
     Domain,
@@ -94,7 +93,6 @@ __all__ = [
     "load_config",
     "parse_config",
     "run",
-    "emit_plot_data",
 ]
 
 DEFAULT_OUT_ENV = "SDELAB_OUT"
@@ -572,7 +570,6 @@ class RunManifest:
     BLAS and the platform, since the bytes depend on numpy's samplers and
     kernels and, for transition kernels, on BLAS matrix products and so
     on the BLAS thread variables, also named (``None`` where unset).
-    Manifests written without it load with an empty mapping.
     """
 
     experiment: str
@@ -583,7 +580,7 @@ class RunManifest:
     threads: int
     outputs: Mapping[str, str]
     flags: tuple[str, ...]
-    environment: Mapping[str, str | None] = field(default_factory=dict)
+    environment: Mapping[str, str | None]
 
     def save(self, path) -> None:
         write_json(path, {
@@ -597,14 +594,6 @@ class RunManifest:
             "flags": list(self.flags),
             "environment": dict(sorted(self.environment.items())),
         })
-
-    @classmethod
-    def load(cls, path) -> "RunManifest":
-        data = read_json(path)
-        return cls(data["experiment"], data["config_hash"],
-                   data["artifact_version"], data["created_utc"],
-                   data["seed"], data["threads"], data["outputs"],
-                   tuple(data["flags"]), data.get("environment", {}))
 
 
 @dataclass
@@ -679,47 +668,6 @@ def run(config, *, seed: int | None = None, out=None,
     )
     manifest.save(run_dir / "manifest.json")
     return RunResult(3 if outcome.flags else 0, run_dir, manifest, outcome)
-
-
-def emit_plot_data(run_dir) -> list[Path]:
-    """Reshape a finished run directory into plot-ready CSVs.
-
-    Copies every tidy data table into ``plots/`` and derives
-    ``summary_points.csv`` pairing each numeric summary quantity with its
-    standard error (``<name>_std_error``) and reference value
-    (``<name>_target``) where present.  Raises ``FileNotFoundError`` for
-    directories that do not contain a run.
-    """
-    run_dir = Path(run_dir)
-    manifest_path = run_dir / "manifest.json"
-    if not manifest_path.is_file():
-        raise FileNotFoundError(f"no run manifest found in {run_dir}")
-    manifest = RunManifest.load(manifest_path)
-
-    plots = run_dir / "plots"
-    plots.mkdir(exist_ok=True)
-    written: list[Path] = []
-    for name in sorted(manifest.outputs):
-        if name.endswith(".csv"):
-            target = plots / name
-            target.write_bytes((run_dir / name).read_bytes())
-            written.append(target)
-
-    summary = read_json(run_dir / "result.json")["summary"]
-    rows = []
-    for key in sorted(summary):
-        value = summary[key]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            continue
-        if key.endswith("_std_error") or key.endswith("_target"):
-            continue
-        rows.append((key, float(value),
-                     *("" if summary.get(k) is None else float(summary[k])
-                       for k in (f"{key}_std_error", f"{key}_target"))))
-    target = plots / "summary_points.csv"
-    write_csv(target, ("quantity", "value", "std_error", "target"), rows)
-    written.append(target)
-    return written
 
 
 # ---------------------------------------------------------------------------

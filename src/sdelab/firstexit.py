@@ -55,6 +55,11 @@ __all__ = [
 ]
 
 
+def _check_radius(radius: float) -> None:
+    if not 0 < radius < math.inf:
+        raise ValueError(f"ball radius must be positive and finite, got {radius}")
+
+
 @dataclass(frozen=True, eq=False)
 class Domain:
     """Open subset of R^n with a vectorised distance to its boundary.
@@ -77,8 +82,7 @@ class Domain:
 
     @classmethod
     def ball(cls, radius: float, center=None, *, dim: int | None = None) -> "Domain":
-        if not 0 < radius < math.inf:
-            raise ValueError(f"ball radius must be positive and finite, got {radius}")
+        _check_radius(radius)
         if center is None:
             center = np.zeros(dim if dim is not None else 1)
         center = np.atleast_1d(np.asarray(center, dtype=float))
@@ -502,6 +506,7 @@ def mc_radial_hitting(r_start: float, r_inner: float, r_outer: float, dim: int,
 
 def ball_exit_expectation(radius: float, x, n: int) -> float:
     """Mean exit time ``(R^2 - |x|^2)/n`` of n-dim Brownian motion from a ball."""
+    _check_radius(radius)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     norm2 = float(np.sum(x * x))
     if norm2 >= radius**2:
@@ -517,6 +522,7 @@ def ball_hitting_probability(radius: float, x, n: int) -> float:
     Equals 1 in dimensions one and two (recurrence) and ``(R/|x|)^{n-2}``
     for ``n > 2`` (transience).
     """
+    _check_radius(radius)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     dist = float(np.linalg.norm(x))
     if dist <= radius:

@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import sdelab
+from sdelab import cli
 from sdelab.cli import main
 
 
@@ -195,21 +198,6 @@ class TestRun:
             == [f"  missed its gate: {flag}" for flag in payload["flags"]]
 
 
-class TestPlotData:
-    def test_emits_csvs_for_a_finished_run(self, quick_config, tmp_path, capsys):
-        out = tmp_path / "results"
-        main(["run", "--config", str(quick_config), "--out", str(out)])
-        capsys.readouterr()
-        assert main(["plot-data", str(out / "sample-paths")]) == 0
-        printed = capsys.readouterr().out
-        assert "summary_points.csv" in printed
-        assert (out / "sample-paths" / "plots" / "moments.csv").is_file()
-
-    def test_missing_run_directory_exits_one(self, tmp_path, capsys):
-        assert main(["plot-data", str(tmp_path / "never")]) == 1
-        assert "manifest" in capsys.readouterr().err
-
-
 class TestUsage:
     def test_no_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as info:
@@ -220,3 +208,18 @@ class TestUsage:
         with pytest.raises(SystemExit) as info:
             main(["run"])
         assert info.value.code == 2
+
+    def test_an_unknown_subcommand_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as info:
+            main(["plot-data", "x"])
+        assert info.value.code == 2
+
+    def test_readme_and_docstring_name_the_accepted_subcommands(self):
+        action = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        named = re.compile(r"^\s*sdelab (\S+)", re.MULTILINE)
+        assert set(named.findall(block)) == set(action.choices)
+        assert set(named.findall(cli.__doc__)) == set(action.choices)

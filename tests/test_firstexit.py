@@ -729,6 +729,9 @@ class TestBallClosedForms:
             ball_exit_expectation(1.0, (1.0, 0.0), 2)
         with pytest.raises(ValueError):
             ball_exit_expectation(1.0, 0.0, 0)
+        for radius in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"radius must be positive and finite, got {radius}"):
+                ball_exit_expectation(radius, [0.0, 0.0], 2)
 
     @given(st.floats(-0.99, 0.99))
     def test_one_dimensional_ball_agrees_with_interval_formula(self, x):
@@ -742,6 +745,9 @@ class TestBallClosedForms:
     def test_hitting_probability_validation(self):
         with pytest.raises(ValueError):
             ball_hitting_probability(1.0, (0.5, 0.0), 3)
+        for radius in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"radius must be positive and finite, got {radius}"):
+                ball_hitting_probability(radius, (2.0, 0.0, 0.0), 3)
 
     def test_shell_formula_frozen_value(self):
         assert shell_hitting_probability(1.0, 64.0, 2.0, 3) == pytest.approx(31.0 / 63.0)

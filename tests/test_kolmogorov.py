@@ -350,9 +350,9 @@ class TestOneFactorisation:
     factors of the symmetrised ``I - dt L``: the same solves in another
     order of rounding, so their entries match to a relative tolerance set
     from measurement (at most 2.1e-14 after 70 steps at 300 cells, against
-    about 3.4e-14 for either route from an extended-precision solve).
-    That difference grows with the range of the scales, to a few 1e-13 at
-    hundreds of e-folds.  Vectors that only the LU takes, a
+    about 3.4e-14 for either route from an extended-precision solve),
+    and it stays below a few 1e-14 up to the limit of the scale range.
+    Vectors that only the LU takes, a
     ``dirichlet_zero`` solve among them, match to the bit.  Kernels are a
     power of the resolvent, so their entries match to a tolerance set from
     the rounding of about 14 products of non-negative 121 x 121 matrices
@@ -380,7 +380,7 @@ class TestOneFactorisation:
         monkeypatch.setattr(kolmogorov, "_evolve", banded_stepping)
         reference = discretize_kernel(ou_model(), grid, 1.0, bc=bc)
         big = reference.matrix > 1e-12
-        assert big.sum() > 10 * reference.n_states
+        assert big.sum() > 10 * reference.matrix.shape[0]
         np.testing.assert_allclose(kernel.matrix[big], reference.matrix[big],
                                    rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(kernel.matrix[~big], reference.matrix[~big],
@@ -414,7 +414,7 @@ class TestOneFactorisation:
     def test_vector_solves_near_the_scale_range_match_the_banded_loop(
             self, monkeypatch, adjoint, rate):
         # ln(max d / min d) is about 270 and 450, against a limit of 460;
-        # the largest relative difference measured was 4.7e-13 and 1.2e-13
+        # the largest relative difference measured was 5.2e-15 and 2.4e-14
         grid = Grid1D(-3.0, 3.0, 300)
         banded_a = kolmogorov._generator(ou_model(rate=rate, noise=0.5), grid,
                                          BoundaryCondition.NEUMANN_ZERO, adjoint)
@@ -424,6 +424,36 @@ class TestOneFactorisation:
         assert routes == [True]
         np.testing.assert_allclose(u, banded_stepping(banded_a, start, 70, 0.01),
                                    rtol=1e-12, atol=0.0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("adjoint", [True, False], ids=["L*", "L"])
+    def test_wide_scale_ranges_solve_to_rounding(self, monkeypatch, adjoint):
+        # at a range of 270, scales that each carried eps |ln d| of error read
+        # 2.6e-13 (L*) and 4.6e-13 (L) here; ratio-consistent ones 4.4e-15
+        # and 3.8e-15, as the LU's 5.9e-15 and 3.6e-15
+        grid = Grid1D(-3.0, 3.0, 300)
+        banded_a = kolmogorov._generator(ou_model(rate=15.0, noise=0.5), grid,
+                                         BoundaryCondition.NEUMANN_ZERO, adjoint)
+        start = np.exp(-((grid.nodes - 0.5) / 0.4) ** 2)
+        routes = self.routes(monkeypatch)
+        u = kolmogorov._evolve(banded_a, start, 70, 0.01)
+        assert routes == [True]
+        # Thomas' algorithm in long double: one elimination, 70 substitutions
+        m = (-0.01 * banded_a).astype(np.longdouble)
+        m[1] += 1
+        pivot, ratio = m[1].copy(), np.zeros(grid.n_nodes - 1, np.longdouble)
+        for i in range(1, grid.n_nodes):
+            ratio[i - 1] = m[2, i - 1] / pivot[i - 1]
+            pivot[i] -= ratio[i - 1] * m[0, i]
+        exact = start.astype(np.longdouble)
+        for _ in range(70):
+            for i in range(1, grid.n_nodes):
+                exact[i] -= ratio[i - 1] * exact[i - 1]
+            exact[-1] /= pivot[-1]
+            for i in range(grid.n_nodes - 2, -1, -1):
+                exact[i] = (exact[i] - m[0, i + 1] * exact[i + 1]) / pivot[i]
+        assert np.max(np.abs((u - exact) / exact)) < 2e-14
 
     @pytest.mark.parametrize("bc", BOUNDARIES)
     @pytest.mark.parametrize("adjoint", [True, False])
