@@ -327,26 +327,30 @@ def _em_path(model: SdeModel, x: np.ndarray, dt: float, dw: np.ndarray) -> np.nd
     multiplies the window's noise at once, where ``einsum`` sums each step's
     contiguous rows in the per-step order; an identity ``g`` is skipped.
 
-    A window of at most ``_SCALAR_ROWS`` rows of a 1-D state with a constant
-    ``g``, whose drift is zero or an :class:`~sdelab.expr.Expression` that
-    runs on Python floats, steps each row as ``v + f(v) * dt + g_dw`` on
-    Python floats, without numpy's cost per call: the IEEE operations of the
-    array step in its order, so the same bits, but for the sign of a NaN.  A
-    division by zero, which raises on floats, redoes the window as arrays."""
+    A window of at most ``_SCALAR_ROWS`` rows with a constant ``g`` skips numpy's
+    cost per step.  With a zero drift it is one ``np.cumsum`` of ``g dW`` down the
+    step axis; with a 1-D state and an :class:`~sdelab.expr.Expression` drift that
+    runs on Python floats, each row steps as ``v + f(v) * dt + g_dw`` on floats.
+    Both take the IEEE operations of the loop in its order, so the same bits, but
+    for the sign of a NaN.  A division by zero, which raises on floats, redoes the
+    window as arrays."""
     path = np.empty((dw.shape[0] + 1,) + x.shape)
     path[0] = x
     g = model.constant_dispersion
     # skipping g = I pays: at 40 000 rows einsum with a 1x1 g costs three multiplies
     g_dw_w = None if g is None else dw if model.identity_dispersion else _disperse(g, dw)
+    narrow = g is not None and len(x) <= _SCALAR_ROWS
+    # wide windows keep the loop: at 8 192 rows x 4 steps the cumsum was 8 times slower
+    if narrow and model.drift is _zero_drift:
+        path[1:] = g_dw_w
+        return np.cumsum(path, axis=0, out=path)
     f = getattr(model.drift, "_on_floats", None)  # set on an Expression
-    if (g is not None and model.dim_state == 1 and x.size <= _SCALAR_ROWS
-            and (f is not None or model.drift is _zero_drift)):
+    if narrow and f is not None and model.dim_state == 1:
         rows, dt = path.reshape(len(path), -1), float(dt)
         try:
             for r, (v, noise) in enumerate(zip(
                     rows[0].tolist(), g_dw_w.reshape(len(dw), -1).T.tolist())):
-                rows[1:, r] = ([v := v + f(v) * dt + e for e in noise] if f
-                               else [v := v + e for e in noise])
+                rows[1:, r] = [v := v + f(v) * dt + e for e in noise]
             return path
         except ZeroDivisionError:
             pass  # numpy divides by zero without raising: step as arrays

@@ -6,8 +6,8 @@ is the package's one on-disk artifact: ``experiments`` writes it, through
 importing ``_io``.  No random numbers are involved in the golden text,
 so any byte that changes here changes the SHA-256 of a run artifact.
 The same kind of guard keeps the thread pool in ``firstexit``, home of
-the only Monte Carlo exit routine, the tridiagonal factorisation in
-``kolmogorov``, home of the only implicit time stepper, the pieces of the
+the only Monte Carlo exit routine, the tridiagonal factorisation and
+eigensolver in ``kolmogorov``, home of the only implicit time stepper, the pieces of the
 Euler-Maruyama update in ``sde``, home of the only Euler-Maruyama loop,
 the pieces of the exit rule in ``firstexit.mc_exit``, the action's
 residuals in ``largedev.fw_rate`` and ``action_gradient``, and the
@@ -203,6 +203,28 @@ def test_only_kolmogorov_factorises_banded_systems():
     uses = _package_uses(_banded_solver_uses)
     assert uses.pop("kolmogorov.py") == ["scipy.linalg.lapack"] * 2, \
         "the guard no longer sees kolmogorov's own imports"
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def _eigen_solver_uses(tree: ast.AST) -> list[str]:
+    """Every import or attribute use of a tridiagonal eigensolver in a module."""
+    names = ("eigh_tridiagonal", "dstebz", "dstein")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if a.name in names]
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            found.append(node.attr)
+    return found
+
+
+def test_only_kolmogorov_solves_tridiagonal_eigenproblems():
+    # kolmogorov._slow_modes gives the slow eigenpairs of the symmetrised
+    # I - dt A; a spectral route elsewhere reuses it rather than grow a
+    # second eigensolver on another symmetrisation
+    uses = _package_uses(_eigen_solver_uses)
+    assert uses.pop("kolmogorov.py") == ["eigh_tridiagonal"], \
+        "the guard no longer sees kolmogorov's own import"
     assert {name: found for name, found in uses.items() if found} == {}
 
 

@@ -85,6 +85,18 @@ class TestGridAndField:
         assert field.mass() == pytest.approx(6.0)
         assert field.normalized().mass() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_field_rejects_a_non_finite_value_by_name(self, bad):
+        with pytest.raises(ValueError, match=f"got {bad} at node 0$"):
+            DensityField(Grid1D(0.0, 1.0, 4), [bad, 1.0, 1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("value", [0.0, 1e308], ids=["zero", "overflow"])
+    def test_normalized_needs_a_positive_finite_mass(self, value):
+        # a mass of 0 gave NaN densities and one of inf gave zeros
+        field = DensityField(Grid1D(0.0, 4.0, 4), np.full(5, value))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="positive, finite mass"):
+            field.normalized()
+
     def test_l1_distance_requires_matching_grids(self):
         a = DensityField(Grid1D(0.0, 1.0, 10), np.ones(11))
         b = DensityField(Grid1D(0.0, 1.0, 20), np.ones(21))
@@ -98,6 +110,11 @@ class TestGridAndField:
         assert grid.nodes[np.argmax(bump.values)] == pytest.approx(0.5, abs=grid.dx)
         with pytest.raises(ValueError):
             delta_field(grid, 17.0)
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.inf, math.nan])
+    def test_delta_field_rejects_a_width_outside_the_positive_reals(self, width):
+        with pytest.raises(ValueError, match=f"width must be finite and positive, got {width}"):
+            delta_field(Grid1D(-4.0, 4.0, 40), 0.5, width=width)
 
 
 def dense(banded: np.ndarray) -> np.ndarray:
@@ -540,6 +557,79 @@ class TestOneFactorisation:
         assert done.returncode == 0
 
 
+class TestSlowModes:
+    """Long-horizon vector solves summed over the slow eigenpairs of the
+    symmetrised ``I - dt A``, against LDL^T stepping.
+
+    The two agree to a relative tolerance set from measurement: at most
+    1.6e-12 entrywise on the OU generators below, at 600 cells over 2 000
+    steps and scale ranges up to e^34.  Short horizons and scale ranges
+    past ``_SPECTRAL_RANGE`` step.
+    """
+
+    @staticmethod
+    def routes(monkeypatch) -> list:
+        """Record, per call of ``_slow_modes``, whether it returned modes."""
+        taken = []
+        slow_modes = kolmogorov._slow_modes
+
+        def spy(*args):
+            found = slow_modes(*args)
+            taken.append(found is not None)
+            return found
+
+        monkeypatch.setattr(kolmogorov, "_slow_modes", spy)
+        return taken
+
+    @staticmethod
+    def stepped(monkeypatch, *args) -> np.ndarray:
+        """``_evolve`` with every symmetrised solve stepped through LDL^T."""
+        with monkeypatch.context() as m:
+            m.setattr(kolmogorov, "_slow_modes", lambda *_: None)
+            return kolmogorov._evolve(*args)
+
+    @pytest.mark.parametrize("adjoint", [True, False], ids=["L*", "L"])
+    @pytest.mark.parametrize("rate, noise", [(1.0, math.sqrt(2.0)), (1.0, 1.0), (1.9, 1.0)],
+                             ids=["range-9", "range-18", "range-34"])
+    def test_slow_modes_match_ldlt_stepping(self, monkeypatch, adjoint, rate, noise):
+        # ln(max d / min d) is 18 rate / noise^2 on [-6, 6]
+        grid = Grid1D(-6.0, 6.0, 600)
+        banded_a = kolmogorov._generator(ou_model(rate, noise), grid, REFLECTING, adjoint)
+        start = np.column_stack([np.exp(-((grid.nodes - 0.5) / 0.7) ** 2),
+                                 np.full(grid.n_nodes, 1.0 / 12.0)])
+        routes = self.routes(monkeypatch)
+        u = kolmogorov._evolve(banded_a, start, 2000, 0.01)
+        assert routes == [True]
+        np.testing.assert_allclose(u, self.stepped(monkeypatch, banded_a, start, 2000, 0.01),
+                                   rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("model, grid, n_steps, modes", [
+        (ou_model(), Grid1D(-6.0, 6.0, 600), 2000, True),
+        (ou_model(), Grid1D(-6.0, 6.0, 600), 70, False),
+        # ln(max d / min d) about 153 and 270: past the spectral range
+        (SdeModel.scalar(lambda x: x - x**3, math.sqrt(2.0)), Grid1D(-6.0, 6.0, 120),
+         2000, False),
+        (ou_model(rate=15.0, noise=0.5), Grid1D(-3.0, 3.0, 300), 2000, False),
+    ], ids=["long", "70-steps", "quartic-121-nodes", "rate-15"])
+    def test_only_long_horizons_at_a_moderate_range_take_the_slow_modes(
+            self, monkeypatch, model, grid, n_steps, modes):
+        banded_a = kolmogorov._generator(model, grid, REFLECTING, adjoint=True)
+        ldlt = TestOneFactorisation.routes(monkeypatch)
+        routes = self.routes(monkeypatch)
+        kolmogorov._evolve(banded_a, np.exp(-grid.nodes**2), n_steps, 0.01)
+        assert ldlt == [True]
+        assert any(routes) == modes
+
+    def test_mass_is_conserved_over_a_long_horizon(self, monkeypatch):
+        # fp-stationarity's relaxation at 2 401 nodes: 8 000 steps
+        grid = Grid1D(-6.0, 6.0, 2400)
+        uniform = DensityField(grid, np.full(grid.n_nodes, 1.0 / 12.0))
+        routes = self.routes(monkeypatch)
+        rho = solve_fokker_planck(gradient_quadratic(), uniform, 20.0, 0.0025)
+        assert routes == [True]
+        assert rho.mass() == pytest.approx(uniform.mass(), rel=1e-11)
+
+
 class TestFokkerPlanck:
     def test_reflecting_boundaries_conserve_mass_to_rounding(self):
         grid = Grid1D(-6.0, 6.0, 600)
@@ -632,6 +722,11 @@ class TestClosedFormDensities:
         assert np.trapezoid(free_bm_density(xs, 0.7), xs) == pytest.approx(1.0)
         with pytest.raises(ValueError):
             free_bm_density(xs, 0.0)
+
+    @pytest.mark.parametrize("t", [0.0, math.inf, math.nan])
+    def test_free_density_rejects_a_time_outside_the_positive_reals(self, t):
+        with pytest.raises(ValueError, match=f"time must be finite and positive, got {t}"):
+            free_bm_density(np.zeros(3), t)
 
     def test_reflected_density_has_full_mass_and_flat_edge(self):
         barrier = 0.8

@@ -413,6 +413,21 @@ def test_an_identity_dispersion_adds_the_noise_itself(model, rows):
                                   _disperse_every_step(model, x, 4e-3, dw))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 4, sde._SCALAR_ROWS])
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "dense"])
+def test_a_narrow_zero_drift_window_is_the_per_step_sum(dim, rows, identity):
+    # one cumsum down the step axis adds g dW in the per-step loop's order
+    rng = np.random.Generator(np.random.Philox(10 * dim + rows))
+    g = np.eye(dim) if identity else np.tril(rng.uniform(0.2, 1.5, (dim, dim)))
+    model = SdeModel(dim, dim, sde._zero_drift, g)
+    assert model.identity_dispersion == identity
+    x = rng.uniform(-1.0, 1.0, (rows, dim))
+    dw = rng.normal(0.0, 0.05, (50, rows, dim))
+    np.testing.assert_array_equal(sde._em_path(model, x, 4e-3, dw),
+                                  _disperse_every_step(model, x, 4e-3, dw))
+
+
 def test_mc_exit_is_the_same_on_both_loops(monkeypatch):
     from sdelab.firstexit import Domain, mc_exit
     from sdelab.largedev import _drift
