@@ -18,14 +18,14 @@ the backward equation ``du/dt = L u`` and the Fokker-Planck equation
 ``drho/dt = L* rho`` by backward Euler in time.  Where every face carries
 current both ways, the fitted generator is in discrete detailed balance
 and ``I - dt L*`` is diagonally similar to a symmetric positive definite
-tridiagonal ``T``.  A vector is summed over the few slow eigenpairs of ``T``
-on a long horizon and stepped through its LDL^T factors on a short one; a
-transition kernel, or a generator with a one-way face (the absorbing edges
-among them), goes through the LU of ``I - dt L*`` (the rule is :func:`_evolve`'s).  The
-module also provides the closed-form heat kernels for free, reflected and killed Brownian motion,
-the stationary density ``exp(-U)/Z`` of gradient systems, and Monte Carlo
-estimators for the semigroup and for Feynman-Kac functionals that serve as
-independent cross-checks of the PDE routes.
+tridiagonal ``T``.  Non-negative data on a long horizon is summed over the
+few slow eigenpairs of ``T``; every other vector is stepped, and a
+transition kernel mapped, through the LU of ``I - dt L*`` (the rule is
+:func:`_evolve`'s).  The module also provides the closed-form heat
+kernels for free, reflected and killed Brownian motion, the stationary
+density ``exp(-U)/Z`` of gradient systems, and Monte Carlo estimators for
+the semigroup and for Feynman-Kac functionals that serve as independent
+cross-checks of the PDE routes.
 """
 
 from __future__ import annotations
@@ -232,18 +232,20 @@ def _factorize(banded: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return solve
 
 
-# Largest ln(max d / min d) of the symmetrising scales that a vector step
-# takes.  The scales are centred, so every d and 1/d lies within e^{+-230},
-# about 10^{+-100}: D^{-1} u and D v stay finite for data below 10^{200}
-# in magnitude, and the steps do not grow ||D^{-1} u||_2, since for a
-# generator A the eigenvalues of T, those of I - dt A, are at least 1.
-# Accuracy does not fall with the range: d is a cumulative product of the
-# pairs' square roots, so each ratio d_{i+1} / d_i is exact to a rounding or
-# two and T is D^{-1} M D to rounding.  On an OU generator at 300 cells, 70
-# steps read from an extended-precision solve 2.2e-14 at a range of 15,
-# 4.4e-15 at 270 and 3.2e-14 at 450, against 1.4e-14, 5.9e-15 and 1.6e-14
-# for the LU.
-_SCALE_RANGE = 460.0
+# steps a slow mode must save: one cost 0.93 ms against 38 us an LU step at
+# 2 401 nodes, and 0.23 ms against 10 us at 601 nodes, about 25 steps either way
+_STEPS_PER_MODE = 32
+
+# most modes summed: an eigenvector from stein carries an absolute error near
+# eps ||T|| / gap, which a faster mode's tail magnifies; against steps on OU and
+# quartic generators (150-2 401 nodes, dt 0.0025-0.04, ln ranges to 34, non-negative
+# data), 1-5 modes agreed to 1.1e-10 entrywise, 6 to 4e-10, 8 to 7e-9 and 11 to 4e-7
+_MOST_MODES = 5
+
+# largest max d / min d summed over modes, whose coefficients Z^T D^{-1} u carry an
+# eigenvector's absolute error times the range: against steps on OU generators, ln
+# ranges to 54 read 4e-12 at 150-2 401 nodes, 72 read 1.1e-10 and 90 read 1.8e-3
+_SPECTRAL_RANGE = 2.0**52
 
 
 def _symmetrize(banded: np.ndarray):
@@ -255,9 +257,10 @@ def _symmetrize(banded: np.ndarray):
     sign, where ``d_{i+1} / d_i = sqrt(M(i+1, i) / M(i, i+1))``.
     That needs every off-diagonal pair nonzero and of one sign, which a
     fitted generator with no one-way face has (detailed balance), and a
-    scale range below ``_SCALE_RANGE``; ``dpttrf`` also needs ``T``
-    positive definite.  ``None`` where any of these fails.  The solve
-    ``b -> x`` of ``T x = b`` overwrites a Fortran-ordered ``b``.
+    scale range ``max d / min d`` below ``_SPECTRAL_RANGE``; ``dpttrf``
+    also needs ``T`` positive definite.  ``None`` where any of these
+    fails.  The solve ``b -> x`` of ``T x = b`` overwrites a
+    Fortran-ordered ``b``.
     """
     from scipy.linalg.lapack import dpttrf, dpttrs
 
@@ -269,11 +272,11 @@ def _symmetrize(banded: np.ndarray):
         return None
     # each ratio d_{i+1} / d_i is its pair's square root to a rounding or two;
     # a quotient or product past the double range gives a scale range that
-    # is infinite or NaN, and the LU
+    # is infinite or NaN, and None
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         d = np.cumprod(np.concatenate(([1.0], np.sqrt(lower / upper))))
         top, bottom = d.max(), d.min()
-        if not np.log(top / bottom) < _SCALE_RANGE:
+        if not top / bottom < _SPECTRAL_RANGE:
             return None
     pair = banded[1], np.sign(upper) * np.sqrt(product)
     *factors, info = dpttrf(*pair)
@@ -285,16 +288,6 @@ def _symmetrize(banded: np.ndarray):
         return x
 
     return (d / np.sqrt(top * bottom))[:, np.newaxis], pair, solve
-
-
-# steps a slow mode must save: one cost 0.93 ms against 18.9 us a dpttrs step at
-# 2 401 nodes, and 0.26 ms against 5.4 us at 601 nodes, about 50 steps either way
-_STEPS_PER_MODE = 64
-
-# largest max d / min d summed over modes, whose coefficients Z^T D^{-1} u carry an
-# eigenvector's absolute error times the range: against LDL^T steps on OU generators,
-# ln ranges to 54 read 4e-12 at 150-2 401 nodes, 72 read 1.1e-10 and 90 read 1.8e-3
-_SPECTRAL_RANGE = 2.0**52
 
 
 def _slow_modes(pair, solve: Callable, bound: float, most: int):
@@ -326,21 +319,24 @@ def _evolve(banded_a: np.ndarray, state: np.ndarray, n_steps: int,
             dt: float) -> np.ndarray:
     """Backward Euler ``(I - dt A) u_{k+1} = u_k`` for ``n_steps`` steps.
 
-    ``M = I - dt A`` is factorised once.  A vector, or a matrix with fewer
-    columns than grid nodes, takes one of three routes.  Where
-    :func:`_symmetrize` finds the scales ``D`` of ``M``, ``D T^{-n} D^{-1} u``
-    for the symmetric ``T = D^{-1} M D`` is summed over the slow modes
-    (:func:`_slow_modes`) as ``Z diag(rho^n) Z^T``, if the eigenvalues ``tau``
-    of ``T`` with ``tau^n <= 2^53 max d / min d`` number 1 to
-    ``n / _STEPS_PER_MODE`` and ``max d / min d < _SPECTRAL_RANGE``: the
-    slowest ``tau`` of a generator with no one-way face is 1, so the rest
-    move no entry by a rounding.  Otherwise it is stepped through the LDL^T
-    factors of ``T`` (``dpttrs``, whose back-substitution keeps its divisions
-    off the dependency chain), the LU's solves up to rounding.  A one-way
-    face, which includes the zeroed edge rows of ``dirichlet_zero``, a scale
-    range past ``_SCALE_RANGE`` or a ``T`` that ``dpttrf`` rejects is stepped
-    through the LU of ``M`` (:func:`_factorize`), with the bits of one
-    ``solve_banded`` call per step.
+    A vector, or a matrix with fewer columns than grid nodes, is stepped
+    by one solve per step on a copy through the LU of ``M = I - dt A``
+    (:func:`_factorize`, factorised once), with the bits of one
+    ``solve_banded`` call per step, unless it is non-negative and
+    :func:`_symmetrize` finds the scales ``D`` of ``M``.  Then
+    ``D T^{-n} D^{-1} u`` for the symmetric ``T = D^{-1} M D`` is summed
+    over the slow modes (:func:`_slow_modes`) as ``Z diag(rho^n) Z^T``, if
+    the eigenvalues ``tau`` of ``T`` with ``tau^n <= 2^53 max d / min d``
+    number 1 to ``_MOST_MODES`` and to ``n / _STEPS_PER_MODE``.  The
+    slowest ``tau`` of a generator with no one-way face is 1, and its mode
+    carries the mass of a density under ``A*`` and the stationary mean of
+    a function under ``A``.  Non-negative data keeps that part positive,
+    and on such a horizon the result stays near it, so the modes past the
+    bound move no entry by a rounding of it.  Signed data always steps:
+    its stationary part can be far below its size, and the modes'
+    rounding, relative to that size, then swamps the result (over 2 000
+    steps, ``x^3`` under the ``L`` of OU generators read relative errors
+    of 0.03 to 1e4 against stepping).
 
     A matrix with at least as many columns, such as the identity that
     assembles a transition kernel, is mapped by the ``n_steps``-th power
@@ -364,23 +360,22 @@ def _evolve(banded_a: np.ndarray, state: np.ndarray, n_steps: int,
                 and np.all(np.diagonal(state) == 1.0)):
             return power  # the identity that assembles a transition kernel
         return power @ state
-    d, modes, symmetric = 1.0, None, _symmetrize(lhs)  # d = 1 keeps the LU's bits
-    if symmetric is None:
-        solve = _factorize(lhs)
-    else:
+    u = np.array(state.reshape(n, -1), order="F")
+    symmetric = modes = None
+    if n_steps >= _STEPS_PER_MODE and np.all(u >= 0.0):
+        symmetric = _symmetrize(lhs)
+    if symmetric is not None:
         d, pair, solve = symmetric
-        spread = d.max() / d.min()
-        if n_steps >= _STEPS_PER_MODE and spread < _SPECTRAL_RANGE:
-            modes = _slow_modes(pair, solve, (2.0**53 * spread) ** (1.0 / n_steps),
-                                n_steps // _STEPS_PER_MODE)
-    v = np.asfortranarray(state.reshape(n, -1) / d)
+        modes = _slow_modes(pair, solve, (2.0**53 * d.max() / d.min()) ** (1.0 / n_steps),
+                            min(_MOST_MODES, n_steps // _STEPS_PER_MODE))
     if modes is None:
+        solve = _factorize(lhs)
         for _ in range(n_steps):
-            v = solve(v)
+            u = solve(u)
     else:
         rho, z = modes
-        v = z @ (rho[:, np.newaxis] ** n_steps * (z.T @ v))
-    return (d * v).reshape(state.shape)
+        u = d * (z @ (rho[:, np.newaxis] ** n_steps * (z.T @ (u / d))))
+    return u.reshape(state.shape)
 
 
 def _solve(model: SdeModel, grid: Grid1D, state: np.ndarray, t_end: float,

@@ -196,10 +196,10 @@ def _banded_solver_uses(tree: ast.AST) -> list[str]:
 
 
 def test_only_kolmogorov_factorises_banded_systems():
-    # kolmogorov's two factorisations, the LU and the symmetrised LDL^T,
-    # each importing LAPACK lazily, serve every implicit step and the
-    # action minimiser's preconditioner; a solver elsewhere would be a
-    # second stepper with its own bits
+    # kolmogorov's two factorisations, each importing LAPACK lazily: the LU
+    # serves every implicit step and the action minimiser's preconditioner,
+    # the symmetrised LDL^T the slow modes' Rayleigh-Ritz solve; a solver
+    # elsewhere would be a second stepper with its own bits
     uses = _package_uses(_banded_solver_uses)
     assert uses.pop("kolmogorov.py") == ["scipy.linalg.lapack"] * 2, \
         "the guard no longer sees kolmogorov's own imports"
