@@ -21,6 +21,9 @@ import numpy as np
 
 from .expr import Expression
 
+_FLOATS = (float, np.floating)
+_INTS = (int, np.integer)
+
 
 def jsonable(value):
     """``value`` as plain JSON types, with non-finite floats as ``None``."""
@@ -45,14 +48,25 @@ def write_json(path, obj) -> None:
         encoding="utf-8")
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable) -> None:
-    """Write ``rows`` under ``header``."""
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``rows`` under ``header``.
+
+    No number needs quoting, so a row whose cells are all numbers is joined
+    directly with ``,`` and ``\\r\\n``, the bytes ``csv.writer`` would give;
+    other rows go through ``csv.writer``.  Either way a row goes to the
+    file's own buffer, so no table is held whole.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
-                             else v for v in row])
+            cells = [repr(float(v)) if isinstance(v, _FLOATS) else
+                     str(v) if isinstance(v, _INTS) else None for v in row]
+            if None in cells:
+                writer.writerow([repr(float(v)) if isinstance(v, _FLOATS) else v
+                                 for v in row])
+            else:
+                fh.write(",".join(cells) + "\r\n")
 
 
 def sha256(path) -> str:

@@ -53,6 +53,8 @@ __all__ = [
 
 _GUARD = 1e-12  # multiplicative nudge making certificate inequalities exact in fp
 _PAIR_BATCH = 128  # measure pairs per array in verify_hm_contraction: 0.8 MB at 401 states
+_BOUND_ROWS = 32  # row blocks per array of the point-mass bound: 0.1 MB at 401 states
+_BOUND_SLACK = 1e-9  # relative rounding allowance of the point-mass bound
 
 
 @dataclass
@@ -75,6 +77,8 @@ class DiscreteKernel:
             raise ValueError(f"kernel matrix must be square, got {self.matrix.shape}")
         if self.grid is not None and self.matrix.shape[0] != self.grid.n_nodes:
             raise ValueError("matrix size does not match the grid")
+        if not np.all(np.isfinite(self.matrix)):
+            raise ValueError("kernel entries must be finite")
         if np.any(self.matrix < 0):
             raise ValueError("kernel entries must be non-negative")
         sums = self.matrix.sum(axis=1)
@@ -95,6 +99,8 @@ def _kernel_matrix(kernel) -> np.ndarray:
     m = np.asarray(kernel, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"kernel must be a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("kernel entries must be finite")
     if np.any(m < 0):
         raise ValueError("kernel entries must be non-negative")
     return m
@@ -149,6 +155,18 @@ def discretize_kernel(model: SdeModel, grid: Grid1D, t_step: float, *,
 # Drift and minorisation certificates
 # ---------------------------------------------------------------------------
 
+def _checked_v(V, beta: float = 0.0) -> np.ndarray:
+    """``V`` as an array, once it is a Lyapunov function and its weights
+    ``1 + beta V`` are those of a metric: a NaN, infinite or negative
+    ``V`` or ``beta`` is rejected."""
+    v = np.asarray(V, dtype=float)
+    if not np.all(np.isfinite(v) & (v >= 0)):
+        raise ValueError("V must be finite and non-negative")
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and non-negative, got {beta}")
+    return v
+
+
 class DriftCertificate(NamedTuple):
     gamma: float
     d: float
@@ -169,8 +187,7 @@ def verify_geometric_drift(kernel, V) -> DriftCertificate:
     v = np.asarray(V, dtype=float)
     if v.shape != (m.shape[0],):
         raise ValueError("V must be a grid function matching the kernel")
-    if np.any(v < 0):
-        raise ValueError("V must be non-negative")
+    v = _checked_v(v)
     pv = m @ v
     gammas = np.linspace(1e-3, 1.0 - 1e-3, 999)
     offsets = np.maximum(pv[None, :] - gammas[:, None] * v[None, :], 0.0).max(axis=1)
@@ -283,8 +300,7 @@ def rho_beta_distance(mu, nu_meas, V, beta: float) -> float | np.ndarray:
     v = np.asarray(V, dtype=float)
     if mu.shape != nu_meas.shape or mu.shape[-1:] != v.shape:
         raise ValueError("mu, nu and V must share one grid")
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
+    v = _checked_v(v, beta)
     return np.sum((1.0 + beta * v) * np.abs(mu - nu_meas), axis=-1)
 
 
@@ -315,12 +331,21 @@ def verify_hm_contraction(kernel, V, beta: float, alpha_bar: float,
     promises every ratio is at most ``alpha_bar``.  Pairs are drawn in
     stream order in batches and pushed one measure per product, so the
     report equals that of one pair at a time.
+
+    The point masses are swept one block of rows at a time, row ``x``
+    against the rows after it, in order of falling :func:`_point_bounds`;
+    the sweep stops at the first block whose bound is below the largest
+    ratio found, since no later block can reach it either.  A maximum does
+    not depend on the order it is taken in, so ``max_point_ratio`` is that
+    of the exhaustive sweep.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
     m = _kernel_matrix(kernel)
-    v = np.asarray(V, dtype=float)
+    v = _checked_v(V, beta)
     n = m.shape[0]
+    if v.shape != (n,):
+        raise ValueError("V must be a grid function matching the kernel")
     gen = (stream if stream is not None else GaussianStream(271828)).generator()
     ratios = np.zeros(n_pairs)
     for start in range(0, n_pairs, _PAIR_BATCH):
@@ -331,15 +356,54 @@ def verify_hm_contraction(kernel, V, beta: float, alpha_bar: float,
         after = rho_beta_distance(pushed[:, 0], pushed[:, 1], v, beta)
         np.divide(after, before, out=ratios[start:start + len(w)], where=before != 0.0)
     weights = 1.0 + beta * v
-    point_ratio = 0.0
     rows = np.empty_like(m)
-    for x in range(n - 1):  # each pair of rows once: row x against the rows after it
+    reach = _point_bounds(m, v, beta, weights, rows)
+    point_ratio = 0.0
+    for x in np.argsort(-reach, kind="stable"):
+        if reach[x] < point_ratio:
+            break  # the blocks are in order of falling bound
         later = np.subtract(m[x], m[x + 1:], out=rows[x + 1:])
         after = np.abs(later, out=later) @ weights         # rho_beta of row pairs
         before = 2.0 + beta * (v[x] + v[x + 1:])           # distance of point masses
         point_ratio = max(point_ratio, float(np.max(after / before)))
     return HmContractionReport(n_pairs, alpha_bar, float(ratios.max()),
                                float(ratios.mean()), point_ratio)
+
+
+def _point_bounds(m: np.ndarray, v: np.ndarray, beta: float, weights: np.ndarray,
+                  scratch: np.ndarray) -> np.ndarray:
+    """For each row ``x < n - 1``, a bound on every computed point-mass ratio
+    ``rho(m_x, m_y) / (2 + beta (V_x + V_y))`` with ``y > x``.
+
+    In the metric ``rho`` weighted by ``w = 1 + beta V >= 1`` two rows are
+    at most ``s_x + s_y`` apart, with ``s = m @ w`` their weighted masses,
+    and, by the triangle inequality along the rows between them, at most
+    ``C_y - C_x``, with ``C`` the prefix sum of the adjacent-row distances.
+    The first is tight for rows with disjoint supports, the second for
+    near rows of a smooth kernel.
+
+    The bound allows for rounding.  Each distance and mass is a sum of
+    ``n`` non-negative rounded products, off by a relative ``(n + 2) eps``
+    at most, and the quotient adds one rounding: the relative allowance
+    ``_BOUND_SLACK`` covers these for ``n`` up to about 10^6.  Each prefix
+    sum is off by at most ``n eps C[-1] / 2``, so the difference of two by
+    ``n eps C[-1]``, which is added.  Pairs ``y <= x`` are not masked: their
+    second bound is at most that allowance, so they leave the block's
+    bound an upper one.  ``scratch`` is an ``n x n`` buffer, and the pairs
+    are bounded ``_BOUND_ROWS`` rows at a time, not as an ``n x n`` array.
+    """
+    n = len(m)
+    steps = np.subtract(m[:-1], m[1:], out=scratch[1:])
+    prefix = np.concatenate(([0.0], np.cumsum(np.abs(steps, out=steps) @ weights)))
+    prefix_slack = n * np.finfo(float).eps * prefix[-1]
+    mass = m @ weights
+    reach = np.empty(n - 1)
+    for lo in range(0, n - 1, _BOUND_ROWS):
+        x = np.arange(lo, min(lo + _BOUND_ROWS, n - 1))[:, None]
+        bound = np.minimum(mass[x] + mass, prefix - prefix[x] + prefix_slack)
+        bound /= 2.0 + beta * (v[x] + v)
+        reach[x[:, 0]] = bound.max(axis=1)
+    return reach * (1.0 + _BOUND_SLACK)
 
 
 # ---------------------------------------------------------------------------
@@ -473,16 +537,16 @@ def power_iteration_jentzsch(kernel, tol: float = 1e-10,
     h = 1.0 + np.arange(n) / (2.0 * max(n - 1, 1))
     pi = h[::-1] / h.sum()
     thetas = []
+    ph, pip = p @ h, pi @ p  # one iteration's residuals, the next one's pushes
     for iteration in range(1, max_iter + 1):
-        h_new = p @ h
-        h_new /= np.max(np.abs(h_new))
-        pi_new = pi @ p
-        pi_new /= pi_new.sum()
+        h_new = ph / np.max(np.abs(ph))
+        pi_new = pip / pip.sum()
         thetas.append(hilbert_metric(h_new, h))
         h, pi = h_new, pi_new
-        lam = float(pi @ (p @ h)) / float(pi @ h)
-        res_right = float(np.max(np.abs(p @ h - lam * h)))
-        res_left = float(np.max(np.abs(pi @ p - lam * pi)))
+        ph, pip = p @ h, pi @ p
+        lam = float(pi @ ph) / float(pi @ h)
+        res_right = float(np.max(np.abs(ph - lam * h)))
+        res_left = float(np.max(np.abs(pip - lam * pi)))
         if res_right <= tol and res_left <= tol:
             break
     else:

@@ -105,11 +105,25 @@ class QuasipotentialResult:
 # ---------------------------------------------------------------------------
 
 def _residuals(model: SdeModel, values: np.ndarray, dt: float):
-    """Left-endpoint residuals ``dphi/h - f`` and solved ``D^{-1} r``."""
+    """Left-endpoint residuals ``dphi/h - f`` and solved ``D^{-1} r``.
+
+    A constant dispersion's ``D = g g^T`` is formed and checked once, with
+    no per-step matrices: in 1-D the solve is ``r / D``, the quotient the
+    batched 1x1 solve gives, and in more dimensions the batched solve runs
+    over a broadcast view of ``D``.  Both keep the bits of the per-step
+    solves; one solve with every residual as a right-hand side would not,
+    since it multiplies by a reciprocal.
+    """
     xs = values[:-1]
     r = np.diff(values, axis=0) / dt - model.drift(xs)
-    d = model.diffusion_matrix(xs)
+    if model.constant_dispersion is None:
+        d = model.diffusion_matrix(xs)
+    else:
+        d = model.diffusion_matrix(xs[:1])[0]
     np.linalg.cholesky(d)  # ellipticity check: raises on a singular/indefinite D
+    if d.shape == (1, 1):
+        return r, r / d[0, 0]
+    d = np.broadcast_to(d, r.shape + r.shape[-1:])
     return r, np.linalg.solve(d, r[..., np.newaxis])[..., 0]
 
 
@@ -163,32 +177,29 @@ def _hessian(U: Callable, x: np.ndarray) -> np.ndarray:
     return np.array(_central_differences(grad, x, x.size))
 
 
-def _model_jacobians(model: SdeModel, xs: np.ndarray):
-    """Jacobian ``[k, i, l] = d f_i / d x_l`` of the drift and derivative
-    tensor ``[k, l, i, j] = d D_ij / d x_l`` of the diffusion matrix at the
-    rows of ``xs``, by central differences."""
-    diffs = lambda f: _central_differences(f, xs, xs.shape[-1])
-    return np.stack(diffs(model.drift), axis=-1), np.stack(diffs(model.diffusion_matrix), axis=1)
-
-
 def action_gradient(model: SdeModel, path: ActionPath) -> np.ndarray:
     """Gradient of the discretized action at the interior path nodes.
 
     Endpoint nodes are fixed in the variational problem, so the gradient
     has ``n_nodes - 2`` rows.  Model derivatives are taken by central
-    finite differences.
+    finite differences: the Jacobian ``[k, i, l] = d f_i / d x_l`` of the
+    drift and, unless the dispersion is constant (its term is then zero),
+    the derivative ``[k, l, i, j] = d D_ij / d x_l`` of the diffusion matrix.
     """
     values, dt = path.values, path.grid.dt
     try:
         _, a = _residuals(model, values, dt)
     except np.linalg.LinAlgError:
         raise ValueError("singular diffusion matrix along the path") from None
-    jac_f, d_dd = _model_jacobians(model, values[1:-1])
+    xs = values[1:-1]
+    diffs = lambda f: _central_differences(f, xs, xs.shape[-1])
     a_left = a[:-1]     # step ending at node j
     a_right = a[1:]     # step starting at node j
     grad = a_left - a_right
-    grad -= dt * np.einsum("kil,ki->kl", jac_f, a_right)
-    grad -= 0.5 * dt * np.einsum("ki,klij,kj->kl", a_right, d_dd, a_right)
+    grad -= dt * np.einsum("kil,ki->kl", np.stack(diffs(model.drift), axis=-1), a_right)
+    if model.constant_dispersion is None:
+        d_dd = np.stack(diffs(model.diffusion_matrix), axis=1)
+        grad -= 0.5 * dt * np.einsum("ki,klij,kj->kl", a_right, d_dd, a_right)
     return grad
 
 

@@ -184,10 +184,6 @@ class WienerPath:
         if not np.all(self.values[0] == 0.0):
             raise ValueError("a Wiener path must start at zero")
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
 
 DriftFn = Callable[[np.ndarray], np.ndarray]
 DispersionFn = Callable[[np.ndarray], np.ndarray]
@@ -221,7 +217,8 @@ class SdeModel:
         itself.  A matrix is stored read-only as :attr:`constant_dispersion`
         (which takes no part in equality or hashing), and ``dispersion``
         becomes its broadcast over the batch axes (:attr:`identity_dispersion`
-        marks ``g = I``); the Euler-Maruyama step and exit drivers use ``g`` directly.
+        marks ``g = I``); the Euler-Maruyama step and exit drivers use ``g`` directly,
+        and the action's residuals form ``g g^T`` once.
 
     A gradient system ``dX = -grad U dt + sqrt(2) dW`` in ``n`` dimensions
     is ``SdeModel(n, n, drift, math.sqrt(2) * np.eye(n))``; with this

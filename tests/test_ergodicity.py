@@ -17,6 +17,7 @@ from sdelab.ergodicity import (
     ConeBounds,
     DiscreteKernel,
     MinorisationCert,
+    _point_bounds,
     discretize_kernel,
     drift_violations,
     fit_cone_bounds,
@@ -84,6 +85,15 @@ class TestDiscreteKernel:
     def test_apply_and_adjoint(self):
         k = DiscreteKernel(np.array([[0.6, 0.4], [0.2, 0.8]]))
         assert np.allclose(k.apply_adjoint([0.5, 0.5]), [0.4, 0.6])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # a NaN passes ``m < 0`` and its row sum passes both sum checks
+        matrix = np.array([[0.5, bad], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteKernel(matrix, substochastic=True)
+        with pytest.raises(ValueError, match="finite"):
+            verify_geometric_drift(matrix, np.ones(2))
 
 class TestDiscretizeKernel:
     def test_rows_are_probability_vectors(self, ou_kernel):
@@ -156,6 +166,11 @@ class TestGeometricDrift:
             verify_geometric_drift(np.eye(3), np.array([1.0, -1.0, 2.0]))
         with pytest.raises(ValueError, match="matching"):
             verify_geometric_drift(np.eye(3), np.ones(4))
+
+    def test_rejects_a_nan_v(self):
+        # no comparison with a NaN fails, so the fit would call d = nan feasible
+        with pytest.raises(ValueError, match="V must be finite and non-negative"):
+            verify_geometric_drift(np.full((4, 4), 0.25), np.array([0.0, math.nan, 1.0, 2.0]))
 
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 6))
     @settings(max_examples=30, deadline=None)
@@ -292,6 +307,12 @@ class TestRhoBeta:
         with pytest.raises(ValueError, match="beta"):
             rho_beta_distance(np.ones(3) / 3, np.ones(3) / 3, np.ones(3), -1.0)
 
+    @pytest.mark.parametrize("v", [[0.0, math.nan, 1.0], [0.0, -0.5, 1.0], [math.inf, 0.0, 1.0]])
+    def test_rejects_a_v_that_gives_no_metric(self, v):
+        # a negative V puts weights below one, a NaN V makes every distance NaN
+        with pytest.raises(ValueError, match="V must be finite and non-negative"):
+            rho_beta_distance(np.eye(3)[0], np.eye(3)[2], v, 1.0)
+
 
 @pytest.fixture(scope="module")
 def certified(ou_kernel):
@@ -325,7 +346,87 @@ def hm_contraction_one_pair_at_a_time(m, v, beta, n_pairs, stream):
     return float(ratios.max()), float(ratios.mean()), point_ratio
 
 
+def exhaustive_point_ratio(m, v, beta):
+    """The point-mass sweep over every block of rows, in row order."""
+    weights = 1.0 + beta * v
+    point_ratio = 0.0
+    for x in range(m.shape[0] - 1):
+        after = np.abs(m[x] - m[x + 1:]) @ weights
+        point_ratio = max(point_ratio, float(np.max(after / (2.0 + beta * (v[x] + v[x + 1:])))))
+    return point_ratio
+
+
+def kernel_with_a_late_maximum():
+    """Rows A', B, A, B, F: the one pair at the largest distance is (A, F),
+    in block 2, whose bound is third of four (0.9, 0.8, 0.6, 0.4)."""
+    a_prime, b, a = [0.4, 0.4, 0.2, 0.0, 0.0], [0.3, 0.5, 0.2, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0, 0.0]
+    return np.array([a_prime, b, a, b, [0.1, 0.3, 0.2, 0.4, 0.0]]), np.zeros(5), 1.0
+
+
+def grouped_supports(seed: int, n: int = 48, n_groups: int = 12) -> np.ndarray:
+    """Each row spread over one of ``n_groups`` disjoint groups of columns.
+
+    Rows on different groups are at weighted distance ``s_x + s_y`` (2 at
+    ``V = 0``), so many blocks reach the same maximum up to rounding, and
+    the bound ties it: a sweep that skipped blocks on a bound without its
+    rounding allowance would miss the largest of these ratios by an ulp.
+    """
+    gen = GaussianStream(seed).generator()
+    groups = gen.integers(0, n_groups, size=n)
+    m = np.zeros((n, n))
+    for x in range(n):
+        cols = np.flatnonzero(groups == gen.integers(0, n_groups))
+        if cols.size == 0:
+            cols = np.array([x])
+        m[x, cols] = gen.uniform(0.1, 1.0, size=cols.size)
+    return m / m.sum(axis=1, keepdims=True)
+
+
+def point_sweep_cases():
+    gen = GaussianStream(23).generator()
+    for n, seed in ((2, 1), (37, 2), (120, 3), (401, 4)):
+        v = gen.uniform(0.0, 5.0, size=n)
+        yield pytest.param(random_stochastic(n, seed), v, 0.3, id=f"random-{n}")
+    yield pytest.param(np.tile(random_stochastic(50, 5)[0], (50, 1)),
+                       np.linspace(0.0, 2.0, 50), 0.7, id="identical-rows")
+    # point masses: every pair has disjoint supports, where s_x + s_y is exact
+    yield pytest.param(np.eye(64)[gen.permutation(64)], gen.uniform(0.0, 3.0, size=64),
+                       1.3, id="disjoint-supports")
+    yield pytest.param(*kernel_with_a_late_maximum(), id="late-maximum")
+    yield pytest.param(grouped_supports(453), np.zeros(48), 0.5, id="rounding-ties")
+
+
 class TestHmContraction:
+    @pytest.mark.parametrize("m, v, beta", point_sweep_cases())
+    def test_pruned_point_sweep_gives_the_bits_of_every_pair(self, m, v, beta):
+        report = verify_hm_contraction(m, v, beta, 0.9, n_pairs=1)
+        assert report.max_point_ratio == exhaustive_point_ratio(m, v, beta)
+
+    def test_late_maximum_sits_below_the_top_bound(self):
+        m, v, beta = kernel_with_a_late_maximum()
+        reach = _point_bounds(m, v, beta, 1.0 + beta * v, np.empty_like(m))
+        np.testing.assert_allclose(reach, [0.9, 0.8, 0.6, 0.4], rtol=1e-8)
+        # V = 0: a ratio is half the L1 distance of two rows
+        block_max = [np.abs(m[x] - m[x + 1:]).sum(axis=1).max() / 2 for x in range(4)]
+        np.testing.assert_allclose(block_max, [0.4, 0.4, 0.6, 0.4])
+
+    def test_one_state_has_no_pair_of_point_masses(self):
+        report = verify_hm_contraction(np.ones((1, 1)), np.zeros(1), 0.5, 0.9, n_pairs=1)
+        assert report.max_point_ratio == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_rejects_a_v_that_gives_no_metric(self, bad):
+        # max(0.0, nan) is 0.0, so a NaN V would read max_point_ratio 0.0
+        m = random_stochastic(6, 3)
+        v = np.linspace(0.0, 1.0, 6)
+        v[2] = bad
+        with pytest.raises(ValueError, match="V must be finite and non-negative"):
+            verify_hm_contraction(m, v, 0.5, 0.9, n_pairs=1)
+
+    def test_rejects_a_v_off_the_grid(self):
+        with pytest.raises(ValueError, match="V must be a grid function"):
+            verify_hm_contraction(random_stochastic(6, 3), np.ones(5), 0.5, 0.9, n_pairs=1)
+
     def test_batches_give_the_bits_of_one_pair_at_a_time(self, ou_kernel, certified):
         # 300 pairs are not a whole number of batches
         v, beta, alpha_bar = certified

@@ -13,6 +13,7 @@ from sdelab.firstexit import Domain, mc_exit
 from sdelab.largedev import (
     ActionPath,
     _drift,
+    _residuals,
     action_gradient,
     arrhenius_check,
     eyring_kramers_time,
@@ -209,6 +210,47 @@ class TestMinimizeAction:
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             minimize_action(ou_model(), 0.0, 1.0, -1.0, 100)
+
+
+def constant_and_callable(g):
+    """One model twice: ``g`` as a constant dispersion, and as a callable
+    returning a fresh ``(..., n, k)`` array of it."""
+    g = np.array(g, dtype=float)
+    drift = lambda x: x - x**3 + 0.25 * x[..., ::-1]
+    n, k = g.shape
+    at_states = lambda x: np.ones(np.shape(x)[:-1] + (1, 1)) * g
+    return SdeModel(n, k, drift, g), SdeModel(n, k, drift, at_states)
+
+
+class TestConstantDiffusion:
+    @pytest.mark.parametrize("g", [[[0.7]], [[0.9, 0.2], [-0.3, 0.6]]], ids=["dim1", "dim2"])
+    def test_constant_dispersion_gives_the_bits_of_a_callable(self, g):
+        constant, varying = constant_and_callable(g)
+        dim = len(g)
+        grid = TimeGrid(0.0, 1.5, 120)
+        values = np.cumsum(GaussianStream(5).generator().normal(0.0, 0.1, size=(121, dim)),
+                           axis=0)
+        path = ActionPath(grid, values)
+        for got, want in zip(_residuals(constant, values, grid.dt),
+                             _residuals(varying, values, grid.dt)):
+            assert got.tobytes() == want.tobytes()
+        assert fw_rate(constant, path) == fw_rate(varying, path)
+        assert action_gradient(constant, path).tobytes() == \
+            action_gradient(varying, path).tobytes()
+        x0, y = -np.ones(dim), np.full(dim, 0.5)
+        fast = minimize_action(constant, x0, y, 1.5, 120, max_iter=60)
+        slow = minimize_action(varying, x0, y, 1.5, 120, max_iter=60)
+        assert fast.values.tobytes() == slow.values.tobytes()
+        assert (fast.action, fast.history) == (slow.action, slow.history)
+
+    @pytest.mark.parametrize("g", [[[0.0]], [[1.0], [0.5]]], ids=["zero", "rank1"])
+    def test_singular_constant_diffusion_rejected(self, g):
+        constant, _ = constant_and_callable(g)
+        path = ActionPath.line(np.zeros(len(g)), np.ones(len(g)), TimeGrid(0.0, 1.0, 10))
+        with pytest.raises(ValueError, match="singular diffusion matrix along the path"):
+            fw_rate(constant, path)
+        with pytest.raises(ValueError, match="singular diffusion matrix along the path"):
+            action_gradient(constant, path)
 
 
 class TestQuasipotential:
