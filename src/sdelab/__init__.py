@@ -34,9 +34,7 @@ from .sde import (
     GaussianStream,
     SdeModel,
     TimeGrid,
-    WienerPath,
     euler_maruyama_ensemble,
-    sample_wiener,
 )
 from .kolmogorov import (
     DensityField,
@@ -77,8 +75,8 @@ from .experiments import ExperimentConfig, execute, list_experiments, run
 __all__ = [
     "__version__",
     # sde
-    "BlowUpError", "GaussianStream", "SdeModel", "TimeGrid", "WienerPath",
-    "euler_maruyama_ensemble", "sample_wiener",
+    "BlowUpError", "GaussianStream", "SdeModel", "TimeGrid",
+    "euler_maruyama_ensemble",
     # kolmogorov
     "DensityField", "Grid1D", "solve_backward_kolmogorov",
     "solve_fokker_planck", "stationary_density_gradient",

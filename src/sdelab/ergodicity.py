@@ -203,11 +203,15 @@ def drift_violations(kernel, V, gamma: float, d: float) -> int:
     """Number of nodes where ``(P V)(x) <= gamma V(x) + d`` fails.
 
     The inequality is evaluated as ``P V - gamma V <= d``, the same
-    expression the fit maximises, so a fitted certificate passes exactly.
+    expression the fit maximises, so a fitted certificate passes exactly;
+    a node where it is not true, a NaN constant included, counts.
     """
     m = _kernel_matrix(kernel)
     v = np.asarray(V, dtype=float)
-    return int(np.sum(m @ v - gamma * v > d))
+    if v.shape != (m.shape[0],):
+        raise ValueError("V must be a grid function matching the kernel")
+    v = _checked_v(v)
+    return int(np.sum(~(m @ v - gamma * v <= d)))
 
 
 @dataclass(frozen=True)
@@ -227,7 +231,7 @@ class MinorisationCert:
 
     def violations(self, kernel) -> int:
         m = _kernel_matrix(kernel)
-        return int(np.sum(m[self.c_nodes] < self.alpha * self.nu[None, :]))
+        return int(np.sum(~(m[self.c_nodes] >= self.alpha * self.nu[None, :])))
 
 
 def verify_minorisation(kernel, level: float, V) -> MinorisationCert:
@@ -421,7 +425,7 @@ class ConeBounds:
     def violations(self, kernel) -> int:
         p = _kernel_matrix(kernel)
         outer = np.outer(self.s, self.m)
-        return int(np.sum((p < outer) | (p > self.L * outer)))
+        return int(np.sum(~((p >= outer) & (p <= self.L * outer))))
 
 
 def fit_cone_bounds(kernel) -> ConeBounds:

@@ -815,7 +815,7 @@ def _run_ito_isometry(run: _Run) -> ExperimentOutcome:
     n_fine, doublings = p["n_steps"], p["doublings"]
     n_paths, T = p["n_paths"], p["t_end"]
     h_fine = T / n_fine
-    w = sample_wiener(TimeGrid(0.0, T, n_fine), run.stream, dim=n_paths).values
+    w = sample_wiener(TimeGrid(0.0, T, n_fine), run.stream, dim=n_paths)
     exact = 0.5 * w[-1] ** 2 - 0.5 * T
 
     # every sum over steps adds one row at a time, in the order np.sum(axis=0)

@@ -64,11 +64,11 @@ def _check_radius(radius: float) -> None:
 class Domain:
     """Open subset of R^n with a vectorised distance to its boundary.
 
-    Construct through the classmethods :meth:`ball`, :meth:`interval` or
-    :meth:`half_space`.  Points on the boundary count as outside, matching
-    the convention that the first-exit time is the first entry into the
-    closed complement.  A point with a non-finite coordinate is never
-    inside, so a blown-up path leaves the domain.
+    Construct through the classmethods :meth:`ball` or :meth:`interval`.
+    Points on the boundary count as outside, matching the convention that
+    the first-exit time is the first entry into the closed complement.  A
+    point with a non-finite coordinate is never inside, so a blown-up path
+    leaves the domain.
     """
 
     kind: str
@@ -76,9 +76,6 @@ class Domain:
     radius: float | None = None
     a: float | None = None
     b: float | None = None
-    level: float | None = None
-    axis: int = 0
-    side: str = "below"
 
     @classmethod
     def ball(cls, radius: float, center=None, *, dim: int | None = None) -> "Domain":
@@ -98,21 +95,9 @@ class Domain:
             raise ValueError(f"need a < b, got ({a}, {b})")
         return cls(kind="interval", a=float(a), b=float(b))
 
-    @classmethod
-    def half_space(cls, level: float, axis: int = 0, side: str = "below") -> "Domain":
-        if side not in ("below", "above"):
-            raise ValueError(f"side must be 'below' or 'above', got {side!r}")
-        if not math.isfinite(level):
-            raise ValueError(f"half-space level must be finite, got {level}")
-        return cls(kind="half_space", level=float(level), axis=axis, side=side)
-
     @property
-    def dim(self) -> int | None:
-        if self.kind == "ball":
-            return self.center.shape[0]
-        if self.kind == "interval":
-            return 1
-        return None
+    def dim(self) -> int:
+        return self.center.shape[0] if self.kind == "ball" else 1
 
     def contains(self, x) -> np.ndarray:
         return self.distance(x) > 0.0
@@ -126,13 +111,9 @@ class Domain:
         x = np.asarray(x, dtype=float)
         if self.kind == "ball":
             return self.radius - np.linalg.norm(x - self.center, axis=-1)
-        if self.kind == "interval":
-            xi = x[..., 0]
-            with np.errstate(invalid="ignore"):  # inf - inf at an infinite end
-                return np.minimum(xi - self.a, self.b - xi)
-        xi = x[..., self.axis]
-        d = self.level - xi if self.side == "below" else xi - self.level
-        return np.where(np.isfinite(x).all(axis=-1), d, np.nan)
+        xi = x[..., 0]
+        with np.errstate(invalid="ignore"):  # inf - inf at an infinite end
+            return np.minimum(xi - self.a, self.b - xi)
 
     def _nearest_boundary_point(self, x: np.ndarray) -> np.ndarray:
         """The boundary point nearest each row of ``x``."""
@@ -141,10 +122,7 @@ class Domain:
             norm = np.linalg.norm(rel, axis=1, keepdims=True)
             return self.center + self.radius * rel / norm
         out = x.copy()
-        if self.kind == "interval":
-            out[:, 0] = np.where(x[:, 0] - self.a < self.b - x[:, 0], self.a, self.b)
-        else:
-            out[:, self.axis] = self.level
+        out[:, 0] = np.where(x[:, 0] - self.a < self.b - x[:, 0], self.a, self.b)
         return out
 
     def exit_fraction(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -162,7 +140,7 @@ class Domain:
             cc = np.sum(rel * rel, axis=1) - self.radius**2
             disc = np.sqrt(np.maximum(bb * bb - 4 * aa * cc, 0.0))
             lam = (-bb + disc) / (2 * aa)
-        elif self.kind == "interval":
+        else:
             lam = np.full(p.shape[0], np.inf)
             with np.errstate(divide="ignore", invalid="ignore"):
                 lam_left = (self.a - p[:, 0]) / d[:, 0]
@@ -170,28 +148,21 @@ class Domain:
             for cand in (lam_left, lam_right):
                 ok = np.isfinite(cand) & (cand >= 0.0)
                 lam = np.where(ok & (cand < lam), cand, lam)
-        else:
-            lam = (self.level - p[:, self.axis]) / d[:, self.axis]
         return np.clip(lam, 0.0, 1.0)
 
     def boundary_parameter(self, points: np.ndarray) -> np.ndarray | None:
         """Map boundary points to [0, 1): angle for 2D balls, endpoint
-        indicator for intervals and 1D balls, ``0.5 + arctan(t) / pi`` of the
-        tangential coordinate ``t`` for 2D half-spaces (uniform for a
-        standard Cauchy ``t``), ``None`` otherwise."""
+        indicator for intervals and 1D balls, ``None`` otherwise."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == "half_space" and points.shape[1] == 2:
-            return 0.5 + np.arctan(points[:, 1 - self.axis]) / math.pi
         if self.kind == "interval":
             mid = 0.5 * (self.a + self.b)
             return (points[:, 0] > mid).astype(float)
-        if self.kind == "ball":
-            if self.center.shape[0] == 1:
-                return (points[:, 0] > self.center[0]).astype(float)
-            if self.center.shape[0] == 2:
-                rel = points - self.center
-                angle = np.arctan2(rel[:, 1], rel[:, 0])
-                return (angle / (2 * math.pi)) % 1.0
+        if self.center.shape[0] == 1:
+            return (points[:, 0] > self.center[0]).astype(float)
+        if self.center.shape[0] == 2:
+            rel = points - self.center
+            angle = np.arctan2(rel[:, 1], rel[:, 0])
+            return (angle / (2 * math.pi)) % 1.0
         return None
 
 
@@ -281,13 +252,12 @@ def _normal_variance(domain: Domain, diffusion: np.ndarray, x: np.ndarray):
     """``n^T D n`` for the unit normal ``n`` of the boundary nearest each point.
 
     ``diffusion`` is one ``(n, n)`` matrix ``D`` or one for each point, of
-    shape ``x.shape + (n,)``.  The normal is constant for intervals and
-    half-spaces; for a ball ``n`` is the radial direction of the point,
-    written as sums of products so that any batch shape gives the same bits.
+    shape ``x.shape + (n,)``.  An interval's normal is the axis; for a ball
+    ``n`` is the radial direction of the point, written as sums of products
+    so that any batch shape gives the same bits.
     """
-    if domain.kind != "ball":
-        axis = domain.axis if domain.kind == "half_space" else 0
-        return diffusion[..., axis, axis]
+    if domain.kind == "interval":
+        return diffusion[..., 0, 0]
     rel = x - domain.center
     dim = rel.shape[-1]
     quad = sum(diffusion[..., i, j] * rel[..., i] * rel[..., j]
@@ -311,7 +281,7 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
     ``g`` the dispersion at the step's start node, as the Euler step takes
     it.  Across the step the continuous Euler path is a Brownian motion
     with a constant drift and that covariance, so given both nodes the kill
-    is exact for it at a half-space; elsewhere it removes the O(sqrt(h))
+    is exact for it at a flat boundary; elsewhere it removes the O(sqrt(h))
     late-exit bias of node-only detection and leaves O(h).  Every model
     takes this one rule.  The test kills when
     ``d0 d1 < min(E, 40) s2 h / 2`` for a standard exponential ``E`` per
@@ -351,7 +321,7 @@ def mc_exit(model: SdeModel, x0, domain: Domain, *, h: float, n_paths: int,
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (model.dim_state,):
         raise ValueError(f"x0 must have shape ({model.dim_state},), got {x0.shape}")
-    if domain.dim not in (None, model.dim_state):
+    if domain.dim != model.dim_state:
         raise ValueError(f"a {domain.dim}-dimensional {domain.kind} does not fit "
                          f"a {model.dim_state}-dimensional model")
     if not bool(domain.contains(x0)):
@@ -657,8 +627,8 @@ def _check_interval_point(a: float, x) -> np.ndarray:
 def fk_laplace_interval(lam: float, a: float, x) -> float | np.ndarray:
     """``E_x[exp(-lambda tau)]`` for BM exiting ``(-a, a)``: a cosh ratio."""
     x = _check_interval_point(a, x)
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lambda must be non-negative and finite, got {lam}")
     if lam == 0:
         out = np.ones_like(x)
     else:
@@ -674,8 +644,8 @@ def fk_laplace_one_sided(lam: float, a: float, x) -> float | np.ndarray:
     ``(x + a)/(2a)``, returned exactly at ``lambda = 0``.
     """
     x = _check_interval_point(a, x)
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lambda must be non-negative and finite, got {lam}")
     if lam == 0:
         out = (x + a) / (2.0 * a)
     else:

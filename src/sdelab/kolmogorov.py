@@ -21,11 +21,10 @@ and ``I - dt L*`` is diagonally similar to a symmetric positive definite
 tridiagonal ``T``.  Non-negative data on a long horizon is summed over the
 few slow eigenpairs of ``T``; every other vector is stepped, and a
 transition kernel mapped, through the LU of ``I - dt L*`` (the rule is
-:func:`_evolve`'s).  The module also provides the closed-form heat
-kernels for free, reflected and killed Brownian motion, the stationary
-density ``exp(-U)/Z`` of gradient systems, and Monte Carlo estimators for
-the semigroup and for Feynman-Kac functionals that serve as independent
-cross-checks of the PDE routes.
+:func:`_evolve`'s).  The module also provides the stationary density
+``exp(-U)/Z`` of gradient systems and the closed-form heat kernels for
+free, reflected and killed Brownian motion, which serve as references for
+the solvers.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from typing import Callable
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .sde import GaussianStream, SdeModel, TimeGrid, _em_windows
+from .sde import SdeModel
 
 __all__ = [
     "Grid1D",
@@ -52,8 +51,6 @@ __all__ = [
     "free_bm_density",
     "reflected_bm_density",
     "killed_bm_density",
-    "mc_semigroup",
-    "mc_feynman_kac",
 ]
 
 
@@ -513,42 +510,3 @@ def killed_bm_density(x, t: float, barrier: float) -> np.ndarray:
     if np.any(x > barrier):
         raise ValueError("the killed density is defined on x <= barrier")
     return free_bm_density(x, t) - free_bm_density(2.0 * barrier - x, t)
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo cross-checks
-# ---------------------------------------------------------------------------
-
-def mc_semigroup(model: SdeModel, x0, t: float, phi, n_paths: int, dt: float,
-                 stream: GaussianStream) -> tuple[float, float]:
-    """Estimate ``(P_t phi)(x0) = E[phi(X_t) | X_0 = x0]`` by Euler-Maruyama.
-
-    The ensemble is stepped a window at a time and only the last window's
-    last row is kept, with the bits of ``euler_maruyama_ensemble(...)[:, -1]``.
-    Returns ``(estimate, standard_error)``.
-    """
-    grid = TimeGrid(0.0, t, max(1, round(t / dt)))
-    for _, path in _em_windows(model, x0, grid, n_paths, stream):
-        terminal = path[-1]
-    vals = np.asarray(phi(terminal[:, 0] if model.dim_state == 1 else terminal),
-                      dtype=float)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths))
-
-
-def mc_feynman_kac(model: SdeModel, x0, t: float, phi, potential_q, n_paths: int,
-                   dt: float, stream: GaussianStream) -> tuple[float, float]:
-    """Estimate ``E[exp(-int_0^t q(X_s) ds) phi(X_t)]`` by Euler-Maruyama.
-
-    The killing integral uses left-endpoint quadrature on the simulation
-    grid, summed per path as the windows of the ensemble arrive: ``q``
-    sees states of shape ``(w, n_paths)`` in 1-D and ``(w, n_paths, n)``
-    otherwise.  Returns ``(estimate, standard_error)``.
-    """
-    grid = TimeGrid(0.0, t, max(1, round(t / dt)))
-    killing = np.zeros(n_paths)
-    for _, path in _em_windows(model, x0, grid, n_paths, stream):
-        states = path[..., 0] if model.dim_state == 1 else path
-        killing += np.asarray(potential_q(states[:-1]), dtype=float).sum(axis=0)
-    weights = np.exp(-killing * grid.dt)
-    vals = weights * np.asarray(phi(states[-1]), dtype=float)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths))

@@ -75,10 +75,6 @@ class ActionPath:
             raise ValueError("path values must be finite")
         self.values = values
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
     @classmethod
     def line(cls, x0, y, grid: TimeGrid) -> "ActionPath":
         """Straight-line path from ``x0`` to ``y`` over ``grid``."""

@@ -32,7 +32,6 @@ import numpy as np
 __all__ = [
     "TimeGrid",
     "GaussianStream",
-    "WienerPath",
     "SdeModel",
     "BlowUpError",
     "sample_wiener",
@@ -162,29 +161,6 @@ class _AddressedDraws:
         return out
 
 
-@dataclass
-class WienerPath:
-    """Discretely sampled Brownian path on a uniform grid.
-
-    ``values`` has shape ``(grid.n_nodes, dim)`` and starts at zero; 1-D
-    values are one column.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        self.values = values[:, np.newaxis] if values.ndim == 1 else values
-        if self.values.shape[0] != self.grid.n_nodes:
-            raise ValueError(
-                f"values must have shape (n_nodes, dim) = ({self.grid.n_nodes}, ...), "
-                f"got {self.values.shape}"
-            )
-        if not np.all(self.values[0] == 0.0):
-            raise ValueError("a Wiener path must start at zero")
-
-
 DriftFn = Callable[[np.ndarray], np.ndarray]
 DispersionFn = Callable[[np.ndarray], np.ndarray]
 
@@ -295,10 +271,11 @@ _SCALAR_ROWS = 16
 # Wiener path construction
 # ---------------------------------------------------------------------------
 
-def sample_wiener(grid: TimeGrid, stream: GaussianStream, dim: int = 1) -> WienerPath:
+def sample_wiener(grid: TimeGrid, stream: GaussianStream, dim: int = 1) -> np.ndarray:
     """Sample a Brownian path on ``grid`` by accumulating N(0, dt) increments.
 
-    The ``dim`` columns are ``SdeModel.brownian()`` paths from the one ensemble loop
+    Returns the ``(grid.n_nodes, dim)`` values, starting at zero.  The ``dim``
+    columns are ``SdeModel.brownian()`` paths from the one ensemble loop
     :func:`_em_windows`, which a caller that reduces them node by node iterates instead.
     """
     if dim < 1:
@@ -306,7 +283,7 @@ def sample_wiener(grid: TimeGrid, stream: GaussianStream, dim: int = 1) -> Wiene
     values = np.zeros((grid.n_nodes, dim))
     for j, path in _em_windows(SdeModel.brownian(), 0.0, grid, dim, stream):
         values[j + 1:j + len(path)] = path[1:, :, 0]
-    return WienerPath(grid, values)
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for kernel discretization, ergodicity certificates and cone bounds."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -172,6 +173,18 @@ class TestGeometricDrift:
         with pytest.raises(ValueError, match="V must be finite and non-negative"):
             verify_geometric_drift(np.full((4, 4), 0.25), np.array([0.0, math.nan, 1.0, 2.0]))
 
+    @pytest.mark.parametrize("gamma, d", [(0.5, math.nan), (math.nan, 1.0)])
+    def test_recheck_counts_a_nan_constant_at_every_node(self, gamma, d):
+        # no comparison with a NaN holds, so "lhs > rhs" would count none
+        assert drift_violations(np.full((4, 4), 0.25), np.arange(4.0), gamma, d) == 4
+
+    def test_recheck_validates_v(self):
+        kernel = np.full((4, 4), 0.25)
+        with pytest.raises(ValueError, match="V must be finite and non-negative"):
+            drift_violations(kernel, np.array([0.0, math.nan, 1.0, 2.0]), 0.5, 1.0)
+        with pytest.raises(ValueError, match="matching"):
+            drift_violations(kernel, np.ones(3), 0.5, 1.0)
+
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 6))
     @settings(max_examples=30, deadline=None)
     def test_certificate_always_holds_entrywise(self, seed, n):
@@ -195,6 +208,12 @@ class TestMinorisation:
         kernel = np.tile([0.2, 0.3, 0.5], (3, 1))
         cert = verify_minorisation(kernel, 1.0, np.zeros(3))
         assert cert.alpha == pytest.approx(1.0, abs=1e-9)
+
+    def test_recheck_counts_a_nan_alpha_at_every_entry(self):
+        kernel = np.tile([0.2, 0.3, 0.5], (3, 1))
+        cert = verify_minorisation(kernel, 1.0, np.array([0.0, 0.0, 2.0]))
+        assert cert.violations(kernel) == 0
+        assert dataclasses.replace(cert, alpha=math.nan).violations(kernel) == 6
 
     def test_disjoint_supports_rejected(self):
         kernel = DiscreteKernel(np.array([
@@ -480,6 +499,11 @@ class TestConeBounds:
         bounds = fit_cone_bounds(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert bounds.L == pytest.approx(2.0, rel=1e-9)
         assert bounds.violations(np.array([[2.0, 1.0], [1.0, 2.0]])) == 0
+
+    def test_recheck_counts_a_nan_l_at_every_entry(self):
+        kernel = np.array([[2.0, 1.0], [1.0, 2.0]])
+        bounds = dataclasses.replace(fit_cone_bounds(kernel), L=math.nan)
+        assert bounds.violations(kernel) == 4
 
     def test_rank_one_kernel_is_perfectly_conditioned(self):
         kernel = np.outer([1.0, 2.0, 3.0], [0.2, 0.3, 0.5])

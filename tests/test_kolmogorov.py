@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,7 +13,7 @@ import sympy
 from scipy.linalg import solve_banded
 
 import sdelab
-from sdelab import kolmogorov, sde
+from sdelab import kolmogorov
 from sdelab.ergodicity import discretize_kernel
 from sdelab.kolmogorov import (
     BoundaryCondition,
@@ -23,14 +22,12 @@ from sdelab.kolmogorov import (
     delta_field,
     free_bm_density,
     killed_bm_density,
-    mc_feynman_kac,
-    mc_semigroup,
     reflected_bm_density,
     solve_backward_kolmogorov,
     solve_fokker_planck,
     stationary_density_gradient,
 )
-from sdelab.sde import GaussianStream, SdeModel, TimeGrid, euler_maruyama_ensemble
+from sdelab.sde import SdeModel
 
 
 def ou_model(rate: float = 1.0, noise: float = 1.0) -> SdeModel:
@@ -731,77 +728,3 @@ class TestStationaryDensity:
         grid = Grid1D(-5.0, 5.0, 100)
         with pytest.raises(ValueError, match="confine"):
             stationary_density_gradient(lambda x: -(x**2), grid)
-
-
-class TestMonteCarloRoutes:
-    def test_mc_semigroup_matches_ou_moment(self):
-        t = 0.8
-        expected = 1.0 * math.exp(-2 * t) + (1 - math.exp(-2 * t)) / 2
-        est, se = mc_semigroup(
-            ou_model(), 1.0, t, lambda x: x**2, n_paths=4000, dt=0.01,
-            stream=GaussianStream(7101),
-        )
-        assert se < 0.05
-        assert abs(est - expected) < 3 * se + 0.01  # 3 sigma plus Euler bias head-room
-
-    @pytest.mark.parametrize("model, x0", [
-        (ou_model(), 1.0),
-        (SdeModel.brownian(2), [0.5, -0.5]),
-    ], ids=["ou", "brownian-2d"])
-    def test_mc_semigroup_reads_the_ensemble_terminal_row(self, monkeypatch, model, x0):
-        # windows of 7 steps: 30 steps are four full windows and a ragged one of 2
-        monkeypatch.setattr(sde, "_WINDOW_ROW_STEPS", 7 * 50)
-
-        def phi(x):
-            return np.sum(np.reshape(x, (50, -1)) ** 2, axis=1)
-
-        est, se = mc_semigroup(model, x0, 0.3, phi, n_paths=50, dt=0.01,
-                               stream=GaussianStream(7104))
-        terminal = euler_maruyama_ensemble(model, x0, TimeGrid(0.0, 0.3, 30), 50,
-                                           GaussianStream(7104))[:, -1]
-        vals = phi(terminal[:, 0] if model.dim_state == 1 else terminal)
-        assert (est, se) == (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(50)))
-
-    def test_mc_semigroup_holds_a_window_not_the_ensemble(self):
-        # the whole 4000 x 1001 ensemble is 32 MB
-        tracemalloc.start()
-        try:
-            mc_semigroup(SdeModel.brownian(), 0.0, 1.0, lambda x: x, n_paths=4000,
-                         dt=1e-3, stream=GaussianStream(7105))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20
-
-    def test_feynman_kac_running_sum_matches_the_whole_path_sum(self, monkeypatch):
-        # windows of 7 steps; the running sum differs from a row sum by rounding only
-        monkeypatch.setattr(sde, "_WINDOW_ROW_STEPS", 7 * 50)
-        est, se = mc_feynman_kac(
-            SdeModel.brownian(), 0.0, 0.3, lambda x: np.cos(x),
-            lambda x: 0.5 * x**2, n_paths=50, dt=0.01, stream=GaussianStream(7106),
-        )
-        states = euler_maruyama_ensemble(SdeModel.brownian(), 0.0, TimeGrid(0.0, 0.3, 30),
-                                         50, GaussianStream(7106))[:, :, 0]
-        vals = np.exp(-np.sum(0.5 * states[:, :-1] ** 2, axis=1) * 0.01) * np.cos(states[:, -1])
-        assert est == pytest.approx(vals.mean(), rel=1e-14)
-        assert se == pytest.approx(vals.std(ddof=1) / math.sqrt(50), rel=1e-12)
-
-    def test_feynman_kac_constant_killing_is_exact_discount(self):
-        # With q = c the weight is deterministic: E equals e^{-ct}.
-        est, se = mc_feynman_kac(
-            SdeModel.brownian(), 0.0, 1.0, lambda x: np.ones_like(x),
-            lambda x: np.full_like(x, 0.3), n_paths=200, dt=0.01,
-            stream=GaussianStream(7102),
-        )
-        assert est == pytest.approx(math.exp(-0.3), rel=1e-12)
-        assert se == pytest.approx(0.0, abs=1e-14)
-
-    def test_feynman_kac_quadratic_killing_closed_form(self):
-        # E[exp(-1/2 int_0^t W_s^2 ds)] = cosh(t)^{-1/2}
-        t = 1.0
-        est, se = mc_feynman_kac(
-            SdeModel.brownian(), 0.0, t, lambda x: np.ones_like(x),
-            lambda x: 0.5 * x**2, n_paths=4000, dt=0.001,
-            stream=GaussianStream(7103),
-        )
-        assert abs(est - math.cosh(t) ** -0.5) < 3 * se + 0.002

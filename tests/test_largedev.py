@@ -46,7 +46,6 @@ class TestActionPath:
         grid = TimeGrid(0.0, 1.0, 4)
         path = ActionPath(grid, np.linspace(0.0, 1.0, 5))
         assert path.values.shape == (5, 1)
-        assert path.dim == 1
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="per node"):
@@ -111,7 +110,7 @@ class TestFwRate:
     ], ids=["zero-path", "line", "plane-line", "level-crossing-line"])
     def test_brownian_action_is_schilders(self, path, expected):
         # Schilder's functional |y|^2 / 2T of a line from 0 to y over [0, T]
-        rate = fw_rate(SdeModel.brownian(path.dim), path)
+        rate = fw_rate(SdeModel.brownian(path.values.shape[1]), path)
         assert rate == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @given(st.floats(-4.0, 4.0), st.integers(1, 40))

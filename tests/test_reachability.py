@@ -6,8 +6,9 @@ is reached when its code runs.  A class is reached when one of its
 methods runs, or when an ``__init__`` or ``__new__`` runs with the class
 as its ``self``, ``cls`` or ``_cls``: that covers the methods that
 dataclasses, ``NamedTuple`` and ``Enum`` generate or share.  A name in a
-checked module's ``__all__`` that no run reaches fails the test, unless
-``ALLOWED`` names it with the reason it stays.  An ``ALLOWED`` entry that
+checked module's ``__all__``, or a public function, method or property in
+the ``vars`` of an exported class, that no run reaches fails the test,
+unless ``ALLOWED`` names it with the reason it stays.  An ``ALLOWED`` entry that
 a run does reach, or that is no longer exported, fails too, so the list
 cannot go stale.
 """
@@ -55,8 +56,9 @@ ALLOWED = {
     "kolmogorov.delta_field": "reference that tests compare the solvers against",
     "firstexit.gbm_exit": "reference that tests compare mc_exit against",
     "firstexit.GbmExit": "reference that tests compare mc_exit against",
-    "kolmogorov.mc_semigroup": "awaits a registry gate (ROADMAP item 5)",
-    "kolmogorov.mc_feynman_kac": "awaits a registry gate (ROADMAP item 5)",
+    "kolmogorov.DensityField.mass": "reached through `delta_field`, a test reference",
+    "kolmogorov.DensityField.normalized": "reached through `delta_field`, a test reference",
+    "experiments.ModelSpec.from_mapping": "reads a config's `[model]` section",
 }
 
 
@@ -73,17 +75,27 @@ def _is_reached(obj, codes: set, classes: set) -> bool:
     return _code(obj) in codes
 
 
-def unreached(codes: set, classes: set) -> set[str]:
-    """``module.name`` for each function or class in a checked ``__all__`` that
-    the recorded code objects and classes do not reach."""
-    found = set()
+def public_names():
+    """``(module.name, object)`` for each function or class in a checked
+    ``__all__``, and ``(module.Class.name, member)`` for each public function,
+    method or property in the ``vars`` of an exported class."""
     for module_name in MODULES:
         module = importlib.import_module(f"sdelab.{module_name}")
         for name in module.__all__:
             obj = getattr(module, name)
-            if callable(obj) and not _is_reached(obj, codes, classes):
-                found.add(f"{module_name}.{name}")
-    return found
+            if callable(obj):
+                yield f"{module_name}.{name}", obj
+            if isinstance(obj, type):
+                for attr, member in vars(obj).items():
+                    if not attr.startswith("_") and _code(member) is not None:
+                        yield f"{module_name}.{name}.{attr}", member
+
+
+def unreached(codes: set, classes: set) -> set[str]:
+    """The names of :func:`public_names` that the recorded code objects and
+    classes do not reach."""
+    return {name for name, obj in public_names()
+            if not _is_reached(obj, codes, classes)}
 
 
 @pytest.fixture(scope="module")
@@ -124,8 +136,7 @@ def test_every_public_name_is_reached_by_a_registry_run(sweep):
 
 
 def test_every_allowed_name_is_exported_and_unreached(sweep):
-    exported = {f"{m}.{name}" for m in MODULES
-                for name in importlib.import_module(f"sdelab.{m}").__all__}
+    exported = {name for name, _ in public_names()}
     assert set(ALLOWED) - exported == set()
     assert set(ALLOWED) - unreached(*sweep) == set()
 
@@ -137,3 +148,11 @@ def test_the_sweep_reports_a_name_no_run_reaches(sweep, monkeypatch):
     monkeypatch.setattr(sde, "never_called", never_called, raising=False)
     monkeypatch.setattr(sde, "__all__", [*sde.__all__, "never_called"])
     assert "sde.never_called" in unreached(*sweep)
+
+
+def test_the_sweep_reports_a_method_no_run_reaches(sweep, monkeypatch):
+    def never_called(self):
+        pass
+
+    monkeypatch.setattr(sde.TimeGrid, "never_called", never_called, raising=False)
+    assert "sde.TimeGrid.never_called" in unreached(*sweep)

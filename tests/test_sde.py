@@ -15,7 +15,6 @@ from sdelab.sde import (
     GaussianStream,
     SdeModel,
     TimeGrid,
-    WienerPath,
     euler_maruyama_ensemble,
     sample_wiener,
 )
@@ -92,10 +91,8 @@ def test_distinct_stream_ids_and_children_give_distinct_draws():
 def test_wiener_path_starts_at_zero_and_has_grid_shape():
     grid = TimeGrid(0.0, 2.0, 100)
     path = sample_wiener(grid, GaussianStream(1), dim=3)
-    assert path.values.shape == (101, 3)
-    assert np.all(path.values[0] == 0.0)
-    with pytest.raises(ValueError):
-        WienerPath(grid, np.ones((101, 1)))
+    assert path.shape == (101, 3)
+    assert np.all(path[0] == 0.0)
 
 
 def test_wiener_path_matches_cumulated_normal_increments():
@@ -105,7 +102,7 @@ def test_wiener_path_matches_cumulated_normal_increments():
             0.0, math.sqrt(grid.dt), size=(n_steps, dim))
         expected = np.vstack([np.zeros((1, dim)), np.cumsum(incr, axis=0)])
         path = sample_wiener(grid, GaussianStream(11), dim=dim)
-        assert np.array_equal(path.values, expected)
+        assert np.array_equal(path, expected)
 
 
 @pytest.mark.parametrize("row_steps, dim, n_steps", [
@@ -125,14 +122,14 @@ def test_windowed_wiener_equals_one_draw(monkeypatch, row_steps, dim, n_steps):
     steps = GaussianStream(33).generator().standard_normal((n_steps, dim))
     expected = np.vstack([np.zeros((1, dim)), np.cumsum(steps * math.sqrt(grid.dt), axis=0)])
     path = sample_wiener(grid, GaussianStream(33), dim=dim)
-    assert np.array_equal(path.values, expected)
+    assert np.array_equal(path, expected)
 
 
 def test_wiener_increments_have_mean_zero_and_variance_dt():
     # many independent components on one grid = a cheap ensemble
     grid = TimeGrid(0.0, 1.0, 16)
     path = sample_wiener(grid, GaussianStream(2024), dim=20_000)
-    incr = np.diff(path.values, axis=0)
+    incr = np.diff(path, axis=0)
     n = incr.size
     se_mean = math.sqrt(grid.dt / n)
     assert abs(float(incr.mean())) < 5 * se_mean
@@ -143,7 +140,7 @@ def test_wiener_increments_have_mean_zero_and_variance_dt():
 def test_wiener_covariance_at_half_and_full_time_is_one_half():
     grid = TimeGrid(0.0, 1.0, 16)
     path = sample_wiener(grid, GaussianStream(3), dim=20_000)
-    w_half, w_one = path.values[8], path.values[16]
+    w_half, w_one = path[8], path[16]
     cov = float(np.mean(w_half * w_one))
     assert cov == pytest.approx(0.5, abs=0.02)
 
@@ -153,8 +150,7 @@ def test_rescaled_path_c_w_of_t_over_c_squared_passes_increment_checks():
     grid = TimeGrid(0.0, 1.0, 32)
     path = sample_wiener(grid, GaussianStream(4), dim=10_000)
     scaled_grid = TimeGrid(0.0, c**2 * 1.0, 32)
-    scaled = WienerPath(scaled_grid, c * path.values)
-    incr = np.diff(scaled.values, axis=0)
+    incr = np.diff(c * path, axis=0)
     se_var = scaled_grid.dt * math.sqrt(2.0 / incr.size)
     assert abs(float(incr.var()) - scaled_grid.dt) < 5 * se_var
     assert abs(float(incr.mean())) < 5 * math.sqrt(scaled_grid.dt / incr.size)
