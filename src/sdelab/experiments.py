@@ -815,19 +815,29 @@ def _run_ito_isometry(run: _Run) -> ExperimentOutcome:
     n_fine, doublings = p["n_steps"], p["doublings"]
     n_paths, T = p["n_paths"], p["t_end"]
     h_fine = T / n_fine
-    w = sample_wiener(TimeGrid(0.0, T, n_fine), run.stream, dim=n_paths)
-    exact = 0.5 * w[-1] ** 2 - 0.5 * T
+    strides = [2 ** level for level in range(doublings, -1, -1)]
 
-    # every sum over steps adds one row at a time, in the order np.sum(axis=0)
-    # adds them, so no temporary is the size of the path
+    # one pass over the windows of the fine path holds, per level, the Ito sum
+    # and its last coarse node, and the quadratic sum; each adds one node at a
+    # time in the order of the nodes, with the bits of the sums over the path
+    itos = [np.zeros(n_paths) for _ in strides]
+    last = [None] * len(strides)
+    quadratic = np.zeros(n_paths)
+    for j, window in sample_wiener(TimeGrid(0.0, T, n_fine), run.stream, dim=n_paths):
+        for m in range(j + 1 if j else 0, j + len(window)):  # node j ended the last window
+            row = window[m - j]
+            for i, stride in enumerate(strides):
+                if m % stride == 0:
+                    if m:
+                        itos[i] += last[i] * (row - last[i])
+                    last[i] = row
+            if m < n_fine:
+                quadratic += row**2 * h_fine
+    exact = 0.5 * row**2 - 0.5 * T  # row is node n_fine, W(T)
+
     rows = []
     rms = []
-    for level in range(doublings, -1, -1):
-        stride = 2 ** level
-        coarse = w[::stride]
-        ito = np.zeros(n_paths)
-        for k in range(len(coarse) - 1):
-            ito += coarse[k] * (coarse[k + 1] - coarse[k])
+    for stride, ito in zip(strides, itos):
         err = float(np.sqrt(np.mean((ito - exact) ** 2)))
         rms.append(err)
         rows.append((n_fine // stride, err))
@@ -835,10 +845,7 @@ def _run_ito_isometry(run: _Run) -> ExperimentOutcome:
 
     # discrete isometry: E[(sum W dW)^2] = E[sum W^2 h], checked pairwise on
     # the fine sum, which is the last level's
-    quadratic = np.zeros(n_paths)
-    for row in w[:-1]:
-        quadratic += row**2 * h_fine
-    paired = ito**2 - quadratic
+    paired = itos[-1]**2 - quadratic
     iso_diff = float(paired.mean())
     iso_se = float(paired.std(ddof=1) / math.sqrt(n_paths))
 
@@ -1135,17 +1142,32 @@ def _run_sample_paths(run: _Run) -> ExperimentOutcome:
     model = spec.build()
     grid = TimeGrid(0.0, p["t_end"], p["n_steps"])
     x0 = np.full(model.dim_state, p["x0"])
-    ensemble = euler_maruyama_ensemble(model, x0, grid, p["n_paths"],
-                                       run.stream)
-    first = ensemble[:, :, 0]
-    # per-node moments over blocks of node columns, so that std's temporary is
-    # a block, not the ensemble; numpy sums a lone column pairwise, so the
-    # last block takes two columns or more and every node keeps its bits
-    mean, std = np.empty(grid.n_nodes), np.empty(grid.n_nodes)
-    starts = range(0, grid.n_nodes - 1, _MOMENT_COLUMNS)
-    for j, k in zip(starts, [*starts[1:], grid.n_nodes]):
-        mean[j:k] = first[:, j:k].mean(axis=0)
-        std[j:k] = first[:, j:k].std(axis=0, ddof=1)
+    n_paths, n_nodes = p["n_paths"], grid.n_nodes
+    keep = min(8, n_paths)
+    kept = np.empty((n_nodes, keep))
+    # per-node moments over blocks of node columns, each gathered from the windows
+    # into one C-contiguous (n_paths, columns) buffer and reduced when full: numpy
+    # then adds the paths row by row, as over the whole ensemble.  It sums a lone
+    # column pairwise, so the last block takes two columns or more and every node
+    # keeps its bits
+    bounds = [*range(0, n_nodes - 1, _MOMENT_COLUMNS), n_nodes]
+    buffer = np.empty(n_paths * (_MOMENT_COLUMNS + 1))
+    mean, std = np.empty(n_nodes), np.empty(n_nodes)
+    b = 0
+    for j, path in euler_maruyama_ensemble(model, x0, grid, n_paths, run.stream):
+        first = path[:, :, 0]
+        m, end = j + 1 if j else 0, j + len(first)  # node j ended the last window
+        kept[m:end] = first[m - j:, :keep]
+        while m < end:
+            start, stop = bounds[b], bounds[b + 1]
+            block = buffer[:n_paths * (stop - start)].reshape(n_paths, stop - start)
+            filled = min(stop, end)
+            block[:, m - start:filled - start] = first[m - j:filled - j].T
+            m = filled
+            if filled == stop:
+                mean[start:stop] = block.mean(axis=0)
+                std[start:stop] = block.std(axis=0, ddof=1)
+                b += 1
 
     t = grid.nodes
     if spec.preset == "ou":
@@ -1168,9 +1190,7 @@ def _run_sample_paths(run: _Run) -> ExperimentOutcome:
     else:
         rows = list(zip(t, mean, std))
 
-    keep = min(8, p["n_paths"])
-    path_rows = [(t[j], i, first[i, j])
-                 for i in range(keep) for j in range(grid.n_nodes)]
+    path_rows = [(t[j], i, kept[j, i]) for i in range(keep) for j in range(n_nodes)]
     summary = {
         "model": spec.describe(),
         "n_paths": p["n_paths"],

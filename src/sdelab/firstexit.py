@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sde import (_WINDOW_ROW_STEPS, BlowUpError, GaussianStream, SdeModel,
-                  TimeGrid, _AddressedDraws, _em_path, _em_windows)
+                  TimeGrid, _AddressedDraws, _em_path, sample_wiener)
 
 __all__ = [
     "Domain",
@@ -474,10 +474,17 @@ def mc_radial_hitting(r_start: float, r_inner: float, r_outer: float, dim: int,
 # Closed forms
 # ---------------------------------------------------------------------------
 
+def _check_ball_point(x) -> np.ndarray:
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.isfinite(x).all():
+        raise ValueError(f"starting point x must be finite, got {x}")
+    return x
+
+
 def ball_exit_expectation(radius: float, x, n: int) -> float:
     """Mean exit time ``(R^2 - |x|^2)/n`` of n-dim Brownian motion from a ball."""
     _check_radius(radius)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _check_ball_point(x)
     norm2 = float(np.sum(x * x))
     if norm2 >= radius**2:
         raise ValueError("starting point must lie strictly inside the ball")
@@ -493,7 +500,7 @@ def ball_hitting_probability(radius: float, x, n: int) -> float:
     for ``n > 2`` (transience).
     """
     _check_radius(radius)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _check_ball_point(x)
     dist = float(np.linalg.norm(x))
     if dist <= radius:
         raise ValueError("starting point must lie strictly outside the ball")
@@ -616,11 +623,12 @@ def interval_exit_reference(model: SdeModel, x0: float, a: float,
 
 
 def _check_interval_point(a: float, x) -> np.ndarray:
+    # each test is negated, so that a NaN fails it
     x = np.asarray(x, dtype=float)
-    if a <= 0:
-        raise ValueError("half-width a must be positive")
-    if np.any(np.abs(x) > a):
-        raise ValueError(f"need |x| <= {a}")
+    if not 0 < a < math.inf:
+        raise ValueError(f"half-width a must be positive and finite, got {a}")
+    if not np.all(np.abs(x) <= a):
+        raise ValueError(f"need x with |x| <= {a}, got {x}")
     return x
 
 
@@ -666,14 +674,14 @@ def arcsine_occupation(n_paths: int, grid: TimeGrid, stream: GaussianStream) -> 
 
     The occupation integral uses left endpoints on the simulation grid, so
     each sample lies on ``{0, 1/n, ..., 1}``; the discretisation bias of
-    the resulting CDF is O(n_steps^{-1/2}).  Each window of the one ensemble
-    loop ``sde._em_windows`` on ``SdeModel.brownian()`` is reduced to integer
-    counts of positive nodes as it is drawn, so only one window is held, not
-    the whole path; the samples have the bits of the mean over the whole path.
+    the resulting CDF is O(n_steps^{-1/2}).  Each window of
+    :func:`~sdelab.sde.sample_wiener` is reduced to integer counts of positive
+    nodes as it is drawn, so only one window is held, not the whole path; the
+    samples have the bits of the mean over the whole path.
     """
     positive = np.zeros(n_paths, dtype=np.int64)
-    for _, path in _em_windows(SdeModel.brownian(), 0.0, grid, n_paths, stream):
-        positive += np.count_nonzero(path[:-1] > 0.0, axis=(0, 2))
+    for _, rows in sample_wiener(grid, stream, dim=n_paths):
+        positive += np.count_nonzero(rows[:-1] > 0.0, axis=0)
     return np.sort(positive / grid.n_steps)
 
 

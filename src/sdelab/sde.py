@@ -9,9 +9,9 @@ window of a 1-D state with an expression drift, path by path on Python
 floats, which round as the array step does.  Ensembles are generated by
 one window loop, ``_em_windows``; a Brownian path is its case
 ``SdeModel.brownian()``, with one column per path.  ``sample_wiener``
-and ``euler_maruyama_ensemble`` collect the windows into one array, and
-an estimator that needs a few numbers per path reduces each window as it
-arrives, in memory O(paths x window).
+and ``euler_maruyama_ensemble`` return that loop's windows, not an array
+of every node, so an estimator reduces each window as it arrives and
+holds memory O(paths x window).
 
 All randomness is drawn from a :class:`GaussianStream`, a thin wrapper
 around numpy's counter-based Philox generator.  Operations are pure
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -271,19 +271,21 @@ _SCALAR_ROWS = 16
 # Wiener path construction
 # ---------------------------------------------------------------------------
 
-def sample_wiener(grid: TimeGrid, stream: GaussianStream, dim: int = 1) -> np.ndarray:
-    """Sample a Brownian path on ``grid`` by accumulating N(0, dt) increments.
+def sample_wiener(grid: TimeGrid, stream: GaussianStream,
+                  dim: int = 1) -> Iterator[tuple[int, np.ndarray]]:
+    """Sample ``dim`` Brownian paths on ``grid`` by accumulating N(0, dt) increments.
 
-    Returns the ``(grid.n_nodes, dim)`` values, starting at zero.  The ``dim``
-    columns are ``SdeModel.brownian()`` paths from the one ensemble loop
-    :func:`_em_windows`, which a caller that reduces them node by node iterates instead.
+    Returns an iterator over windows ``(j, rows)``: ``rows`` of shape
+    ``(w + 1, dim)`` hold the values at nodes ``j .. j + w``, starting at zero
+    at node 0, and a window's first row is the last row of the one before.
+    The ``dim`` columns are ``SdeModel.brownian()`` paths of the one ensemble
+    loop :func:`_em_windows`, so a caller that reduces each window as it
+    arrives holds one window, not the path.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    values = np.zeros((grid.n_nodes, dim))
-    for j, path in _em_windows(SdeModel.brownian(), 0.0, grid, dim, stream):
-        values[j + 1:j + len(path)] = path[1:, :, 0]
-    return values
+    return ((j, path[..., 0])
+            for j, path in _em_windows(SdeModel.brownian(), 0.0, grid, dim, stream))
 
 
 # ---------------------------------------------------------------------------
@@ -347,25 +349,20 @@ def _raise_blow_up(path: np.ndarray, grid: TimeGrid, step: int) -> None:
 
 
 def euler_maruyama_ensemble(model: SdeModel, x0, grid: TimeGrid, n_paths: int,
-                            stream: GaussianStream) -> np.ndarray:
+                            stream: GaussianStream) -> Iterator[tuple[int, np.ndarray]]:
     """Euler-Maruyama over an ensemble of paths, stepped in lockstep.
 
-    Returns an array of shape ``(n_paths, n_nodes, dim_state)``.  All paths
-    advance simultaneously on vectorised drift/dispersion evaluations.  The
-    array is collected from :func:`_em_windows`; an estimator that needs a
-    few numbers per path (a terminal state, a running integral) iterates
-    the windows instead and holds one window, not every step of every path.
+    Returns the iterator of the one ensemble loop :func:`_em_windows`: windows
+    ``(j, path)`` whose ``path`` of shape ``(w + 1, n_paths, dim_state)`` holds
+    the states at nodes ``j .. j + w``, starting at ``x0`` at node 0.  All paths
+    advance simultaneously on vectorised drift/dispersion evaluations.  An
+    estimator reduces each window as it arrives (a terminal state, a running
+    integral, per-node moments) and holds one window, not every step of every
+    path.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    out = np.empty((n_paths, grid.n_nodes, model.dim_state))
-    out[:, 0] = x0
-    for j, path in _em_windows(model, x0, grid, n_paths, stream):
-        # step by step: one transposed copy of the window would run its few
-        # steps in the inner loop, which is slower
-        for k in range(1, path.shape[0]):
-            out[:, j + k] = path[k]
-    return out
+    return _em_windows(model, x0, grid, n_paths, stream)
 
 
 def _em_windows(model: SdeModel, x0, grid: TimeGrid, n_paths: int,
@@ -377,9 +374,9 @@ def _em_windows(model: SdeModel, x0, grid: TimeGrid, n_paths: int,
     of ``_WINDOW_ROW_STEPS // n_paths`` steps (at least one) at a time into
     one buffer, scaled in place: the bits of one ``normal(0, sqrt(dt))`` draw.
     A window with a non-finite state raises :class:`BlowUpError` at its step.
+    Its callers check ``n_paths`` when called, which a generator would only do
+    at its first window.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     rng = stream.generator()
     dt = grid.dt
     window = max(1, _WINDOW_ROW_STEPS // n_paths)

@@ -4,12 +4,14 @@ import ast
 import hashlib
 import inspect
 import json
+import math
 import os
 import platform
 import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from datetime import datetime
 from pathlib import Path
@@ -37,8 +39,10 @@ from sdelab.experiments import (
     run,
 )
 from sdelab.expr import Expression
+from sdelab import sde
 from sdelab.firstexit import arcsine_cdf, arcsine_occupation
-from sdelab.sde import GaussianStream, TimeGrid
+from sdelab.sde import GaussianStream, TimeGrid, euler_maruyama_ensemble, sample_wiener
+from windows import collect_windows
 
 
 class TestParameterSpec:
@@ -695,3 +699,87 @@ class TestExecuteOutcomes:
         assert out.summary["model"] == {"preset": "bm", "dim": 1}
         assert out.summary["terminal_std_target"] == pytest.approx(
             np.sqrt(0.5))
+
+
+def _column(table, index):
+    return np.array([row[index] for row in table[1]])
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedReductions:
+    """``sample-paths`` and ``ito-isometry`` reduce each window as it arrives,
+    with the bits of the reductions over the whole ensemble."""
+
+    @pytest.mark.parametrize("preset", ["ou", "gbm", "bm"])
+    @pytest.mark.parametrize("row_steps, n_steps", [
+        (7 * 50, 150),  # windows of 7 steps and a ragged one of 3; a last block of 23 nodes
+        (40, 129),      # one-step windows; a last block of 2 nodes
+    ])
+    def test_sample_paths_moments_are_the_whole_ensembles(self, monkeypatch, preset,
+                                                          row_steps, n_steps):
+        monkeypatch.setattr(sde, "_WINDOW_ROW_STEPS", row_steps)
+        config = ExperimentConfig("sample-paths", seed=6, model={"preset": preset},
+                                  parameters={"n_paths": 50, "n_steps": n_steps})
+        out = execute(config)
+
+        p = config.parameters
+        grid = TimeGrid(0.0, p["t_end"], n_steps)
+        first = collect_windows(euler_maruyama_ensemble(
+            config.model.build(), np.full(1, p["x0"]), grid, 50, GaussianStream(6)),
+            node_axis=1)[:, :, 0]
+        mean, std = np.empty(grid.n_nodes), np.empty(grid.n_nodes)
+        starts = range(0, grid.n_nodes - 1, 64)
+        for j, k in zip(starts, [*starts[1:], grid.n_nodes]):
+            mean[j:k] = first[:, j:k].mean(axis=0)
+            std[j:k] = first[:, j:k].std(axis=0, ddof=1)
+        moments, paths = out.tables["moments"], out.tables["paths"]
+        assert np.array_equal(_column(moments, 1), mean)
+        assert np.array_equal(_column(moments, 2), std)
+        assert np.array_equal(_column(paths, 2), first[:8].ravel())
+        assert np.array_equal(_column(paths, 1), np.repeat(np.arange(8), grid.n_nodes))
+
+    @pytest.mark.parametrize("row_steps", [20 * 5, 20 * 3, 19])
+    def test_ito_isometry_level_sums_are_the_whole_paths(self, monkeypatch, row_steps):
+        # windows of 5, 3 and 1 steps, so most windows straddle a node of stride 8
+        monkeypatch.setattr(sde, "_WINDOW_ROW_STEPS", row_steps)
+        params = {"n_paths": 20, "n_steps": 64, "doublings": 3}
+        out = execute("ito-isometry", parameters=params, seed=9)
+
+        T = 1.0
+        w = collect_windows(sample_wiener(TimeGrid(0.0, T, 64), GaussianStream(9), dim=20))
+        exact = 0.5 * w[-1] ** 2 - 0.5 * T
+        errors = []
+        for stride in (8, 4, 2, 1):
+            coarse = w[::stride]
+            ito = np.zeros(20)
+            for k in range(len(coarse) - 1):
+                ito += coarse[k] * (coarse[k + 1] - coarse[k])
+            errors.append(float(np.sqrt(np.mean((ito - exact) ** 2))))
+        quadratic = np.zeros(20)
+        for row in w[:-1]:
+            quadratic += row**2 * (T / 64)
+        paired = ito**2 - quadratic
+        assert out.tables["convergence"][1] == [(8, errors[0]), (16, errors[1]),
+                                                (32, errors[2]), (64, errors[3])]
+        assert out.summary["isometry_difference"] == float(paired.mean())
+        assert out.summary["isometry_difference_std_error"] == \
+            float(paired.std(ddof=1) / math.sqrt(20))
+
+    # the whole 4000 x 1001 and 4096 x 1025 ensembles are 32 MB each
+    def test_sample_paths_holds_a_block_not_the_ensemble(self):
+        peak = _traced_peak(lambda: execute(
+            "sample-paths", parameters={"n_paths": 4000, "n_steps": 1000}))
+        assert peak < 8 * 2**20
+
+    def test_ito_isometry_holds_a_window_not_the_path(self):
+        peak = _traced_peak(lambda: execute(
+            "ito-isometry", parameters={"n_paths": 4096, "n_steps": 1024}))
+        assert peak < 8 * 2**20

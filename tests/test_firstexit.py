@@ -31,6 +31,7 @@ from sdelab.firstexit import (
 from sdelab import firstexit, sde
 from sdelab.firstexit import _STEP_BLOCK, _WINDOW_ROW_STEPS, _normal_variance
 from sdelab.sde import BlowUpError, GaussianStream, SdeModel, TimeGrid, sample_wiener
+from windows import collect_windows
 
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:
@@ -692,6 +693,11 @@ class TestBallClosedForms:
             with pytest.raises(ValueError, match=f"radius must be positive and finite, got {radius}"):
                 ball_exit_expectation(radius, [0.0, 0.0], 2)
 
+    def test_mean_exit_rejects_a_nan_starting_point(self):
+        # "|x|^2 >= R^2" is false for NaN, which gave a NaN mean
+        with pytest.raises(ValueError, match=r"starting point x must be finite, got \[nan\]"):
+            ball_exit_expectation(1.0, [math.nan], 1)
+
     @given(st.floats(-0.99, 0.99))
     def test_one_dimensional_ball_agrees_with_interval_formula(self, x):
         assert ball_exit_expectation(1.0, x, 1) == pytest.approx(1.0 - x**2)
@@ -707,6 +713,11 @@ class TestBallClosedForms:
         for radius in (-1.0, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match=f"radius must be positive and finite, got {radius}"):
                 ball_hitting_probability(radius, (2.0, 0.0, 0.0), 3)
+
+    def test_hitting_probability_rejects_a_nan_starting_point(self):
+        # "|x| <= R" is false for NaN, which gave a NaN probability
+        with pytest.raises(ValueError, match=r"starting point x must be finite, got \[nan\]"):
+            ball_hitting_probability(1.0, [math.nan], 3)
 
     def test_shell_formula_frozen_value(self):
         assert shell_hitting_probability(1.0, 64.0, 2.0, 3) == pytest.approx(31.0 / 63.0)
@@ -832,6 +843,19 @@ class TestFeynmanKacFormulas:
             with pytest.raises(ValueError):
                 fn()
 
+    # "a <= 0" and "|x| > a" are false for NaN, which gave NaN and inf results
+    def test_laplace_rejects_a_nan_half_width(self):
+        with pytest.raises(ValueError, match="half-width a must be positive and finite, got nan"):
+            fk_laplace_interval(1.0, math.nan, 0.0)
+
+    def test_laplace_rejects_a_nan_point(self):
+        with pytest.raises(ValueError, match=r"need x with \|x\| <= 1.0, got nan"):
+            fk_laplace_interval(1.0, 1.0, math.nan)
+
+    def test_conditional_mean_rejects_an_infinite_half_width(self):
+        with pytest.raises(ValueError, match="half-width a must be positive and finite, got inf"):
+            fk_conditional_mean(math.inf, 0.0)
+
     @pytest.mark.parametrize("fn", [fk_laplace_interval, fk_laplace_one_sided])
     @pytest.mark.parametrize("lam", [-1.0, math.inf, math.nan])
     def test_rejects_a_lambda_that_is_not_non_negative_and_finite(self, fn, lam):
@@ -912,7 +936,7 @@ class TestArcsine:
         monkeypatch.setattr(sde, "_WINDOW_ROW_STEPS", row_steps)
         grid = TimeGrid(0.0, 1.0, n_steps)
         frac = arcsine_occupation(2000, grid, GaussianStream(8372))
-        path = sample_wiener(grid, GaussianStream(8372), dim=2000)
+        path = collect_windows(sample_wiener(grid, GaussianStream(8372), dim=2000))
         assert np.array_equal(frac, np.sort(np.mean(path[:-1] > 0.0, axis=0)))
 
     def test_occupation_holds_a_window_not_the_path(self):

@@ -21,6 +21,7 @@ from sdelab.sde import (
 from sdelab import sde
 from sdelab.expr import parse_expression
 from sdelab.sde import _WINDOW_ROW_STEPS
+from windows import collect_windows
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +91,7 @@ def test_distinct_stream_ids_and_children_give_distinct_draws():
 
 def test_wiener_path_starts_at_zero_and_has_grid_shape():
     grid = TimeGrid(0.0, 2.0, 100)
-    path = sample_wiener(grid, GaussianStream(1), dim=3)
+    path = collect_windows(sample_wiener(grid, GaussianStream(1), dim=3))
     assert path.shape == (101, 3)
     assert np.all(path[0] == 0.0)
 
@@ -101,7 +102,7 @@ def test_wiener_path_matches_cumulated_normal_increments():
         incr = GaussianStream(11).generator().normal(
             0.0, math.sqrt(grid.dt), size=(n_steps, dim))
         expected = np.vstack([np.zeros((1, dim)), np.cumsum(incr, axis=0)])
-        path = sample_wiener(grid, GaussianStream(11), dim=dim)
+        path = collect_windows(sample_wiener(grid, GaussianStream(11), dim=dim))
         assert np.array_equal(path, expected)
 
 
@@ -121,14 +122,23 @@ def test_windowed_wiener_equals_one_draw(monkeypatch, row_steps, dim, n_steps):
     assert starts == list(range(0, n_steps, window))
     steps = GaussianStream(33).generator().standard_normal((n_steps, dim))
     expected = np.vstack([np.zeros((1, dim)), np.cumsum(steps * math.sqrt(grid.dt), axis=0)])
-    path = sample_wiener(grid, GaussianStream(33), dim=dim)
+    path = collect_windows(sample_wiener(grid, GaussianStream(33), dim=dim))
     assert np.array_equal(path, expected)
+
+
+def test_the_samplers_check_their_sizes_when_called():
+    # both return an iterator of windows; a size error comes before the first
+    grid = TimeGrid(0.0, 1.0, 4)
+    with pytest.raises(ValueError, match="dim must be >= 1, got 0"):
+        sample_wiener(grid, GaussianStream(1), dim=0)
+    with pytest.raises(ValueError, match="n_paths must be >= 1, got 0"):
+        euler_maruyama_ensemble(SdeModel.brownian(), 0.0, grid, 0, GaussianStream(1))
 
 
 def test_wiener_increments_have_mean_zero_and_variance_dt():
     # many independent components on one grid = a cheap ensemble
     grid = TimeGrid(0.0, 1.0, 16)
-    path = sample_wiener(grid, GaussianStream(2024), dim=20_000)
+    path = collect_windows(sample_wiener(grid, GaussianStream(2024), dim=20_000))
     incr = np.diff(path, axis=0)
     n = incr.size
     se_mean = math.sqrt(grid.dt / n)
@@ -139,7 +149,7 @@ def test_wiener_increments_have_mean_zero_and_variance_dt():
 
 def test_wiener_covariance_at_half_and_full_time_is_one_half():
     grid = TimeGrid(0.0, 1.0, 16)
-    path = sample_wiener(grid, GaussianStream(3), dim=20_000)
+    path = collect_windows(sample_wiener(grid, GaussianStream(3), dim=20_000))
     w_half, w_one = path[8], path[16]
     cov = float(np.mean(w_half * w_one))
     assert cov == pytest.approx(0.5, abs=0.02)
@@ -148,7 +158,7 @@ def test_wiener_covariance_at_half_and_full_time_is_one_half():
 def test_rescaled_path_c_w_of_t_over_c_squared_passes_increment_checks():
     c = 3.0
     grid = TimeGrid(0.0, 1.0, 32)
-    path = sample_wiener(grid, GaussianStream(4), dim=10_000)
+    path = collect_windows(sample_wiener(grid, GaussianStream(4), dim=10_000))
     scaled_grid = TimeGrid(0.0, c**2 * 1.0, 32)
     incr = np.diff(c * path, axis=0)
     se_var = scaled_grid.dt * math.sqrt(2.0 / incr.size)
@@ -163,7 +173,8 @@ def test_rescaled_path_c_w_of_t_over_c_squared_passes_increment_checks():
 def test_euler_maruyama_with_zero_dispersion_is_explicit_euler_exactly():
     model = SdeModel.scalar(lambda x: np.sin(x), lambda x: 0.0)
     grid = TimeGrid(0.0, 2.0, 50)
-    path = euler_maruyama_ensemble(model, 0.7, grid, 1, GaussianStream(15))
+    path = collect_windows(euler_maruyama_ensemble(model, 0.7, grid, 1, GaussianStream(15)),
+                           node_axis=1)
     x = 0.7
     for k in range(grid.n_steps):
         x = x + math.sin(x) * grid.dt
@@ -203,9 +214,10 @@ def test_a_model_states_each_coefficient_once():
 def test_number_dispersion_steps_bit_identically_to_a_constant_callable():
     grid = TimeGrid(0.0, 1.0, 64)
     kwargs = dict(x0=[0.2], grid=grid, n_paths=32, stream=GaussianStream(21))
-    number = euler_maruyama_ensemble(SdeModel.scalar(lambda x: x - x**3, 0.7), **kwargs)
-    callable_ = euler_maruyama_ensemble(
-        SdeModel.scalar(lambda x: x - x**3, lambda x: 0.7), **kwargs)
+    number = collect_windows(euler_maruyama_ensemble(
+        SdeModel.scalar(lambda x: x - x**3, 0.7), **kwargs))
+    callable_ = collect_windows(euler_maruyama_ensemble(
+        SdeModel.scalar(lambda x: x - x**3, lambda x: 0.7), **kwargs))
     assert np.array_equal(number, callable_)
 
 
@@ -214,7 +226,7 @@ def test_euler_maruyama_blow_up_carries_the_step_index():
     grid = TimeGrid(0.0, 5.0, 50)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError) as excinfo:
-            euler_maruyama_ensemble(model, 10.0, grid, 1, GaussianStream(17))
+            collect_windows(euler_maruyama_ensemble(model, 10.0, grid, 1, GaussianStream(17)))
     assert 1 <= excinfo.value.step_index <= 50
     assert excinfo.value.time == pytest.approx(grid.nodes[excinfo.value.step_index])
 
@@ -222,8 +234,10 @@ def test_euler_maruyama_blow_up_carries_the_step_index():
 def test_ensemble_matches_single_path_layout_and_is_reproducible():
     model = SdeModel.brownian(2)
     grid = TimeGrid(0.0, 1.0, 20)
-    a = euler_maruyama_ensemble(model, [0.0, 0.0], grid, 50, GaussianStream(19))
-    b = euler_maruyama_ensemble(model, [0.0, 0.0], grid, 50, GaussianStream(19))
+    a = collect_windows(euler_maruyama_ensemble(model, [0.0, 0.0], grid, 50,
+                                                GaussianStream(19)), node_axis=1)
+    b = collect_windows(euler_maruyama_ensemble(model, [0.0, 0.0], grid, 50,
+                                                GaussianStream(19)), node_axis=1)
     assert a.shape == (50, 21, 2)
     assert np.array_equal(a, b)
     assert np.all(a[:, 0] == 0.0)
@@ -233,8 +247,9 @@ def test_ensemble_noise_layout_is_pinned():
     # Golden terminal rows: one (n_paths, dim_noise) draw per step fixes the
     # manifest SHA-256s of the ensemble experiments.  Brownian steps need no
     # libm call, so the values are portable.
-    paths = euler_maruyama_ensemble(SdeModel.brownian(2), [0.0, 1.0],
-                                    TimeGrid(0.0, 1.0, 8), 4, GaussianStream(7))
+    paths = collect_windows(euler_maruyama_ensemble(
+        SdeModel.brownian(2), [0.0, 1.0], TimeGrid(0.0, 1.0, 8), 4, GaussianStream(7)),
+        node_axis=1)
     assert paths[:, -1].tolist() == [
         [0.40211245585652067, 3.179435850816839],
         [-1.8786992038955712, 1.9658740943624098],
@@ -277,7 +292,8 @@ DENSE_G = np.array([[0.6, 0.3], [-0.2, 0.5]])
 def test_windowed_ensemble_equals_the_per_step_loop(model, x0):
     window = _WINDOW_ROW_STEPS // WINDOWED["n_paths"]
     assert window > 1 and WINDOWED["grid"].n_steps % window
-    paths = euler_maruyama_ensemble(model, x0, stream=GaussianStream(31), **WINDOWED)
+    paths = collect_windows(euler_maruyama_ensemble(
+        model, x0, stream=GaussianStream(31), **WINDOWED), node_axis=1)
     expected = reference_ensemble(model, x0, stream=GaussianStream(31), **WINDOWED)
     assert np.array_equal(paths, expected)
 
@@ -289,9 +305,11 @@ def test_blow_up_inside_a_window_is_raised_at_the_per_step_loop_step():
     raised = []
     with np.errstate(over="ignore", invalid="ignore"):
         for run in (
-            lambda: euler_maruyama_ensemble(model, 2.5, grid, n_paths, GaussianStream(32)),
+            lambda: collect_windows(euler_maruyama_ensemble(
+                model, 2.5, grid, n_paths, GaussianStream(32))),
             lambda: reference_ensemble(model, 2.5, grid, n_paths, GaussianStream(32)),
-            lambda: euler_maruyama_ensemble(model, 2.5, grid, 1, GaussianStream(32)),
+            lambda: collect_windows(euler_maruyama_ensemble(
+                model, 2.5, grid, 1, GaussianStream(32))),
             lambda: reference_ensemble(model, 2.5, grid, 1, GaussianStream(32)),
         ):
             with pytest.raises(BlowUpError) as excinfo:
